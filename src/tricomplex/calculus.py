@@ -191,6 +191,8 @@ def check_analytic(
     residuals are reported, never judged, so a caller chooses its own
     threshold.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and > 0")
     s = step
     axes = ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
 

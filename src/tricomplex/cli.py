@@ -1,9 +1,10 @@
 """Deterministic command-line front end.
 
 Exit codes: 0 on success, 1 when an argument is outside a function's
-domain (zero divisor, logarithm domain, singular path, ...), 2 on
-malformed input.  All numbers are printed with 17 significant digits so
-every printed value re-parses to the same double.
+domain (zero divisor, logarithm domain, singular path, ...) or a result
+leaves the double range, 2 on malformed or non-finite input.  All
+numbers are printed with 17 significant digits so every printed value
+re-parses to the same double.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from typing import Callable, Sequence
 
 from .algebra import Tricomplex
 from .calculus import Path3, check_analytic, loop_integral_pole
-from .cosexp import cx, mx, px
 from .errors import TricomplexError
-from .functions import DIRECT, ElementaryFn, tpow
+from .functions import DIRECT, ElementaryFn, texp, tpow
 from .geometry import polar, to_canonical
 from .poly import TriPolynomial, enumerate_root_sets, factor
 from .series import TriSeries, eval_series
@@ -113,6 +113,8 @@ def _cmd_check_analytic(args: argparse.Namespace) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("range bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("step must be > 0")
     if hi < lo:
@@ -129,20 +131,29 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _cmd_cosexp_table(args: argparse.Namespace) -> int:
-    print("y,cx,mx,px")
+    # cx, mx, px are the components of exp(h*y); rows first, so that an
+    # overflow leaves stdout empty
+    rows = []
     for y in _grid(args.min, args.max, args.step):
-        print(f"{_fmt(y)},{_fmt(cx(y))},{_fmt(mx(y))},{_fmt(px(y))}")
+        e = texp(Tricomplex(0.0, y, 0.0))
+        rows.append(f"{_fmt(y)},{_fmt(e.x)},{_fmt(e.y)},{_fmt(e.z)}")
+    print("y,cx,mx,px")
+    for row in rows:
+        print(row)
     return 0
 
 
 def _cmd_rho_table(args: argparse.Namespace) -> int:
     # distance from origin at fixed amplitude: invert
     # rho = sqrt(3)/cbrt(2) * d * sin(theta)^(2/3) * cos(theta)^(1/3)
+    if not math.isfinite(args.rho):
+        raise ValueError("rho must be finite")
+    grid = _grid(args.min, args.max, args.step)
+    if not all(0.0 < theta < 0.5 * math.pi for theta in grid):
+        raise ValueError("theta grid must stay strictly inside (0, pi/2)")
     print("theta,d")
     scale = args.rho * 2.0 ** (1.0 / 3.0) / math.sqrt(3.0)
-    for theta in _grid(args.min, args.max, args.step):
-        if not 0.0 < theta < 0.5 * math.pi:
-            raise ValueError("theta grid must stay strictly inside (0, pi/2)")
+    for theta in grid:
         d = scale / (math.sin(theta) ** (2.0 / 3.0) * math.cos(theta) ** (1.0 / 3.0))
         print(f"{_fmt(theta)},{_fmt(d)}")
     return 0

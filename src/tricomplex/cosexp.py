@@ -2,25 +2,22 @@
 
 They partition the exponential series by the residue of the power mod 3:
 cx collects the powers 0, 3, 6, ...; mx the powers 1, 4, 7, ...; px the
-powers 2, 5, 8, ...  So cx + mx + px = exp, and each is the exponential
-of a pure h (or k) argument read off on components.
+powers 2, 5, 8, ...  So cx + mx + px = exp, and they are the components
+of the exponential of a pure h argument:
 
-The production implementation is the closed form
+    exp(h y) = cx y + h mx y + k px y.
 
-    cx y = e^y/3 + (2/3) cos(sqrt(3) y / 2 + shift) e^(-y/2)
-
-with shift 0 for cx, -2pi/3 for mx, +2pi/3 for px; the defining series
-is kept as the slow oracle.
+The production values are read off ``texp`` at h*y, so they share its
+split evaluation; the defining series is kept as the slow oracle.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 
-_SQRT3_HALF = math.sqrt(3.0) / 2.0
-_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+from .algebra import Tricomplex
+from .functions import texp
 
 
 class CosexpKind(enum.Enum):
@@ -31,23 +28,15 @@ class CosexpKind(enum.Enum):
     PX = 2
 
 
-_PHASE = {CosexpKind.CX: 0.0, CosexpKind.MX: -_TWO_THIRDS_PI, CosexpKind.PX: _TWO_THIRDS_PI}
-_AT_ZERO = {CosexpKind.CX: 1.0, CosexpKind.MX: 0.0, CosexpKind.PX: 0.0}
-
 #: Truncation giving < 1e-16 tail for |y| <= 5 (the term y^30/30! already
 #: underflows the last retained digit there).
 DEFAULT_TERMS = 30
 
 
 def cosexp(kind: CosexpKind, y: float) -> float:
-    """Closed-form cosexponential value."""
-    if y == 0.0:
-        # The closed form loses the exact 1/0/0 values to rounding.
-        return _AT_ZERO[kind]
-    return (
-        math.exp(y) / 3.0
-        + (2.0 / 3.0) * math.cos(_SQRT3_HALF * y + _PHASE[kind]) * math.exp(-0.5 * y)
-    )
+    """Cosexponential value: component ``kind`` of exp(h*y)."""
+    e = texp(Tricomplex(0.0, y, 0.0))
+    return (e.x, e.y, e.z)[kind.value]
 
 
 def cx(y: float) -> float:
@@ -83,17 +72,3 @@ def cosexp_derivative(kind: CosexpKind, y: float) -> float:
         CosexpKind.PX: CosexpKind.MX,
     }[kind]
     return cosexp(shifted, y)
-
-
-def _cosexp_complex(kind: CosexpKind, w: complex) -> complex:
-    """Closed form continued to a complex argument.
-
-    Internal: the elementary-function module recombines values at +iw
-    and -iw to evaluate circular functions of pure h/k arguments.
-    """
-    if w == 0.0:
-        return complex(_AT_ZERO[kind])
-    return (
-        cmath.exp(w) / 3.0
-        + (2.0 / 3.0) * cmath.cos(_SQRT3_HALF * w + _PHASE[kind]) * cmath.exp(-0.5 * w)
-    )

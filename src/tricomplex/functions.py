@@ -1,45 +1,40 @@
 """Elementary functions of a three-component hypercomplex variable.
 
 Every function here is the analytic continuation, through its power
-series, of the usual real function.  The production routes avoid the
-canonical-basis isomorphism on purpose:
+series, of the usual real function.  The canonical basis splits the
+algebra into a complex plane transverse to the trisector line and a real
+line along it, and a power series acts on each part separately.  So the
+production route for exp and the circular/hyperbolic functions is one
+split evaluation: the complex function on the transverse pair, the real
+function on the component sum, joined back in the canonical basis.
+log and the fractional power invert the exponential form in closed form
+(amplitude, polar angle, azimuthal angle).
 
-* exp splits the argument into x + hy + kz and multiplies the three
-  factor exponentials, with the pure h/k factors read off from the
-  cosexponential functions;
-* log inverts the exponential form in closed form (amplitude, polar
-  angle, azimuthal angle);
-* circular/hyperbolic functions assemble f(x + hy + kz) with the
-  addition theorems from closed forms of the pure h/k arguments.
-
-``oracle_eval`` evaluates instead through the isomorphism with the
-direct sum of the complex plane and the real line, and exists so tests
-can compare two fully independent routes.
+``oracle_eval`` evaluates instead as a product of cosexponential
+factors, exp(x) * exp(hy) * exp(kz) over complex scalars, and exists so
+tests can compare two independent routes.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 
-from .algebra import (
-    Tricomplex,
-    component_sum,
-    inverse,
-    quadratic_form,
-)
-from .cosexp import CosexpKind, _cosexp_complex, cx, mx, px
+from .algebra import Tricomplex, component_sum, inverse
 from .errors import (
     REASON_NODAL_PLANE_SIDE,
     REASON_TRISECTOR_LINE,
     DomainError,
     Overflow,
 )
-from .geometry import CanonicalForm, from_canonical, normalize_phi, to_canonical
+from .geometry import CanonicalForm, _azimuth, from_canonical, to_canonical
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI = 2.0 * math.pi
+#: Primitive cube root of unity, the eigenvalue of h on the transverse plane.
+_OMEGA = complex(-0.5, 0.5 * _SQRT3)
 
 
 class ElementaryFn(enum.Enum):
@@ -53,42 +48,104 @@ class ElementaryFn(enum.Enum):
     COSH = "cosh"
 
 
-def texp(u: Tricomplex) -> Tricomplex:
-    """Exponential: exp(x) * exp(hy) * exp(kz).
+def _checked(name: str):
+    """Decorator for f(u, *exponents): a result beyond the double range
+    raises Overflow, unless a non-finite exponent caused it, which is
+    malformed input (ValueError).
 
-    The pure-argument factors are exp(hy) = cx y + h mx y + k px y and
-    exp(kz) = cx z + h px z + k mx z.
+    math/cmath report overflow as OverflowError, the value type as
+    ValueError (non-finite component).  A NaN or infinite exponent always
+    ends in one of them, so the happy path pays for no check.
+    """
+
+    def decorate(f):
+        @functools.wraps(f)
+        def checked(u: Tricomplex, *exponents: float):
+            try:
+                return f(u, *exponents)
+            except (OverflowError, ValueError) as exc:
+                if not all(isinstance(e, int) or math.isfinite(e) for e in exponents):
+                    raise ValueError(f"{name} exponent must be finite") from exc
+                raise Overflow(f"{name} overflows at {u}") from exc
+
+        return checked
+
+    return decorate
+
+
+def _from_split(fw: complex, fp: float) -> Tricomplex:
+    """The number with transverse pair ``fw`` and component sum ``fp``.
+
+    from_canonical forms 2*v1 and sqrt(3)*v1t, which can leave the double
+    range although the result does not; the retry prescales by a power of
+    two, which is exact, so results in range keep their bits.
     """
     try:
-        scale = math.exp(u.x)
-        eh = Tricomplex(cx(u.y), mx(u.y), px(u.y))
-        ek = Tricomplex(cx(u.z), px(u.z), mx(u.z))
-        p = eh * ek
-        return Tricomplex(scale * p.x, scale * p.y, scale * p.z)
-    except (OverflowError, ValueError) as exc:
-        raise Overflow(f"exp overflows at {u}") from exc
+        return from_canonical(CanonicalForm(fw.real, fw.imag, fp))
+    except ValueError:
+        t = from_canonical(CanonicalForm(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp))
+        return Tricomplex(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
 
 
-def _log_pieces(u: Tricomplex) -> tuple[float, float, float]:
+def _split(u: Tricomplex, cfn, rfn) -> Tricomplex:
+    """f(u) for a real power series f: the complex ``cfn`` on the
+    transverse pair and the real ``rfn`` on the component sum."""
+    c = to_canonical(u)
+    return _from_split(cfn(c.transverse()), rfn(c.vp))
+
+
+@_checked("exp")
+def texp(u: Tricomplex) -> Tricomplex:
+    """Exponential: complex exp on the transverse pair, real exp on the
+    component sum."""
+    return _split(u, cmath.exp, math.exp)
+
+
+@_checked("sin")
+def tsin(u: Tricomplex) -> Tricomplex:
+    """Sine: complex sin on the transverse pair, real sin on the
+    component sum."""
+    return _split(u, cmath.sin, math.sin)
+
+
+@_checked("cos")
+def tcos(u: Tricomplex) -> Tricomplex:
+    """Cosine: complex cos on the transverse pair, real cos on the
+    component sum."""
+    return _split(u, cmath.cos, math.cos)
+
+
+@_checked("sinh")
+def tsinh(u: Tricomplex) -> Tricomplex:
+    """Hyperbolic sine: complex sinh on the transverse pair, real sinh on
+    the component sum."""
+    return _split(u, cmath.sinh, math.sinh)
+
+
+@_checked("cosh")
+def tcosh(u: Tricomplex) -> Tricomplex:
+    """Hyperbolic cosine: complex cosh on the transverse pair, real cosh
+    on the component sum."""
+    return _split(u, cmath.cosh, math.cosh)
+
+
+def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float]:
     """(sigma, delta, phi) with the domain checks shared by log and the
-    fractional power: component sum > 0 and strictly off the trisector
-    line."""
-    q = quadratic_form(u)
-    if q <= 0.0:
+    power: strictly off the trisector line and, when ``purpose`` names a
+    real logarithm or fractional power, component sum > 0."""
+    delta, phi = _azimuth(u)
+    if phi is None:
         raise DomainError(
             "argument lies on the trisector line (azimuthal angle undefined)",
             REASON_TRISECTOR_LINE,
         )
     sigma = component_sum(u)
-    if sigma <= 0.0:
+    if purpose is not None and sigma <= 0.0:
         raise DomainError(
-            "component sum x+y+z must be > 0 for a real logarithm",
+            f"component sum x+y+z must be > 0 for {purpose}",
             REASON_NODAL_PLANE_SIDE,
         )
-    phi = normalize_phi(
-        math.atan2(_SQRT3 * (u.y - u.z), 2.0 * u.x - u.y - u.z)
-    )
-    return sigma, math.sqrt(q), phi
+    return sigma, delta, phi
 
 
 def tlog(u: Tricomplex) -> Tricomplex:
@@ -99,7 +156,7 @@ def tlog(u: Tricomplex) -> Tricomplex:
     log of magnitude delta and argument phi; along the trisector line it
     is the real log of the component sum.
     """
-    sigma, delta, phi = _log_pieces(u)
+    sigma, delta, phi = _log_pieces(u, "a real logarithm")
     # amplitude^3 = sigma * delta^2, so log(amplitude) = (log sigma + 2 log delta)/3
     ls = math.log(sigma)
     ld = math.log(delta)
@@ -113,6 +170,7 @@ def tlog(u: Tricomplex) -> Tricomplex:
     )
 
 
+@_checked("pow")
 def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
     """Power through the exponential form: transverse magnitude delta^m
     rotated by m*phi, longitudinal component sigma^m.
@@ -121,28 +179,15 @@ def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
     fractional m this is the principal branch (phi in [0, 2*pi)) and
     requires x+y+z > 0.
     """
-    q = quadratic_form(u)
-    if q <= 0.0:
-        raise DomainError(
-            "argument lies on the trisector line (azimuthal angle undefined)",
-            REASON_TRISECTOR_LINE,
-        )
-    sigma = component_sum(u)
-    integral = float(m).is_integer()
-    if not integral and sigma <= 0.0:
-        raise DomainError(
-            "component sum x+y+z must be > 0 for a fractional power",
-            REASON_NODAL_PLANE_SIDE,
-        )
-    delta = math.sqrt(q)
-    phi = normalize_phi(math.atan2(_SQRT3 * (u.y - u.z), 2.0 * u.x - u.y - u.z))
+    fractional = not float(m).is_integer()
+    sigma, delta, phi = _log_pieces(u, "a fractional power" if fractional else None)
     dm = delta**m
-    sm = math.pow(sigma, m)
-    return from_canonical(
-        CanonicalForm(dm * math.cos(m * phi), dm * math.sin(m * phi), sm)
+    return _from_split(
+        complex(dm * math.cos(m * phi), dm * math.sin(m * phi)), math.pow(sigma, m)
     )
 
 
+@_checked("pow")
 def tpow(u: Tricomplex, m: float) -> Tricomplex:
     """Power function.
 
@@ -158,96 +203,6 @@ def tpow(u: Tricomplex, m: float) -> Tricomplex:
     return power_from_polar(u, float(m))
 
 
-# -- pure-argument circular/hyperbolic factors -----------------------------
-
-
-def _circular_pure(y: float, swap: bool) -> tuple[Tricomplex, Tricomplex]:
-    """(cos, sin) of hy (swap=False) or ky (swap=True).
-
-    Obtained by recombining cosexponential values at +iy and -iy, which
-    for real y reduces to the real and imaginary parts at +iy.
-    """
-    a = _cosexp_complex(CosexpKind.CX, 1j * y)
-    b = _cosexp_complex(CosexpKind.MX, 1j * y)
-    c = _cosexp_complex(CosexpKind.PX, 1j * y)
-    if swap:
-        b, c = c, b
-    return (
-        Tricomplex(a.real, b.real, c.real),
-        Tricomplex(a.imag, b.imag, c.imag),
-    )
-
-
-def _hyperbolic_pure(y: float, swap: bool) -> tuple[Tricomplex, Tricomplex]:
-    """(cosh, sinh) of hy (swap=False) or ky (swap=True), as the even and
-    odd halves of the pure-argument exponential."""
-    ap, bp, cp = cx(y), mx(y), px(y)
-    am, bm, cm = cx(-y), mx(-y), px(-y)
-    if swap:
-        bp, cp = cp, bp
-        bm, cm = cm, bm
-    return (
-        Tricomplex(0.5 * (ap + am), 0.5 * (bp + bm), 0.5 * (cp + cm)),
-        Tricomplex(0.5 * (ap - am), 0.5 * (bp - bm), 0.5 * (cp - cm)),
-    )
-
-
-def _assemble(u: Tricomplex, circular: bool) -> tuple[Tricomplex, Tricomplex]:
-    """(cos-like, sin-like) of hy + kz combined by the addition theorems."""
-    pure = _circular_pure if circular else _hyperbolic_pure
-    ch, sh = pure(u.y, False)
-    ck, sk = pure(u.z, True)
-    if circular:
-        return ch * ck - sh * sk, sh * ck + ch * sk
-    return ch * ck + sh * sk, sh * ck + ch * sk
-
-
-def tcos(u: Tricomplex) -> Tricomplex:
-    """Cosine via cos(x + v) = cos x cos v - sin x sin v with v = hy + kz."""
-    try:
-        a, b = _assemble(u, circular=True)
-        return math.cos(u.x) * a - math.sin(u.x) * b
-    except (OverflowError, ValueError) as exc:
-        raise Overflow(f"cos overflows at {u}") from exc
-
-
-def tsin(u: Tricomplex) -> Tricomplex:
-    """Sine via sin(x + v) = sin x cos v + cos x sin v with v = hy + kz."""
-    try:
-        a, b = _assemble(u, circular=True)
-        return math.sin(u.x) * a + math.cos(u.x) * b
-    except (OverflowError, ValueError) as exc:
-        raise Overflow(f"sin overflows at {u}") from exc
-
-
-def tcosh(u: Tricomplex) -> Tricomplex:
-    """Hyperbolic cosine assembled with the hyperbolic addition theorems."""
-    try:
-        a, b = _assemble(u, circular=False)
-        return math.cosh(u.x) * a + math.sinh(u.x) * b
-    except (OverflowError, ValueError) as exc:
-        raise Overflow(f"cosh overflows at {u}") from exc
-
-
-def tsinh(u: Tricomplex) -> Tricomplex:
-    """Hyperbolic sine assembled with the hyperbolic addition theorems."""
-    try:
-        a, b = _assemble(u, circular=False)
-        return math.sinh(u.x) * a + math.cosh(u.x) * b
-    except (OverflowError, ValueError) as exc:
-        raise Overflow(f"sinh overflows at {u}") from exc
-
-
-# -- independent oracle -----------------------------------------------------
-
-_COMPLEX_REAL_PAIRS = {
-    ElementaryFn.EXP: (cmath.exp, math.exp),
-    ElementaryFn.SIN: (cmath.sin, math.sin),
-    ElementaryFn.COS: (cmath.cos, math.cos),
-    ElementaryFn.SINH: (cmath.sinh, math.sinh),
-    ElementaryFn.COSH: (cmath.cosh, math.cosh),
-}
-
 DIRECT = {
     ElementaryFn.EXP: texp,
     ElementaryFn.LOG: tlog,
@@ -258,19 +213,50 @@ DIRECT = {
 }
 
 
-def oracle_eval(fn: ElementaryFn, u: Tricomplex) -> Tricomplex:
-    """Evaluate ``fn`` through the split into a complex transverse plane
-    and a real longitudinal axis.
+# -- independent oracle -----------------------------------------------------
 
-    The standard complex function is applied to v1 + i*v1t and the
-    standard real function to vp; the domains mirror the direct
-    implementations (for log: vp > 0 and a nonzero transverse part,
-    with the complex argument taken in [0, 2*pi)).
+
+def _cosexp_complex(w: complex) -> tuple[complex, complex, complex]:
+    """(cx w, mx w, px w) for a complex argument: the components of
+    exp(h*w), each an average of exp over the cube roots of unity r,
+    weighted by r^-n for the powers n mod 3 it collects."""
+    e0 = cmath.exp(w)
+    e1 = cmath.exp(_OMEGA * w)
+    e2 = cmath.exp(_OMEGA.conjugate() * w)
+    return (
+        (e0 + e1 + e2) / 3.0,
+        (e0 + _OMEGA.conjugate() * e1 + _OMEGA * e2) / 3.0,
+        (e0 + _OMEGA * e1 + _OMEGA.conjugate() * e2) / 3.0,
+    )
+
+
+def _exp_product(x: complex, y: complex, z: complex) -> list[complex]:
+    """Components of exp(x + hy + kz) for complex x, y, z as the product
+    exp(x) * (cx y + h mx y + k px y) * (cx z + h px z + k mx z)."""
+    a, b, c = _cosexp_complex(y)
+    A, C, B = _cosexp_complex(z)
+    s = cmath.exp(x)
+    return [
+        s * (a * A + b * C + c * B),
+        s * (c * C + a * B + b * A),
+        s * (b * B + a * C + c * A),
+    ]
+
+
+def oracle_eval(fn: ElementaryFn, u: Tricomplex) -> Tricomplex:
+    """Evaluate ``fn`` independently of the split evaluation.
+
+    exp is the product of cosexponential factors; cos and sin are the
+    real and imaginary parts of exp(i*u); cosh and sinh are the half sum
+    and half difference of exp(u) and exp(-u).  log applies cmath.log to
+    the transverse pair v1 + i*v1t and math.log to vp; its domain
+    mirrors ``tlog`` (vp > 0 and a nonzero transverse part, with the
+    complex argument taken in [0, 2*pi)).
     """
-    c = to_canonical(u)
-    w = complex(c.v1, c.v1t)
     try:
         if fn is ElementaryFn.LOG:
+            c = to_canonical(u)
+            w = c.transverse()
             if w == 0:
                 raise DomainError(
                     "argument lies on the trisector line (azimuthal angle undefined)",
@@ -284,11 +270,16 @@ def oracle_eval(fn: ElementaryFn, u: Tricomplex) -> Tricomplex:
             fw = cmath.log(w)
             if fw.imag < 0.0:
                 fw = complex(fw.real, fw.imag + _TWO_PI)
-            fp = math.log(c.vp)
-        else:
-            cfn, rfn = _COMPLEX_REAL_PAIRS[fn]
-            fw = cfn(w)
-            fp = rfn(c.vp)
-        return from_canonical(CanonicalForm(fw.real, fw.imag, fp))
+            return from_canonical(CanonicalForm(fw.real, fw.imag, math.log(c.vp)))
+        if fn is ElementaryFn.EXP:
+            return Tricomplex(*(e.real for e in _exp_product(u.x, u.y, u.z)))
+        if fn in (ElementaryFn.COS, ElementaryFn.SIN):
+            e = _exp_product(1j * u.x, 1j * u.y, 1j * u.z)
+            parts = [v.real for v in e] if fn is ElementaryFn.COS else [v.imag for v in e]
+            return Tricomplex(*parts)
+        ep = _exp_product(u.x, u.y, u.z)
+        em = _exp_product(-u.x, -u.y, -u.z)
+        sign = 1.0 if fn is ElementaryFn.COSH else -1.0
+        return Tricomplex(*(0.5 * (a.real + sign * b.real) for a, b in zip(ep, em)))
     except (OverflowError, ValueError) as exc:
         raise Overflow(f"{fn.value} overflows at {u}") from exc

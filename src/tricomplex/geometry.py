@@ -135,19 +135,22 @@ def polar(u: Tricomplex) -> PolarForm:
     d = abs(u)
     sigma = component_sum(u)
     s = sigma / _SQRT3
-    q = quadratic_form(u)
-    delta = math.sqrt(q)
+    delta, phi = _azimuth(u)
     D = delta * math.sqrt(2.0 / 3.0)
     rho = amplitude(u)
 
     theta = None if d == 0.0 else math.atan2(D, s)
-    if delta == 0.0:
-        phi = None
-    else:
-        cos_phi = (2.0 * u.x - u.y - u.z) / (2.0 * delta)
-        sin_phi = _SQRT3 * (u.y - u.z) / (2.0 * delta)
-        phi = normalize_phi(math.atan2(sin_phi, cos_phi))
     return PolarForm(d=d, s=s, D=D, rho=rho, theta_or_none=theta, phi_or_none=phi)
+
+
+def _azimuth(u: Tricomplex) -> tuple[float, float | None]:
+    """(delta, phi): the transverse magnitude sqrt(x^2+y^2+z^2-xy-xz-yz)
+    and the azimuthal angle in [0, 2*pi), which is None on the trisector
+    line (delta = 0)."""
+    delta = math.sqrt(quadratic_form(u))
+    if delta == 0.0:
+        return delta, None
+    return delta, normalize_phi(math.atan2(_SQRT3 * (u.y - u.z), 2.0 * u.x - u.y - u.z))
 
 
 def normalize_phi(phi: float) -> float:

@@ -380,7 +380,7 @@ def test_criterion_11():
         assert np.max(np.abs(sim - r)) <= 1e-12 * max(1.0, abs(u))
 
 
-@criterion(12, "elementary functions agree with the split-evaluation oracle")
+@criterion(12, "elementary functions agree with the cosexponential-product oracle")
 def test_criterion_12():
     rng = np.random.default_rng(2012)
     pairs = (

@@ -182,6 +182,31 @@ def test_parse_errors_exit_two(capout):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "--fn", "pow", "--at", "(1e200,0,0)", "--exponent", "2"], 1),
+        (["eval", "--fn", "pow", "--at", "(10,0,1)", "--exponent", "400.5"], 1),
+        (["cosexp-table", "--min", "700", "--max", "720", "--step", "10"], 1),
+        (["eval", "--fn", "exp", "--at", "(inf,0,0)"], 2),
+        (["eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "nan"], 2),
+        (["cosexp-table", "--min", "0", "--max", "inf", "--step", "1"], 2),
+        (["cosexp-table", "--min", "nan", "--max", "1", "--step", "1"], 2),
+        (["rho-table", "--min", "0.2", "--max", "1", "--step", "nan"], 2),
+        (["rho-table", "--rho", "nan", "--min", "0.2", "--max", "1", "--step", "0.1"], 2),
+        (["check-analytic", "--fn", "exp", "--at", "(0,0,0)", "--step", "0"], 2),
+    ],
+)
+def test_error_exit_codes(capout, argv, code):
+    # overflow is exit 1, non-finite or malformed input exit 2; either way
+    # nothing on stdout and one diagnostic line on stderr
+    got, out, err = capout(*argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_pow_needs_exponent_and_works(capout):
     code, out, _ = capout("eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "2")
     assert code == 0

@@ -84,8 +84,9 @@ def test_exp_of_symmetric_pure_argument():
 
 
 def test_exp_of_antisymmetric_pure_argument():
-    # exp((h-k)y) is a rotation: cosine/sine components in sqrt(3)*y
-    for y in np.linspace(-3.0, 3.0, 25):
+    # exp((h-k)y) is a rotation: cosine/sine components in sqrt(3)*y; the
+    # wide arguments guard against cancellation between exp(hy) and exp(-ky)
+    for y in np.concatenate((np.linspace(-3.0, 3.0, 25), np.linspace(-300.0, 300.0, 61))):
         got = texp(Tricomplex(0.0, y, -y))
         c, s = math.cos(SQRT3 * y), math.sin(SQRT3 * y)
         want = Tricomplex(
@@ -108,6 +109,32 @@ def test_exp_overflow():
         texp(Tricomplex(1000.0, 0.0, 0.0))
     with pytest.raises(Overflow):
         texp(Tricomplex(0.0, 1000.0, 0.0))
+
+
+# First rows of the matrix functions of the circulant representation,
+# evaluated at 60 digits and rounded to doubles.
+WIDE_ARGUMENT_VALUES = [
+    (texp, (0.0, 30.0, -30.0), (0.2500544950429993, 0.94780065826966607, -0.19785515331266537)),
+    (
+        tsin,
+        (-700.0, 400.0, 400.0),
+        (-0.45429814130102554, -0.026033749904366626, -0.026033749904366626),
+    ),
+    (texp, (-700.0, 400.0, 400.0), (8.9603904727204515e42,) * 3),
+]
+
+
+@pytest.mark.parametrize("fn, at, want", WIDE_ARGUMENT_VALUES)
+def test_wide_arguments(fn, at, want):
+    assert tri_err(fn(Tricomplex(*at)), Tricomplex(*want)) < 1e-12
+
+
+def test_top_of_double_range():
+    # the transverse and longitudinal parts are each near the largest double
+    # (the modulus itself would overflow, so compare componentwise)
+    u = Tricomplex(709.5, 0.0, 0.0)
+    for got, want in ((texp(u), math.exp(709.5)), (tcosh(u), math.cosh(709.5))):
+        assert max(abs(got.x - want), abs(got.y), abs(got.z)) < 1e-15 * want
 
 
 def test_unit_power_closed_forms():
@@ -211,6 +238,13 @@ def test_fractional_pow():
         tpow(Tricomplex(-2.0, 0.5, 0.5), 0.5)
     with pytest.raises(DomainError):
         tpow(Tricomplex(1.0, 1.0, 1.0), 0.5)
+
+
+def test_pow_overflow():
+    with pytest.raises(Overflow):
+        tpow(Tricomplex(1e200, 0.0, 0.0), 2)
+    with pytest.raises(Overflow):
+        tpow(Tricomplex(10.0, 0.0, 1.0), 400.5)
 
 
 def test_negative_integer_pow_of_zero_divisor():
