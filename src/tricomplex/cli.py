@@ -18,11 +18,14 @@ from typing import Callable, Sequence
 
 from .algebra import Tricomplex
 from .calculus import Path3, check_analytic, loop_integral_pole
-from .errors import TricomplexError
+from .errors import Overflow, TricomplexError
 from .functions import DIRECT, ElementaryFn, texp, tpow
 from .geometry import polar, to_canonical
 from .poly import TriPolynomial, enumerate_root_sets, factor
 from .series import TriSeries, eval_series
+
+#: Cap on the rows of a table subcommand, checked before any row is built.
+_MAX_ROWS = 100_000
 
 _CIRCLE_RE = re.compile(
     r"^circle:center=(\([^)]*\)),radius=([^,]+)(?:,turns=([^,]+))?$"
@@ -119,6 +122,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError("step must be > 0")
     if hi < lo:
         raise ValueError("range end must be >= range start")
+    if (hi - lo) / step >= _MAX_ROWS:
+        raise ValueError(f"range holds more than {_MAX_ROWS} rows")
     out = []
     i = 0
     while True:
@@ -146,16 +151,21 @@ def _cmd_cosexp_table(args: argparse.Namespace) -> int:
 def _cmd_rho_table(args: argparse.Namespace) -> int:
     # distance from origin at fixed amplitude: invert
     # rho = sqrt(3)/cbrt(2) * d * sin(theta)^(2/3) * cos(theta)^(1/3)
-    if not math.isfinite(args.rho):
-        raise ValueError("rho must be finite")
+    if not (math.isfinite(args.rho) and args.rho > 0.0):
+        raise ValueError("rho must be finite and > 0")
     grid = _grid(args.min, args.max, args.step)
     if not all(0.0 < theta < 0.5 * math.pi for theta in grid):
         raise ValueError("theta grid must stay strictly inside (0, pi/2)")
-    print("theta,d")
     scale = args.rho * 2.0 ** (1.0 / 3.0) / math.sqrt(3.0)
+    rows = []
     for theta in grid:
         d = scale / (math.sin(theta) ** (2.0 / 3.0) * math.cos(theta) ** (1.0 / 3.0))
-        print(f"{_fmt(theta)},{_fmt(d)}")
+        if not math.isfinite(d):
+            raise Overflow(f"distance at theta={_fmt(theta)} exceeds the double range")
+        rows.append(f"{_fmt(theta)},{_fmt(d)}")
+    print("theta,d")
+    for row in rows:
+        print(row)
     return 0
 
 

@@ -48,7 +48,12 @@ class Overflow(TricomplexError):
 
 
 class NonConvergent(TricomplexError):
-    """Raised when quadrature refinement hits its sample cap."""
+    """Raised when an iteration does not reach its tolerance.
+
+    Quadrature refinement raises it at its sample cap; polynomial root
+    iteration at its sweep cap, or when the roots found do not rebuild
+    the polynomial's coefficients (as with tightly clustered roots).
+    """
 
 
 class SingularOnPath(TricomplexError):

@@ -3,10 +3,10 @@
 In the canonical basis a polynomial splits into an ordinary complex
 polynomial in the transverse variable and a real polynomial in the
 longitudinal variable.  Each part factors on its own; a full set of
-roots is produced by pairing a transverse root with a longitudinal root,
-and since the pairing is arbitrary the factorization is not unique.
-``factor`` fixes a canonical pairing (both lists sorted); the
-alternatives are exposed by ``enumerate_root_sets``.
+roots pairs each transverse root with a longitudinal root, and since the
+pairing is arbitrary the factorization is not unique.  ``factor`` fixes a
+canonical pairing (both lists sorted); ``enumerate_root_sets`` generates
+the distinct alternatives directly, a multiple root being equal copies.
 """
 
 from __future__ import annotations
@@ -14,17 +14,18 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import ONE, Tricomplex
-from .errors import ComplexLongitudinalRoot
+from .errors import ComplexLongitudinalRoot, NonConvergent
 from .geometry import CanonicalForm, from_canonical, to_canonical
 
-ROOT_TOL = 1e-12
+_EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 200
 IMAG_SNAP = 1e-10
-CLUSTER_RADIUS = 1e-8
+CLUSTER_SCALE = 4.0
 
 
 @dataclass(frozen=True)
@@ -111,96 +112,106 @@ def _poly_value(coeffs: Sequence[complex], w: complex) -> complex:
     return acc
 
 
-def _simultaneous_roots(
-    coeffs: Sequence[complex],
-    tol: float = ROOT_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> list[complex]:
-    """All roots of a monic complex polynomial by simultaneous
-    (Weierstrass-style) iteration, then a couple of Newton polish steps
-    so simple representable roots land exactly."""
+def _rounding(sizes: Sequence[float], w: complex) -> float:
+    """Rounding level of p(w) when each coefficient is known to eps times its size."""
+    return (len(sizes) - 1) * _EPS * _poly_value(sizes, abs(w)).real
+
+
+def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
+    """Weierstrass iteration (nonzero constant term); a root stops once its step
+    or residual is at rounding level, a k-fold root scattered by eps^(1/k)."""
     m = len(coeffs) - 1
-    if m < 1:
-        return []
-    bound = 1.0 + max(abs(c) for c in coeffs[1:])
-    roots = [
-        bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)
-    ]
-    for _ in range(max_iterations):
-        moved = 0.0
-        nxt = []
+    # Fujiwara's root bound: a start far outside costs many linear sweeps
+    bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
+    roots = [bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
+    done = [False] * m
+    for _ in range(MAX_ITERATIONS):
         for i, w in enumerate(roots):
-            den = complex(1.0)
-            for j, wj in enumerate(roots):
-                if j != i:
-                    den *= w - wj
-            if den == 0.0:
-                nxt.append(w + complex(CLUSTER_RADIUS, CLUSTER_RADIUS))
-                moved = math.inf
+            if done[i]:
                 continue
-            step = _poly_value(coeffs, w) / den
-            nxt.append(w - step)
-            moved = max(moved, abs(step))
-        roots = nxt
-        if moved < tol:
+            value = _poly_value(coeffs, w)
+            if abs(value) <= _rounding(sizes, w):
+                done[i] = True
+                continue
+            den = math.prod(w - wj for j, wj in enumerate(roots) if j != i)
+            # an exact collision with another root is nudged apart
+            step = value / den if den else math.sqrt(_EPS) * (1.0 + abs(w))
+            roots[i] = w - step
+            done[i] = abs(step) <= _EPS * abs(w)
+        if all(done):
+            return roots
+    raise NonConvergent(f"root iteration did not converge in {MAX_ITERATIONS} sweeps")
+
+
+def _polish(coeffs: Sequence[complex], w: complex, k: int) -> complex:
+    """Newton on the (k-1)-th derivative, where a k-fold root is simple, until
+    the step stops shrinking; quadratic, so representable roots land exactly."""
+    n = len(coeffs) - 1
+    f = [c * math.perm(n - i, k - 1) for i, c in enumerate(coeffs[: n + 2 - k])]
+    df = [c * math.perm(n - i, k) for i, c in enumerate(coeffs[: n + 1 - k])]
+    prev = math.inf
+    for _ in range(MAX_ITERATIONS):
+        d = _poly_value(df, w)
+        step = _poly_value(f, w) / d if d else 0.0
+        if not 0.0 < abs(step) < prev:
             break
-    # Newton polish: quadratic on simple roots (representable roots land
-    # exactly); linear but still contracting on multiple roots, where the
-    # simultaneous iteration stalls at the sqrt(eps) jitter floor.
-    deriv = [c * (m - i) for i, c in enumerate(coeffs[:-1])]
-    polished = []
-    for w in roots:
-        for _ in range(12):
-            dp = _poly_value(deriv, w)
-            if dp == 0.0:
-                break
-            step = _poly_value(coeffs, w) / dp
-            w -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(w)):
-                break
-        polished.append(w)
-    return polished
+        w, prev = w - step, abs(step)
+    return w
 
 
-def _cluster(values: list[complex], radius: float = CLUSTER_RADIUS) -> list[complex]:
-    """Snap near-coincident roots to their cluster mean (multiplicities
-    are kept: each member is replaced, none dropped).  The radius scales
-    with magnitude; 1e-8 at unit scale matches the accuracy floor of a
-    double root located through an eps-accurate polynomial evaluation."""
-    ordered = sorted(values, key=lambda w: (w.real, w.imag))
-    out: list[complex] = []
-    group: list[complex] = []
-    for w in ordered:
-        if group and abs(w - group[0]) > radius * (1.0 + abs(group[0])):
-            mean = sum(group) / len(group)
-            out.extend([mean] * len(group))
-            group = []
-        group.append(w)
-    if group:
-        mean = sum(group) / len(group)
-        out.extend([mean] * len(group))
-    return out
+def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
+    """Roots of a monic polynomial whose coefficients are known to eps
+    times ``sizes``, a k-fold root as k equal copies.
+
+    Trailing zero coefficients are exact roots at 0 (trisector-line roots
+    make the transverse part w^m, where the sweep is only linear).  A
+    k-fold root c scatters until spread^k * prod|c - w_j| over the other
+    roots reaches the rounding level at c (Zeng 2005): each seed takes the
+    largest group of its nearest neighbours that fits, with slack
+    CLUSTER_SCALE.  ``NonConvergent`` if the roots rebuild the
+    coefficients only to worse than sqrt(eps) times the largest size.
+    """
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0:
+        n -= 1
+    roots: list[complex] = []
+    rest = _sweep(coeffs[:n], sizes[:n]) if n > 1 else []
+    while rest:
+        near = sorted(rest, key=lambda w: abs(w - rest[0]))
+        size = 1
+        for k in range(2, len(near) + 1):
+            c = sum(near[:k]) / k
+            spread = max(abs(w - c) for w in near[:k])
+            gaps = [abs(c - w) for w in roots + near[k:]]
+            if min(gaps, default=math.inf) > spread and (
+                spread**k * math.prod(gaps) <= CLUSTER_SCALE**k * _rounding(sizes[:n], c)
+            ):
+                size = k
+        roots += [_polish(coeffs[:n], sum(near[:size]) / size, size)] * size
+        rest = near[size:]
+    roots += [complex(0.0)] * (len(coeffs) - n)
+    rebuilt = [complex(1.0)]
+    for r in roots:
+        rebuilt = [a - r * b for a, b in zip(rebuilt + [0.0], [0.0] + rebuilt)]
+    err = max(abs(a - b) for a, b in zip(rebuilt, coeffs))
+    if not err <= math.sqrt(_EPS) * max(sizes):
+        raise NonConvergent(f"roots rebuild the polynomial only to {err:.3g}")
+    return roots
 
 
 def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
+    # |x|+|y|+|z| bounds both split parts of a coefficient and their rounding
     parts = decompose(p)
-    trans = _cluster(_simultaneous_roots(parts.transverse))
-    trans.sort(key=lambda w: (w.real, w.imag))
-    longi_raw = _cluster(_simultaneous_roots([complex(c) for c in parts.longitudinal]))
+    sizes = [abs(a.x) + abs(a.y) + abs(a.z) for a in p.coeffs]
+    trans = sorted(_roots(parts.transverse, sizes), key=lambda w: (w.real, w.imag))
     longi: list[float] = []
-    # A conjugate pair closer to the real axis than the cluster radius is
-    # indistinguishable in double precision from a repeated real root
-    # (the separating coefficient perturbation is below one ulp), so the
-    # snap window widens from IMAG_SNAP to the cluster radius.
-    snap = max(IMAG_SNAP, CLUSTER_RADIUS)
-    for w in longi_raw:
-        if abs(w.imag) >= snap * (1.0 + abs(w)):
+    for w in _roots([complex(c) for c in parts.longitudinal], sizes):
+        if abs(w.imag) >= IMAG_SNAP * (1.0 + abs(w)):
             raise ComplexLongitudinalRoot(
                 f"longitudinal root {w} is complex; no all-real linear factorization exists"
             )
         longi.append(w.real)
-    longi.sort()
-    return trans, longi
+    return trans, sorted(longi)
 
 
 def _combine(trans: Sequence[complex], longi: Sequence[float], order: Sequence[int]) -> RootSet:
@@ -222,31 +233,35 @@ def factor(p: TriPolynomial) -> RootSet:
     return _combine(trans, longi, range(len(longi)))
 
 
-def _root_key(roots: Sequence[Tricomplex]) -> tuple:
-    rounded = sorted(
-        (round(r.x, 8), round(r.y, 8), round(r.z, 8)) for r in roots
-    )
-    return tuple(rounded)
+def _pairings(trans: Sequence[complex], longi: Sequence[float]) -> Iterator[tuple[int, ...]]:
+    """Each pairing that gives a distinct root set, once, identity first.
+
+    Equal longitudinal roots are taken lowest index first, and a run of
+    equal transverse roots takes its partners in ascending order, each
+    leaving enough free indices above it for the rest of the run.
+    """
+    def extend(order: tuple[int, ...], free: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        i = len(order)
+        if i == len(longi):
+            yield order
+            return
+        lo = order[-1] if i and trans[i] == trans[i - 1] else -1
+        for n in range(len(free) - trans[i + 1 :].count(trans[i])):
+            j = free[n]
+            if j > lo and not (n and longi[free[n - 1]] == longi[j]):
+                yield from extend(order + (j,), free[:n] + free[n + 1 :])
+
+    return extend((), tuple(range(len(longi))))
 
 
 def enumerate_root_sets(p: TriPolynomial, cap: int = 24) -> list[RootSet]:
-    """Distinct root sets over all pairings of the two root lists.
+    """Distinct root sets over the pairings of the two root lists.
 
-    At most ``cap`` sets are returned, canonical pairing first; sets
-    that coincide after clustering (repeated roots) are emitted once.
+    At most ``cap`` sets are returned, canonical pairing first.  Each set
+    is built once: pairings that only swap equal roots are never made.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     trans, longi = _root_lists(p)
-    seen = set()
-    out: list[RootSet] = []
-    for order in itertools.permutations(range(len(longi))):
-        rs = _combine(trans, longi, order)
-        key = _root_key(rs.roots)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(rs)
-        if len(out) >= cap:
-            break
-    return out
+    pairings = itertools.islice(_pairings(trans, longi), cap)
+    return [_combine(trans, longi, order) for order in pairings]

@@ -73,6 +73,14 @@ def test_factor_canonical_only(capout, tmp_path):
     assert out == "root_set 1: (-1,0,0) (1,0,0)\n"
 
 
+def test_factor_triple_root(capout, tmp_path):
+    f = tmp_path / "cube.csv"
+    f.write_text("1,0,0\n-3,0,0\n3,0,0\n-1,0,0\n")
+    code, out, _ = capout("factor", "--poly", str(f), "--all")
+    assert code == 0
+    assert out == "root_set 1: (1,0,0) (1,0,0) (1,0,0)\n"
+
+
 def test_cosexp_table(capout):
     code, out, _ = capout("cosexp-table", "--min", "0", "--max", "1", "--step", "0.5")
     assert code == 0
@@ -195,6 +203,12 @@ def test_parse_errors_exit_two(capout):
         (["rho-table", "--min", "0.2", "--max", "1", "--step", "nan"], 2),
         (["rho-table", "--rho", "nan", "--min", "0.2", "--max", "1", "--step", "0.1"], 2),
         (["check-analytic", "--fn", "exp", "--at", "(0,0,0)", "--step", "0"], 2),
+        (["rho-table", "--rho", "-1", "--min", "0.2", "--max", "0.3", "--step", "0.1"], 2),
+        (["rho-table", "--rho", "0", "--min", "0.2", "--max", "0.3", "--step", "0.1"], 2),
+        (["rho-table", "--rho", "1e308", "--min", "0.2", "--max", "0.3", "--step", "0.1"], 1),
+        # row caps: rejected before any row is built
+        (["cosexp-table", "--min", "0", "--max", "1", "--step", "1e-12"], 2),
+        (["rho-table", "--min", "0.2", "--max", "1.3", "--step", "1e-9"], 2),
     ],
 )
 def test_error_exit_codes(capout, argv, code):

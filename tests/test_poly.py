@@ -7,6 +7,7 @@ from tricomplex import (
     CanonicalForm,
     ComplexLongitudinalRoot,
     EP,
+    NonConvergent,
     ONE,
     RootSet,
     Tricomplex,
@@ -18,6 +19,7 @@ from tricomplex import (
     from_canonical,
     to_canonical,
 )
+from tricomplex import poly
 from util import random_triples, tri_err
 
 U2M1 = TriPolynomial((ONE, ZERO, Tricomplex(-1, 0, 0)))
@@ -109,6 +111,76 @@ def test_repeated_root_collapses_pairings():
     sets = enumerate_root_sets(p)
     assert len(sets) == 1
     assert all(tri_err(r, ONE) < 1e-7 for r in sets[0].roots)
+
+
+def _split_roots(parts):
+    """Roots from (transverse, longitudinal) canonical parts."""
+    return [from_canonical(CanonicalForm(t.real, t.imag, v)) for t, v in parts]
+
+
+def _assert_rebuilds(p, rs, tol=1e-8):
+    rebuilt = TriPolynomial.from_roots(rs.roots)
+    scale = max(1.0, max(abs(c) for c in p.coeffs))
+    for a, b in zip(rebuilt.coeffs, p.coeffs):
+        assert abs(a - b) <= tol * scale
+
+
+def test_triple_root_is_exact():
+    # (u - 1)^3: every part is a triple root, polished to the exact value
+    rs = factor(TriPolynomial.from_roots([ONE, ONE, ONE]))
+    assert rs.roots == (ONE, ONE, ONE)
+
+
+@pytest.mark.parametrize("multiplicity", [2, 3])
+def test_repeated_longitudinal_roots_factor(multiplicity):
+    trans = [complex(0.5, 1.0), complex(-1.0, 0.25), complex(1.5, -1.0), complex(-0.5, -1.5)]
+    longi = [0.75] * multiplicity + [-1.25, 1.5][: 4 - multiplicity]
+    p = TriPolynomial.from_roots(_split_roots(zip(trans, longi)))
+    _assert_rebuilds(p, factor(p))
+    sets = enumerate_root_sets(p, cap=24)
+    assert len(sets) == 24 // math.factorial(multiplicity)
+    for rs in sets:
+        _assert_rebuilds(p, rs)
+
+
+def test_mixed_multiplicities_give_distinct_sets():
+    # transverse multiplicities (2, 1, 1), longitudinal (2, 2): four
+    # distinct ways to pair them
+    t1, t2, t3 = complex(1.0, 0.5), complex(-1.0, 1.0), complex(0.25, -1.25)
+    parts = [(t1, -0.5), (t1, 1.25), (t2, -0.5), (t3, 1.25)]
+    p = TriPolynomial.from_roots(_split_roots(parts))
+    sets = enumerate_root_sets(p, cap=24)
+    assert len(sets) == 4
+    keys = {tuple(sorted((r.x, r.y, r.z) for r in rs.roots)) for rs in sets}
+    assert len(keys) == 4
+    for rs in sets:
+        _assert_rebuilds(p, rs)
+
+
+@pytest.mark.parametrize("degree", [7, 9])
+def test_trisector_roots_build_one_set(monkeypatch, degree):
+    # all transverse parts are zero, so every pairing gives the same set;
+    # it must be built once, not found among degree! pairings
+    calls = []
+    combine = poly._combine
+    monkeypatch.setattr(
+        poly, "_combine", lambda *args: calls.append(args) or combine(*args)
+    )
+    roots = [Tricomplex(v, v, v) for v in (0.05 + 0.1 * i for i in range(degree))]
+    p = TriPolynomial.from_roots(roots)
+    sets = enumerate_root_sets(p, cap=24)
+    assert len(calls) == len(sets) == 1
+    _assert_rebuilds(p, sets[0])
+
+
+def test_clustered_roots_raise_instead_of_returning_wrong_roots():
+    # eight longitudinal parts 0.043 apart: the roots found do not rebuild
+    # the polynomial, which is reported rather than returned
+    trans = [complex(k % 4 - 1.5, k // 4 - 0.5) for k in range(8)]
+    longi = [1.0 + 0.3 * k / 7 for k in range(8)]
+    p = TriPolynomial.from_roots(_split_roots(zip(trans, longi)))
+    with pytest.raises(NonConvergent):
+        factor(p)
 
 
 def test_cubic_with_distinct_roots_has_six_pairings():
