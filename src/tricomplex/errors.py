@@ -52,7 +52,7 @@ class NonConvergent(TricomplexError):
 
     Quadrature refinement raises it at its sample cap; polynomial root
     iteration at its sweep cap, or when the roots found do not rebuild
-    the polynomial's coefficients (as with tightly clustered roots).
+    the polynomial's coefficients within their certified uncertainty.
     """
 
 

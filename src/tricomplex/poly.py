@@ -25,7 +25,6 @@ from .geometry import CanonicalForm, from_canonical, to_canonical
 _EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 200
 IMAG_SNAP = 1e-10
-CLUSTER_SCALE = 4.0
 
 
 @dataclass(frozen=True)
@@ -105,16 +104,18 @@ def decompose(p: TriPolynomial) -> DecomposedPoly:
     return DecomposedPoly(tuple(trans), tuple(longi))
 
 
-def _poly_value(coeffs: Sequence[complex], w: complex) -> complex:
-    acc = complex(0.0)
-    for c in coeffs:
-        acc = acc * w + c
-    return acc
+def _residual(coeffs: Sequence[complex], sizes: Sequence[float], w: complex) -> tuple[complex, float]:
+    """p(w) and its rounding level when each coefficient is known to eps times its size."""
+    value, bound, r = complex(0.0), 0.0, abs(w)
+    for c, s in zip(coeffs, sizes):
+        value, bound = value * w + c, bound * r + s
+    return value, (len(coeffs) - 1) * _EPS * bound
 
 
-def _rounding(sizes: Sequence[float], w: complex) -> float:
-    """Rounding level of p(w) when each coefficient is known to eps times its size."""
-    return (len(sizes) - 1) * _EPS * _poly_value(sizes, abs(w)).real
+def _derivative(coeffs: Sequence, j: int) -> list:
+    """Coefficients of the j-th derivative."""
+    n = len(coeffs) - 1
+    return [c * math.perm(n - i, j) for i, c in enumerate(coeffs[: n + 1 - j])]
 
 
 def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
@@ -129,8 +130,8 @@ def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
         for i, w in enumerate(roots):
             if done[i]:
                 continue
-            value = _poly_value(coeffs, w)
-            if abs(value) <= _rounding(sizes, w):
+            value, rounding = _residual(coeffs, sizes, w)
+            if abs(value) <= rounding:
                 done[i] = True
                 continue
             den = math.prod(w - wj for j, wj in enumerate(roots) if j != i)
@@ -146,13 +147,13 @@ def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
 def _polish(coeffs: Sequence[complex], w: complex, k: int) -> complex:
     """Newton on the (k-1)-th derivative, where a k-fold root is simple, until
     the step stops shrinking; quadratic, so representable roots land exactly."""
-    n = len(coeffs) - 1
-    f = [c * math.perm(n - i, k - 1) for i, c in enumerate(coeffs[: n + 2 - k])]
-    df = [c * math.perm(n - i, k) for i, c in enumerate(coeffs[: n + 1 - k])]
+    f = _derivative(coeffs, k - 1)
     prev = math.inf
     for _ in range(MAX_ITERATIONS):
-        d = _poly_value(df, w)
-        step = _poly_value(f, w) / d if d else 0.0
+        value = slope = complex(0.0)
+        for c in f:
+            value, slope = value * w + c, slope * w + value
+        step = value / slope if slope else 0.0
         if not 0.0 < abs(step) < prev:
             break
         w, prev = w - step, abs(step)
@@ -165,37 +166,50 @@ def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
 
     Trailing zero coefficients are exact roots at 0 (trisector-line roots
     make the transverse part w^m, where the sweep is only linear).  A
-    k-fold root c scatters until spread^k * prod|c - w_j| over the other
-    roots reaches the rounding level at c (Zeng 2005): each seed takes the
-    largest group of its nearest neighbours that fits, with slack
-    CLUSTER_SCALE.  ``NonConvergent`` if the roots rebuild the
-    coefficients only to worse than sqrt(eps) times the largest size.
+    component of k overlapping discs |z - w_i| <= m|W_i|, W_i a sweep
+    root's Weierstrass correction with rounding added, holds k roots
+    (Carstensen 1991).  It is k copies of its polished centre if the first
+    k derivatives vanish there to rounding (a k-fold root's centre is well
+    conditioned, Zeng 2005), else k polished simple roots.
+    ``NonConvergent`` if a rebuilt coefficient is off by more than its
+    rounding plus what moving each root within its disc explains.
     """
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0:
         n -= 1
+    head, heads = coeffs[:n], sizes[:n]
+    found = _sweep(head, heads) if n > 1 else []
+    radii = []
+    for i, w in enumerate(found):
+        value, rounding = _residual(head, heads, w)
+        den = abs(math.prod(w - v for j, v in enumerate(found) if j != i))
+        # coinciding roots (den 0) join one component through their zero distance
+        radii.append((n - 1) * (abs(value) + rounding) / den if den else 0.0)
     roots: list[complex] = []
-    rest = _sweep(coeffs[:n], sizes[:n]) if n > 1 else []
-    while rest:
-        near = sorted(rest, key=lambda w: abs(w - rest[0]))
-        size = 1
-        for k in range(2, len(near) + 1):
-            c = sum(near[:k]) / k
-            spread = max(abs(w - c) for w in near[:k])
-            gaps = [abs(c - w) for w in roots + near[k:]]
-            if min(gaps, default=math.inf) > spread and (
-                spread**k * math.prod(gaps) <= CLUSTER_SCALE**k * _rounding(sizes[:n], c)
-            ):
-                size = k
-        roots += [_polish(coeffs[:n], sum(near[:size]) / size, size)] * size
-        rest = near[size:]
+    todo = set(range(len(found)))
+    while todo:
+        component = [todo.pop()]
+        for i in component:  # grows while it is walked
+            joined = {j for j in todo if abs(found[i] - found[j]) <= radii[i] + radii[j]}
+            todo -= joined
+            component += joined
+        k = len(component)
+        c = _polish(head, sum(found[i] for i in component) / k, k)
+        tests = (_residual(_derivative(head, j), _derivative(heads, j), c) for j in range(k))
+        if all(abs(value) <= rounding for value, rounding in tests):
+            roots += [c] * k
+        else:
+            roots += [_polish(head, found[i], 1) for i in component]
     roots += [complex(0.0)] * (len(coeffs) - n)
-    rebuilt = [complex(1.0)]
+    rebuilt, bound = [complex(1.0)], [1.0]
     for r in roots:
         rebuilt = [a - r * b for a, b in zip(rebuilt + [0.0], [0.0] + rebuilt)]
-    err = max(abs(a - b) for a, b in zip(rebuilt, coeffs))
-    if not err <= math.sqrt(_EPS) * max(sizes):
-        raise NonConvergent(f"roots rebuild the polynomial only to {err:.3g}")
+        bound = [a + abs(r) * b for a, b in zip(bound + [0.0], [0.0] + bound)]
+    # to first order, roots moved within their discs move coefficient i by sum(radii) * bound[i-1]
+    m, slack = len(roots), sum(radii)
+    for i, (a, b, s, t, below) in enumerate(zip(rebuilt, coeffs, sizes, bound, [0.0] + bound)):
+        if not abs(a - b) <= m * _EPS * (s + t) + slack * below:
+            raise NonConvergent(f"roots rebuild coefficient {i} only to {abs(a - b):.3g}")
     return roots
 
 

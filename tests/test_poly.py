@@ -173,14 +173,74 @@ def test_trisector_roots_build_one_set(monkeypatch, degree):
     _assert_rebuilds(p, sets[0])
 
 
-def test_clustered_roots_raise_instead_of_returning_wrong_roots():
-    # eight longitudinal parts 0.043 apart: the roots found do not rebuild
-    # the polynomial, which is reported rather than returned
+def _parts_error(roots, parts):
+    """Largest distance from a wanted transverse or longitudinal part to
+    the nearest one among the roots' parts (the parts are distinct)."""
+    cs = [to_canonical(r) for r in roots]
+    got = ([complex(c.v1, c.v1t) for c in cs], [c.vp for c in cs])
+    want = ([t for t, _ in parts], [v for _, v in parts])
+    return max(min(abs(g - w) for g in gs) for gs, ws in zip(got, want) for w in ws)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(1.0, 1.00005, 1.0001), (1.0, 1.0 + 3e-7), (-0.5, 1.0, 1.00003, 1.00006, 2.5)],
+)
+def test_close_distinct_roots_stay_distinct(values):
+    # the coefficients fix these roots to about 1e-6 or better; taken for
+    # one multiple root they would be off by the spacing.  In the last
+    # case the close roots' inclusion discs overlap, so only the
+    # multiplicity check keeps them apart.
+    p = TriPolynomial.from_roots([Tricomplex(v, 0, 0) for v in values])
+    got = sorted(factor(p).roots, key=lambda r: r.x)
+    spacing = min(b - a for a, b in zip(values, values[1:]))
+    assert max(tri_err(r, Tricomplex(v, 0, 0)) for r, v in zip(got, values)) < spacing / 5
+    assert len(enumerate_root_sets(p, cap=200)) == math.factorial(len(values))
+
+
+WIDE_PARTS = [
+    (complex(0.5, 1.0), 0.75),
+    (complex(-1.0, 0.25), -1.25),
+    (complex(1.5, -1.0), 1.5),
+    (complex(-0.5, -1.5), -0.25),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_roots_at_wide_scales(scale):
+    parts = [(t * scale, v * scale) for t, v in WIDE_PARTS]
+    p = TriPolynomial.from_roots(_split_roots(parts))
+    assert _parts_error(factor(p).roots, parts) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_misplaced_root_is_reported(monkeypatch, scale):
+    # a simple root that polishes to 1e-8 off its place reaches the
+    # rebuild, which checks each coefficient on its own scale
+    parts = [(t * scale, v * scale) for t, v in WIDE_PARTS]
+    target = parts[0][0]
+    polish = poly._polish
+
+    def misplace(coeffs, w, k):
+        c = polish(coeffs, w, k)
+        return c * (1 + 1e-8) if abs(c - target) < 1e-6 * scale else c
+
+    monkeypatch.setattr(poly, "_polish", misplace)
+    with pytest.raises(NonConvergent):
+        factor(TriPolynomial.from_roots(_split_roots(parts)))
+
+
+def test_clustered_roots_are_accurate_or_reported():
+    # eight longitudinal parts 0.043 apart, which the coefficients fix only
+    # to about 3e-4: the roots returned must be within 1e-3 of them
     trans = [complex(k % 4 - 1.5, k // 4 - 0.5) for k in range(8)]
     longi = [1.0 + 0.3 * k / 7 for k in range(8)]
     p = TriPolynomial.from_roots(_split_roots(zip(trans, longi)))
-    with pytest.raises(NonConvergent):
-        factor(p)
+    try:
+        rs = factor(p)
+    except NonConvergent:
+        return
+    assert _parts_error(rs.roots, list(zip(trans, longi))) < 1e-3
 
 
 def test_cubic_with_distinct_roots_has_six_pairings():
