@@ -50,9 +50,10 @@ class Overflow(TricomplexError):
 class NonConvergent(TricomplexError):
     """Raised when an iteration does not reach its tolerance.
 
-    Quadrature refinement raises it at its sample cap; polynomial root
-    iteration at its sweep cap, or when the roots found do not rebuild
-    the polynomial's coefficients within their certified uncertainty.
+    Quadrature refinement raises it, before evaluating a level, when that
+    level's node count is over the node cap; polynomial root iteration
+    at its sweep cap, or when the roots found do not rebuild the
+    polynomial's coefficients within their certified uncertainty.
     """
 
 

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tricomplex
 from tricomplex import (
     AmbiguousWinding,
     H,
     K,
+    NonConvergent,
     ONE,
     POLE_LOOP_VALUE,
     Path3,
@@ -30,6 +36,7 @@ from tricomplex import (
     tsin,
     winding_count,
 )
+from tricomplex.calculus import QUADRATURE_CAP, QUADRATURE_TOL, _quadrature
 from util import random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -238,6 +245,90 @@ def test_multi_turn_loop():
     got = loop_integral_pole(ZERO, loop)
     assert abs(got - 2.0 * POLE_LOOP_VALUE) < 1e-6
     assert winding_count(loop, ZERO) == 2
+
+
+class Counted:
+    """Callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_readme_circle_takes_few_evaluations():
+    # the trapezoid rule with the exact tangent converges exponentially
+    points = Counted(UNIT_LOOP.point_at)
+    got = loop_integral_pole(ZERO, dataclasses.replace(UNIT_LOOP, point_at=points))
+    assert abs(got - POLE_LOOP_VALUE) < 1e-14
+    assert points.calls <= 32
+
+
+def test_quadrature_report():
+    value, evaluations, error = _quadrature(inverse, UNIT_LOOP, QUADRATURE_TOL, QUADRATURE_CAP)
+    assert value == path_integral(inverse, UNIT_LOOP)
+    assert evaluations == 24
+    assert error < QUADRATURE_TOL
+
+
+def _square(center):
+    xi1 = Tricomplex(2.0, -1.0, -1.0) * (1.0 / math.sqrt(6.0))
+    xi2 = Tricomplex(0.0, 1.0, -1.0) * (1.0 / math.sqrt(2.0))
+    corners = ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0))
+    return Path3.polyline([center + xi1 * a + xi2 * b for a, b in corners], closed=True)
+
+
+def test_kinks_on_panel_edges_without_tangent():
+    # the square's corners fall on panel edges, and each panel's tangent
+    # comes from its interpolating polynomial
+    square = _square(Tricomplex(-1 / 3, -1 / 3, -1 / 3))
+    loop = Path3.parametric(square.point_at, samples=4, closed=True)
+    assert loop.tangent_at is None
+    got = loop_integral_pole(ZERO, loop)
+    assert abs(got - POLE_LOOP_VALUE) < 1e-12
+    assert abs(loop_integral_pole(ZERO, square) - POLE_LOOP_VALUE) < 1e-12
+
+
+def test_node_cap_is_checked_before_evaluating():
+    f = Counted(inverse)
+    with pytest.raises(NonConvergent):
+        path_integral(f, Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=10**9))
+    assert f.calls == 0
+
+
+def test_path_needs_a_sample():
+    # a path without panels would leave the refinement loop nothing to refine
+    with pytest.raises(ValueError):
+        Path3(point_at=lambda t: ZERO, samples=0, closed=False)
+
+
+def test_open_parametric_arc():
+    a, b = Tricomplex(0.1, 0.2, -0.3), Tricomplex(0.7, -0.4, 0.5)
+
+    def arc(t):
+        bend = Tricomplex(
+            math.sin(math.pi * t), 0.3 * math.sin(2 * math.pi * t), -0.2 * math.sin(3 * math.pi * t)
+        )
+        return a + (b - a) * t + bend * 0.5
+
+    path = Path3.parametric(arc)
+    assert path.tangent_at is None
+    got = path_integral(texp, path)
+    assert tri_err(got, texp(b) - texp(a)) < 1e-12
+
+
+def test_quadrature_does_not_load_numpy_polynomial():
+    # numpy.polynomial's Gauss-Legendre rule pages in LAPACK; the rule is
+    # built in pure Python instead
+    code = (
+        "import sys, tricomplex as T\n"
+        "T.path_integral(T.texp, T.Path3.polyline([T.ZERO, T.ONE]))\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(tricomplex.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 # -- Cauchy-style values --------------------------------------------------------

@@ -209,6 +209,8 @@ def test_parse_errors_exit_two(capout):
         # row caps: rejected before any row is built
         (["cosexp-table", "--min", "0", "--max", "1", "--step", "1e-12"], 2),
         (["rho-table", "--min", "0.2", "--max", "1.3", "--step", "1e-9"], 2),
+        (["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=nan"], 2),
+        (["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=inf"], 2),
     ],
 )
 def test_error_exit_codes(capout, argv, code):
