@@ -266,6 +266,26 @@ def test_readme_circle_takes_few_evaluations():
     assert points.calls <= 32
 
 
+def test_circle_takes_the_trapezoid_rule():
+    # on a smooth periodic loop the trapezoid rule needs far fewer nodes
+    # than Gauss-Legendre panels, which take 248 calls here
+    a = Tricomplex(0.5, 0.1, 0.1)
+    f = Counted(texp)
+    got = cauchy_value(f, a, Path3.circle(a + Tricomplex(1, 1, 1), 1.2))
+    assert abs(got - POLE_LOOP_VALUE * texp(a)) < 1e-12
+    assert f.calls <= 64
+
+
+def test_circle_start_does_not_depend_on_samples():
+    # the trapezoid rule starts from the turns; samples serve winding_count
+    few = dataclasses.replace(UNIT_LOOP, samples=4)
+    assert abs(loop_integral_pole(ZERO, few) - POLE_LOOP_VALUE) < 1e-14
+    with pytest.raises(ValueError):
+        dataclasses.replace(UNIT_LOOP, turns=0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(UNIT_LOOP, tangent_at=None)
+
+
 def test_quadrature_report():
     value, evaluations, error = _quadrature(inverse, UNIT_LOOP, QUADRATURE_TOL, QUADRATURE_CAP)
     assert value == path_integral(inverse, UNIT_LOOP)
