@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroDivisor
+from .errors import Overflow, ZeroDivisor
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -86,25 +86,26 @@ class Tricomplex:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Tricomplex") -> "Tricomplex":
-        return Tricomplex(self.x + other.x, self.y + other.y, self.z + other.z)
+        return _computed(self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Tricomplex") -> "Tricomplex":
-        return Tricomplex(self.x - other.x, self.y - other.y, self.z - other.z)
+        return _computed(self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Tricomplex":
-        return Tricomplex(-self.x, -self.y, -self.z)
+        return _computed(-self.x, -self.y, -self.z)
 
     def __mul__(self, other):
         if isinstance(other, Tricomplex):
             x, y, z = self.x, self.y, self.z
             X, Y, Z = other.x, other.y, other.z
-            return Tricomplex(
+            return _computed(
                 x * X + y * Z + z * Y,
                 z * Z + x * Y + y * X,
                 y * Y + x * Z + z * X,
             )
         if isinstance(other, (int, float)):
-            return Tricomplex(self.x * other, self.y * other, self.z * other)
+            s = float(other)
+            return _computed(self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -128,6 +129,18 @@ class Tricomplex:
 
     def max_abs_component(self) -> float:
         return max(abs(self.x), abs(self.y), abs(self.z))
+
+
+def _computed(x: float, y: float, z: float) -> Tricomplex:
+    """A value the library computed from floats: Overflow, not the
+    constructor's ValueError, when a component left the double range.
+    The floats go into the instance dict without a second check."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise Overflow(f"result ({x!r},{y!r},{z!r}) leaves the double range")
+    u = object.__new__(Tricomplex)
+    fields = u.__dict__
+    fields["x"], fields["y"], fields["z"] = x, y, z
+    return u
 
 
 ZERO = Tricomplex(0.0, 0.0, 0.0)
@@ -210,7 +223,7 @@ def inverse(u: Tricomplex, tol: float | None = None) -> Tricomplex:
     if cls is not AlgebraClass.REGULAR:
         raise ZeroDivisor(f"{u} has no inverse ({cls.value})", cls)
     nu = determinant_form(u)
-    return Tricomplex(
+    return _computed(
         (u.x * u.x - u.y * u.z) / nu,
         (u.z * u.z - u.x * u.y) / nu,
         (u.y * u.y - u.x * u.z) / nu,

@@ -30,6 +30,7 @@ from .algebra import (
     ONE,
     Tricomplex,
     ZERO,
+    _computed,
     classify,
     component_sum,
     inverse,
@@ -271,7 +272,7 @@ def derivative(
 
 
 def _shift(u: Tricomplex, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> Tricomplex:
-    return Tricomplex(u.x + dx, u.y + dy, u.z + dz)
+    return _computed(u.x + dx, u.y + dy, u.z + dz)
 
 
 def check_analytic(
@@ -369,7 +370,7 @@ def _nodes(path: Path3, n: int) -> Iterator[tuple[Tricomplex, Tricomplex]]:
         pts = [path.point_at(t) for t in ts]
         xs, ys, zs = [q.x for q in pts], [q.y for q in pts], [q.z for q in pts]
         for u, row in zip(pts, _GL_WEIGHTED_DIFF):
-            yield u, Tricomplex(
+            yield u, _computed(
                 sum(map(mul, row, xs)), sum(map(mul, row, ys)), sum(map(mul, row, zs))
             )
 
@@ -390,7 +391,7 @@ def _quadrature(
             # overflows is reported like a singular integrand
             try:
                 total = total + f(u) * du
-            except (Overflow, ZeroDivisor, OverflowError, ValueError) as exc:
+            except (Overflow, ZeroDivisor, OverflowError) as exc:
                 raise SingularOnPath(f"integrand blows up near {u}") from exc
         evaluations += n
         if previous is not None:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 
-from .algebra import Tricomplex, component_sum, inverse
+from .algebra import Tricomplex, _computed, component_sum, inverse
 from .errors import (
     REASON_NODAL_PLANE_SIDE,
     REASON_TRISECTOR_LINE,
@@ -48,31 +47,6 @@ class ElementaryFn(enum.Enum):
     COSH = "cosh"
 
 
-def _checked(name: str):
-    """Decorator for f(u, *exponents): a result beyond the double range
-    raises Overflow, unless a non-finite exponent caused it, which is
-    malformed input (ValueError).
-
-    math/cmath report overflow as OverflowError, the value type as
-    ValueError (non-finite component).  A NaN or infinite exponent always
-    ends in one of them, so the happy path pays for no check.
-    """
-
-    def decorate(f):
-        @functools.wraps(f)
-        def checked(u: Tricomplex, *exponents: float):
-            try:
-                return f(u, *exponents)
-            except (OverflowError, ValueError) as exc:
-                if not all(isinstance(e, int) or math.isfinite(e) for e in exponents):
-                    raise ValueError(f"{name} exponent must be finite") from exc
-                raise Overflow(f"{name} overflows at {u}") from exc
-
-        return checked
-
-    return decorate
-
-
 def _from_split(fw: complex, fp: float) -> Tricomplex:
     """The number with transverse pair ``fw`` and component sum ``fp``.
 
@@ -82,47 +56,47 @@ def _from_split(fw: complex, fp: float) -> Tricomplex:
     """
     try:
         return from_canonical(CanonicalForm(fw.real, fw.imag, fp))
-    except ValueError:
+    except Overflow:
         t = from_canonical(CanonicalForm(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp))
-        return Tricomplex(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
+        return _computed(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
 
 
 def _split(u: Tricomplex, cfn, rfn) -> Tricomplex:
     """f(u) for a real power series f: the complex ``cfn`` on the
-    transverse pair and the real ``rfn`` on the component sum."""
+    transverse pair and the real ``rfn`` on the component sum.  Both
+    report a result beyond the double range as OverflowError."""
     c = to_canonical(u)
-    return _from_split(cfn(c.transverse()), rfn(c.vp))
+    try:
+        fw, fp = cfn(c.transverse()), rfn(c.vp)
+    except OverflowError as exc:
+        raise Overflow(f"{rfn.__name__} overflows at {u}") from exc
+    return _from_split(fw, fp)
 
 
-@_checked("exp")
 def texp(u: Tricomplex) -> Tricomplex:
     """Exponential: complex exp on the transverse pair, real exp on the
     component sum."""
     return _split(u, cmath.exp, math.exp)
 
 
-@_checked("sin")
 def tsin(u: Tricomplex) -> Tricomplex:
     """Sine: complex sin on the transverse pair, real sin on the
     component sum."""
     return _split(u, cmath.sin, math.sin)
 
 
-@_checked("cos")
 def tcos(u: Tricomplex) -> Tricomplex:
     """Cosine: complex cos on the transverse pair, real cos on the
     component sum."""
     return _split(u, cmath.cos, math.cos)
 
 
-@_checked("sinh")
 def tsinh(u: Tricomplex) -> Tricomplex:
     """Hyperbolic sine: complex sinh on the transverse pair, real sinh on
     the component sum."""
     return _split(u, cmath.sinh, math.sinh)
 
 
-@_checked("cosh")
 def tcosh(u: Tricomplex) -> Tricomplex:
     """Hyperbolic cosine: complex cosh on the transverse pair, real cosh
     on the component sum."""
@@ -163,31 +137,37 @@ def tlog(u: Tricomplex) -> Tricomplex:
     scalar = (ls + 2.0 * ld) / 3.0
     longitudinal = (ls - ld) / 3.0  # (1/3) log(sigma/delta)
     transverse = phi / _SQRT3
-    return Tricomplex(
+    return _computed(
         scalar,
         longitudinal + transverse,
         longitudinal - transverse,
     )
 
 
-@_checked("pow")
 def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
     """Power through the exponential form: transverse magnitude delta^m
     rotated by m*phi, longitudinal component sigma^m.
 
     Exact for integer m whenever the azimuthal angle exists; for
     fractional m this is the principal branch (phi in [0, 2*pi)) and
-    requires x+y+z > 0.
+    requires x+y+z > 0.  A non-finite exponent is malformed input
+    (ValueError).
     """
+    if not math.isfinite(m):
+        raise ValueError("pow exponent must be finite")
     fractional = not float(m).is_integer()
     sigma, delta, phi = _log_pieces(u, "a fractional power" if fractional else None)
-    dm = delta**m
-    return _from_split(
-        complex(dm * math.cos(m * phi), dm * math.sin(m * phi)), math.pow(sigma, m)
-    )
+    # OverflowError from ** and pow; ValueError from cos/sin of an angle
+    # beyond the double range and from the pole 0**m, m < 0
+    try:
+        dm = delta**m
+        fw = complex(dm * math.cos(m * phi), dm * math.sin(m * phi))
+        fp = math.pow(sigma, m)
+    except (OverflowError, ValueError) as exc:
+        raise Overflow(f"pow overflows at {u}") from exc
+    return _from_split(fw, fp)
 
 
-@_checked("pow")
 def tpow(u: Tricomplex, m: float) -> Tricomplex:
     """Power function.
 
@@ -272,14 +252,14 @@ def oracle_eval(fn: ElementaryFn, u: Tricomplex) -> Tricomplex:
                 fw = complex(fw.real, fw.imag + _TWO_PI)
             return from_canonical(CanonicalForm(fw.real, fw.imag, math.log(c.vp)))
         if fn is ElementaryFn.EXP:
-            return Tricomplex(*(e.real for e in _exp_product(u.x, u.y, u.z)))
+            return _computed(*(e.real for e in _exp_product(u.x, u.y, u.z)))
         if fn in (ElementaryFn.COS, ElementaryFn.SIN):
             e = _exp_product(1j * u.x, 1j * u.y, 1j * u.z)
             parts = [v.real for v in e] if fn is ElementaryFn.COS else [v.imag for v in e]
-            return Tricomplex(*parts)
+            return _computed(*parts)
         ep = _exp_product(u.x, u.y, u.z)
         em = _exp_product(-u.x, -u.y, -u.z)
         sign = 1.0 if fn is ElementaryFn.COSH else -1.0
-        return Tricomplex(*(0.5 * (a.real + sign * b.real) for a, b in zip(ep, em)))
-    except (OverflowError, ValueError) as exc:
+        return _computed(*(0.5 * (a.real + sign * b.real) for a, b in zip(ep, em)))
+    except OverflowError as exc:
         raise Overflow(f"{fn.value} overflows at {u}") from exc

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     Tricomplex,
+    _computed,
     amplitude,
     component_sum,
     quadratic_form,
@@ -26,6 +27,7 @@ from .algebra import (
 from .errors import (
     REASON_ANGLE_RANGE,
     DomainError,
+    Overflow,
     UndefinedAngle,
 )
 
@@ -59,16 +61,18 @@ class CanonicalForm:
 
 
 def to_canonical(u: Tricomplex) -> CanonicalForm:
-    return CanonicalForm(
-        u.x - 0.5 * (u.y + u.z),
-        0.5 * _SQRT3 * (u.y - u.z),
-        component_sum(u),
-    )
+    """Canonical coordinates; Overflow when one leaves the double range."""
+    v1 = u.x - 0.5 * (u.y + u.z)
+    v1t = 0.5 * _SQRT3 * (u.y - u.z)
+    vp = component_sum(u)
+    if not (math.isfinite(v1) and math.isfinite(v1t) and math.isfinite(vp)):
+        raise Overflow(f"canonical coordinates of {u} leave the double range")
+    return CanonicalForm(v1, v1t, vp)
 
 
 def from_canonical(c: CanonicalForm) -> Tricomplex:
     r = _SQRT3 * c.v1t
-    return Tricomplex(
+    return _computed(
         (2.0 * c.v1 + c.vp) / 3.0,
         (-c.v1 + r + c.vp) / 3.0,
         (-c.v1 - r + c.vp) / 3.0,
@@ -199,7 +203,7 @@ def invariant_circle_point(phi: float) -> Tricomplex:
     c = math.cos(phi)
     s = math.sin(phi) / _SQRT3
     third = 1.0 / 3.0
-    return Tricomplex(third + 2.0 * third * c, third - third * c + s, third - third * c - s)
+    return _computed(third + 2.0 * third * c, third - third * c + s, third - third * c - s)
 
 
 def canonical_mul(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import ONE, Tricomplex, component_sum, quadratic_form
-from .errors import Indeterminate, Overflow
+from .errors import Indeterminate
 
 #: Number of trailing coefficient ratios averaged by the radius estimators.
 TAIL_RATIOS = 8
@@ -84,11 +84,8 @@ class ConvergenceRegion:
 def eval_series(s: TriSeries, u: Tricomplex) -> Tricomplex:
     """Horner evaluation of the truncated series at ``u``."""
     acc = s.coeffs[-1]
-    try:
-        for a in reversed(s.coeffs[:-1]):
-            acc = acc * u + a
-    except (OverflowError, ValueError) as exc:
-        raise Overflow(f"series evaluation blows up at {u}") from exc
+    for a in reversed(s.coeffs[:-1]):
+        acc = acc * u + a
     return acc
 
 
