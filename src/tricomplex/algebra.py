@@ -46,7 +46,10 @@ class AlgebraClass(enum.Enum):
 class Tricomplex:
     """Immutable value x + h*y + k*z with real components.
 
-    Equality is componentwise and exact; all components must be finite.
+    Equality is componentwise and exact; all components are finite
+    floats.  Non-finite input raises ValueError here; a value the library
+    computes (sum, product, elementary function, ...) that leaves the
+    double range raises Overflow instead.
     Supports ``+``, ``-``, ``*`` (both with another Tricomplex and with a
     real scalar), unary ``-``, ``abs`` (Euclidean modulus) and integer
     ``**``.
@@ -184,9 +187,32 @@ def amplitude(u: Tricomplex) -> float:
     """Signed cube root of x^3 + y^3 + z^3 - 3xyz.
 
     Multiplicative under the product, including sign.  Zero exactly on
-    the two nodal sets.
+    the two nodal sets.  Raises Overflow when the amplitude itself
+    exceeds the double range.
     """
-    return _cbrt(determinant_form(u))
+    rho = _cbrt(determinant_form(u))
+    if math.isfinite(rho):
+        return rho
+    # the cubic form overflowed; the amplitude is degree-1 homogeneous
+    v, e = _pow2_scaled(u)
+    return _times_pow2(_cbrt(determinant_form(v)), e, f"the amplitude of {u}")
+
+
+def _pow2_scaled(u: Tricomplex) -> tuple[Tricomplex, int]:
+    """``u`` divided by the power of two 2**e that brings its largest
+    component into [0.5, 1), and e.  The scaling is exact, so a
+    degree-1 homogeneous quantity of ``u`` is that of the copy times
+    2**e."""
+    e = math.frexp(u.max_abs_component())[1]
+    return _computed(math.ldexp(u.x, -e), math.ldexp(u.y, -e), math.ldexp(u.z, -e)), e
+
+
+def _times_pow2(v: float, e: int, what: str) -> float:
+    """v * 2**e; Overflow, naming ``what`` v is, beyond the double range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError as exc:
+        raise Overflow(f"{what} exceeds the double range") from exc
 
 
 def default_tolerance(u: Tricomplex) -> float:
@@ -223,11 +249,20 @@ def inverse(u: Tricomplex, tol: float | None = None) -> Tricomplex:
     if cls is not AlgebraClass.REGULAR:
         raise ZeroDivisor(f"{u} has no inverse ({cls.value})", cls)
     nu = determinant_form(u)
-    return _computed(
-        (u.x * u.x - u.y * u.z) / nu,
-        (u.z * u.z - u.x * u.y) / nu,
-        (u.y * u.y - u.x * u.z) / nu,
-    )
+    if nu != 0.0 and math.isfinite(nu):
+        try:
+            return _computed(
+                (u.x * u.x - u.y * u.z) / nu,
+                (u.z * u.z - u.x * u.y) / nu,
+                (u.y * u.y - u.x * u.z) / nu,
+            )
+        except Overflow:
+            pass
+    # a square or the cubic form left the double range: 1/u is 1/v
+    # scaled by 2**-e for v = u / 2**e
+    v, e = _pow2_scaled(u)
+    w = inverse(v, tol=0.0)
+    return _computed(*(_times_pow2(t, -e, f"the inverse of {u}") for t in (w.x, w.y, w.z)))
 
 
 def to_matrix(u: Tricomplex) -> np.ndarray:

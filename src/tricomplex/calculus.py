@@ -282,7 +282,7 @@ def check_analytic(
 
     All partials are central differences on a stencil of size ``step``;
     residuals are reported, never judged, so a caller chooses its own
-    threshold.
+    threshold.  A residual beyond the double range raises Overflow.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be finite and > 0")
@@ -346,8 +346,11 @@ def check_analytic(
         abs(lap[1] - lap[2]),
     )
 
+    first_order = (group_xy, group_xz, group_yz)
+    if not all(map(math.isfinite, (*first_order, *second, *laplacian))):
+        raise Overflow(f"derivative residuals at {u0} exceed the double range")
     return RiemannReport(
-        first_order=(group_xy, group_xz, group_yz),
+        first_order=first_order,
         second_order=second,  # type: ignore[arg-type]
         laplacian=laplacian,
     )
@@ -501,8 +504,11 @@ def _winding_number(
 def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     """Winding of the loop's nodal-plane projection around the
     projection of ``point``.  Loops winding more than once report the
-    integer multiplicity."""
+    integer multiplicity.  A loop of more than ``QUADRATURE_CAP``
+    samples raises NonConvergent before any point is taken."""
     n = max(loop.samples, 256)
+    if n > QUADRATURE_CAP:
+        raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
     pts = [projection_on_nodal_plane(loop.point_at(i / n)) for i in range(n + 1)]
     return _winding_number(pts, projection_on_nodal_plane(point), guard)
 

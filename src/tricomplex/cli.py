@@ -78,12 +78,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     at = Tricomplex.parse(args.at)
-    for line in polar(at).lines():
-        print(line)
+    # lines first, so that an overflow leaves stdout empty
     c = to_canonical(at)
-    print(f"v1={_fmt(c.v1)}")
-    print(f"v1t={_fmt(c.v1t)}")
-    print(f"vp={_fmt(c.vp)}")
+    lines = polar(at).lines() + [f"v1={_fmt(c.v1)}", f"v1t={_fmt(c.v1t)}", f"vp={_fmt(c.vp)}"]
+    print("\n".join(lines))
     return 0
 
 

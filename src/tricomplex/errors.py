@@ -44,16 +44,25 @@ REASON_ANGLE_RANGE = "angle-range"
 
 
 class Overflow(TricomplexError):
-    """Raised when a component of a result exceeds the double range."""
+    """Raised when a value the library computes leaves the double range.
+
+    Input is checked where it enters: a non-finite component given to
+    ``Tricomplex(...)`` or ``Tricomplex.parse`` is malformed input and
+    raises ValueError.  A computed component or descriptor (a sum, a
+    product, an elementary function, a canonical coordinate, an
+    amplitude, ...) beyond the double range raises Overflow.
+    """
 
 
 class NonConvergent(TricomplexError):
     """Raised when an iteration does not reach its tolerance.
 
     Quadrature refinement raises it, before evaluating a level, when that
-    level's node count is over the node cap; polynomial root iteration
-    at its sweep cap, or when the roots found do not rebuild the
-    polynomial's coefficients within their certified uncertainty.
+    level's node count is over the node cap; the winding count (and so
+    the residue sum), before sampling, when the loop's sample count is
+    over the same cap; polynomial root iteration at its sweep cap, or
+    when the roots found do not rebuild the polynomial's coefficients
+    within their certified uncertainty.
     """
 
 

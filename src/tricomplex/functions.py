@@ -21,7 +21,7 @@ import cmath
 import enum
 import math
 
-from .algebra import Tricomplex, _computed, component_sum, inverse
+from .algebra import Tricomplex, _computed, _pow2_scaled, component_sum, inverse
 from .errors import (
     REASON_NODAL_PLANE_SIDE,
     REASON_TRISECTOR_LINE,
@@ -32,6 +32,7 @@ from .geometry import CanonicalForm, _azimuth, from_canonical, to_canonical
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 #: Primitive cube root of unity, the eigenvalue of h on the transverse plane.
 _OMEGA = complex(-0.5, 0.5 * _SQRT3)
 
@@ -137,11 +138,18 @@ def tlog(u: Tricomplex) -> Tricomplex:
     scalar = (ls + 2.0 * ld) / 3.0
     longitudinal = (ls - ld) / 3.0  # (1/3) log(sigma/delta)
     transverse = phi / _SQRT3
-    return _computed(
-        scalar,
-        longitudinal + transverse,
-        longitudinal - transverse,
-    )
+    try:
+        return _computed(
+            scalar,
+            longitudinal + transverse,
+            longitudinal - transverse,
+        )
+    except Overflow:
+        # sigma or delta overflowed, the logarithm cannot:
+        # log u = log(u / 2**e) + e log 2
+        v, e = _pow2_scaled(u)
+        w = tlog(v)
+        return _computed(w.x + e * _LN2, w.y, w.z)
 
 
 def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from .algebra import (
     Tricomplex,
     _computed,
+    _pow2_scaled,
+    _times_pow2,
     amplitude,
     component_sum,
     quadratic_form,
@@ -27,7 +29,6 @@ from .algebra import (
 from .errors import (
     REASON_ANGLE_RANGE,
     DomainError,
-    Overflow,
     UndefinedAngle,
 )
 
@@ -61,13 +62,17 @@ class CanonicalForm:
 
 
 def to_canonical(u: Tricomplex) -> CanonicalForm:
-    """Canonical coordinates; Overflow when one leaves the double range."""
+    """Canonical coordinates; Overflow when one exceeds the double range."""
     v1 = u.x - 0.5 * (u.y + u.z)
     v1t = 0.5 * _SQRT3 * (u.y - u.z)
     vp = component_sum(u)
-    if not (math.isfinite(v1) and math.isfinite(v1t) and math.isfinite(vp)):
-        raise Overflow(f"canonical coordinates of {u} leave the double range")
-    return CanonicalForm(v1, v1t, vp)
+    if math.isfinite(v1) and math.isfinite(v1t) and math.isfinite(vp):
+        return CanonicalForm(v1, v1t, vp)
+    # a sum overflowed, maybe only on the way; the coordinates are linear
+    v, e = _pow2_scaled(u)
+    c = to_canonical(v)
+    what = f"a canonical coordinate of {u}"
+    return CanonicalForm(*(_times_pow2(t, e, what) for t in (c.v1, c.v1t, c.vp)))
 
 
 def from_canonical(c: CanonicalForm) -> Tricomplex:
@@ -134,17 +139,26 @@ def polar(u: Tricomplex) -> PolarForm:
     """All geometric descriptors of ``u``.
 
     Angles that do not exist are carried as None rather than a sentinel
-    value; the PolarForm properties raise on access.
+    value; the PolarForm properties raise on access.  Raises Overflow
+    when a descriptor itself exceeds the double range.
     """
+    d, s, D, theta, phi = _lengths_and_angles(u)
+    if not (math.isfinite(d) and math.isfinite(s) and math.isfinite(D)):
+        # an intermediate square overflowed: d, s and D are degree-1
+        # homogeneous and the angles do not depend on scale
+        v, e = _pow2_scaled(u)
+        d, s, D, theta, phi = _lengths_and_angles(v)
+        d, s, D = (_times_pow2(t, e, f"a polar descriptor of {u}") for t in (d, s, D))
+    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=phi)
+
+
+def _lengths_and_angles(u: Tricomplex) -> tuple:
+    """d, s, D, theta and phi as computed directly from the components."""
     d = abs(u)
-    sigma = component_sum(u)
-    s = sigma / _SQRT3
+    s = component_sum(u) / _SQRT3
     delta, phi = _azimuth(u)
     D = delta * math.sqrt(2.0 / 3.0)
-    rho = amplitude(u)
-
-    theta = None if d == 0.0 else math.atan2(D, s)
-    return PolarForm(d=d, s=s, D=D, rho=rho, theta_or_none=theta, phi_or_none=phi)
+    return d, s, D, (None if d == 0.0 else math.atan2(D, s)), phi
 
 
 def _azimuth(u: Tricomplex) -> tuple[float, float | None]:

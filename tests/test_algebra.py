@@ -10,6 +10,9 @@ from tricomplex import (
     H,
     K,
     ONE,
+    Overflow,
+    Path3,
+    TriPolynomial,
     Tricomplex,
     ZERO,
     ZeroDivisor,
@@ -18,10 +21,13 @@ from tricomplex import (
     classify,
     component_sum,
     determinant_form,
+    exp_series,
     inverse,
     irreducible_rep,
+    loop_integral_pole,
     mul,
     quadratic_form,
+    taylor_recenter,
     to_matrix,
 )
 from util import random_triples, tri_err
@@ -246,3 +252,38 @@ def test_components_must_be_finite():
         Tricomplex(float("inf"), 0.0, 0.0)
     with pytest.raises(ValueError):
         Tricomplex(0.0, float("nan"), 0.0)
+
+
+def test_computed_values_are_plain_values():
+    u = Tricomplex(1.5, -0.25, 2.0)
+    for scalar in (3, np.float64(0.5), True):
+        got = u * scalar
+        want = Tricomplex(1.5 * float(scalar), -0.25 * float(scalar), 2.0 * float(scalar))
+        assert got == want
+        assert hash(got) == hash(want)
+        assert all(type(t) is float for t in (got.x, got.y, got.z))
+    got = u * H + ONE
+    assert got == Tricomplex(1.0 + 2.0, 1.5, -0.25)
+    assert hash(got) == hash(Tricomplex(3.0, 1.5, -0.25))
+
+
+def test_computed_values_beyond_the_double_range_overflow():
+    # a result that leaves the double range is Overflow wherever it is
+    # computed; only non-finite input is ValueError
+    big = Tricomplex(1e200, 0.0, 0.0)
+    with pytest.raises(Overflow):
+        big * big
+    with pytest.raises(Overflow):
+        Tricomplex(1.7e308, 0.0, 0.0) + Tricomplex(1.7e308, 0.0, 0.0)
+    with pytest.raises(Overflow):
+        big * 1e200
+    square_minus_one = TriPolynomial.from_components([(1, 0, 0), (0, 0, 0), (-1, 0, 0)])
+    with pytest.raises(Overflow):
+        square_minus_one(big)
+    with pytest.raises(Overflow):
+        TriPolynomial.from_roots([big, big])
+    with pytest.raises(Overflow):
+        taylor_recenter(exp_series(6), Tricomplex(1e100, 0.0, 0.0))
+    huge = Tricomplex(1e308, 1e308, 1e308)
+    with pytest.raises(Overflow):
+        loop_integral_pole(ZERO, Path3.circle(huge, 1e308))

@@ -433,6 +433,20 @@ def test_ambiguous_winding():
         residue_sum([pole], UNIT_LOOP)
 
 
+def test_winding_count_is_capped_before_sampling():
+    # 64 samples per turn: one turn more than the node cap allows
+    turns = QUADRATURE_CAP // 64 + 1
+    points = Counted(UNIT_LOOP.point_at)
+    loop = dataclasses.replace(
+        Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=turns), point_at=points
+    )
+    with pytest.raises(NonConvergent):
+        winding_count(loop, ZERO)
+    with pytest.raises(NonConvergent):
+        residue_sum([PoleSpec(ZERO, ONE)], loop)
+    assert points.calls == 0
+
+
 # -- series re-expansion --------------------------------------------------------
 
 

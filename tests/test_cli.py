@@ -1,8 +1,12 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricomplex import Tricomplex, cx, mx, px, texp
 from tricomplex.cli import run
@@ -42,6 +46,16 @@ def test_decompose_unit_x_bytes(capout):
         "v1t=0\n"
         "vp=1\n"
     )
+
+
+def test_decompose_at_the_top_of_the_double_range(capout):
+    # every printed descriptor is in range, only intermediate sums are not
+    code, out, _ = capout("decompose", "--at", "(1e308,-1e308,1e308)")
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines())
+    assert abs(float(values["phi"]) - 5.0 * math.pi / 3.0) < 1e-15
+    assert float(values["d"]) == math.sqrt(3.0) * 1e308
+    assert all(math.isfinite(float(v)) for v in values.values())
 
 
 def test_decompose_trisector_phi_undefined(capout):
@@ -211,6 +225,19 @@ def test_parse_errors_exit_two(capout):
         (["rho-table", "--min", "0.2", "--max", "1.3", "--step", "1e-9"], 2),
         (["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=nan"], 2),
         (["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=inf"], 2),
+        # well-formed input whose computed values leave the double range
+        (
+            [
+                "integrate",
+                "--pole",
+                "(0,0,0)",
+                "--loop",
+                "circle:center=(1e308,1e308,1e308),radius=1e308",
+            ],
+            1,
+        ),
+        (["decompose", "--at", "(1e308,1e308,1e308)"], 1),
+        (["check-analytic", "--fn", "exp", "--at", "(709.7,0,0)"], 1),
     ],
 )
 def test_error_exit_codes(capout, argv, code):
@@ -221,6 +248,44 @@ def test_error_exit_codes(capout, argv, code):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+# the whole double range, with extra weight where exp and cosh overflow
+whole_range = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e3, 1e3)
+whole_range_at = st.builds(
+    lambda x, y, z: f"({x!r},{y!r},{z!r})", whole_range, whole_range, whole_range
+)
+point_argv = st.one_of(
+    st.builds(
+        lambda fn, at: ["eval", "--fn", fn, "--at", at],
+        st.sampled_from(["exp", "log", "sin", "cos", "sinh", "cosh"]),
+        whole_range_at,
+    ),
+    st.builds(
+        lambda at, m: ["eval", "--fn", "pow", "--at", at, f"--exponent={m!r}"],
+        whole_range_at,
+        st.sampled_from([3.0, -2.0, 0.5]) | whole_range,
+    ),
+    st.builds(lambda at: ["decompose", "--at", at], whole_range_at),
+    st.builds(
+        lambda fn, at: ["check-analytic", "--fn", fn, "--at", at],
+        st.sampled_from(["exp", "log", "sin", "cos", "sinh", "cosh"]),
+        whole_range_at,
+    ),
+)
+
+
+@given(argv=point_argv)
+@settings(max_examples=200, deadline=None)
+def test_finite_points_never_exit_two(argv):
+    # finite, well-formed points anywhere in the double range: a result
+    # (0) or a domain error or overflow (1), never malformed input (2),
+    # and never an inf or nan on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "inf" not in out.getvalue() and "nan" not in out.getvalue(), argv
 
 
 def test_pow_needs_exponent_and_works(capout):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricomplex import (
     DomainError,
@@ -12,10 +14,12 @@ from tricomplex import (
     Overflow,
     Tricomplex,
     ZERO,
+    TricomplexError,
     cx,
     inverse,
     mx,
     oracle_eval,
+    polar,
     power_from_polar,
     px,
     tcos,
@@ -26,6 +30,7 @@ from tricomplex import (
     tsin,
     tsinh,
 )
+from tricomplex.algebra import amplitude
 from tricomplex.errors import REASON_NODAL_PLANE_SIDE, REASON_TRISECTOR_LINE
 from util import random_triples, tri_err
 
@@ -135,6 +140,71 @@ def test_top_of_double_range():
     u = Tricomplex(709.5, 0.0, 0.0)
     for got, want in ((texp(u), math.exp(709.5)), (tcosh(u), math.cosh(709.5))):
         assert max(abs(got.x - want), abs(got.y), abs(got.z)) < 1e-15 * want
+
+
+# the whole double range, with extra weight where exp and cosh overflow
+whole_range = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e3, 1e3)
+whole_range_triples = st.builds(Tricomplex, whole_range, whole_range, whole_range)
+
+def _polar_parts(u):
+    p = polar(u)
+    return (p.d, p.s, p.D, p.rho, p.theta_or_none, p.phi_or_none)
+
+
+# each takes (u, v) and returns a Tricomplex or a tuple of floats
+WHOLE_RANGE_OPERATIONS = {
+    "exp": lambda u, v: texp(u),
+    "log": lambda u, v: tlog(u),
+    "sin": lambda u, v: tsin(u),
+    "cos": lambda u, v: tcos(u),
+    "sinh": lambda u, v: tsinh(u),
+    "cosh": lambda u, v: tcosh(u),
+    "inverse": lambda u, v: inverse(u),
+    "polar": lambda u, v: _polar_parts(u),
+    "amplitude": lambda u, v: (amplitude(u),),
+    "pow 3": lambda u, v: tpow(u, 3),
+    "pow -2": lambda u, v: tpow(u, -2),
+    "pow 0.5": lambda u, v: tpow(u, 0.5),
+    "mul": lambda u, v: u * v,
+    "add": lambda u, v: u + v,
+}
+
+
+@given(u=whole_range_triples, v=whole_range_triples)
+@settings(max_examples=300, deadline=None)
+def test_whole_range_results_are_finite_or_reported(u, v):
+    # finite input anywhere in the double range gives a finite result or
+    # a library error (Overflow, DomainError, ...): never the ValueError
+    # of malformed input, never inf or nan
+    for name, op in WHOLE_RANGE_OPERATIONS.items():
+        try:
+            got = op(u, v)
+        except TricomplexError:
+            continue
+        parts = (got.x, got.y, got.z) if isinstance(got, Tricomplex) else got
+        assert all(t is None or math.isfinite(t) for t in parts), (name, u, v, got)
+
+
+def test_log_at_the_top_of_the_double_range():
+    # log(u * 2**1000) = log(u) + 1000 log 2; the component sum and the
+    # transverse magnitude overflow on the way, the logarithm does not
+    u = Tricomplex(0.75, 0.5, -0.25)
+    big = u * 2.0**1000
+    got = tlog(big)
+    want = tlog(u) + Tricomplex(1000.0 * math.log(2.0), 0.0, 0.0)
+    assert tri_err(got, want) < 1e-15
+    # exp turns the ulp of 693 (1.1e-13) into a relative error; the
+    # modulus of big overflows, so compare componentwise
+    assert (texp(got) - big).max_abs_component() < 1e-12 * big.max_abs_component()
+
+
+def test_power_with_an_angle_beyond_the_double_range_overflows():
+    # m * phi is inf, so math.cos raises its domain ValueError
+    with pytest.raises(Overflow):
+        power_from_polar(Tricomplex(0.2, 1.0, 0.5), 1e308)
+    for m in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            power_from_polar(Tricomplex(0.2, 1.0, 0.5), m)
 
 
 def test_unit_power_closed_forms():

@@ -9,6 +9,7 @@ from tricomplex import (
     E1T,
     EP,
     ONE,
+    Overflow,
     Tricomplex,
     UndefinedAngle,
     ZERO,
@@ -19,6 +20,7 @@ from tricomplex import (
     determinant_form,
     from_canonical,
     from_exponential,
+    inverse,
     invariant_circle_point,
     normalize_phi,
     polar,
@@ -196,3 +198,42 @@ def test_invariant_circle():
 def test_amplitude_on_circle_is_one():
     for phi in np.linspace(0.0, 6.0, 25):
         assert abs(amplitude(invariant_circle_point(phi)) - 1.0) < 1e-12
+
+
+# u times 2**1000 is exact, and its squares and cubic form overflow
+TOP_SCALE = 1000
+TOP_POINT = Tricomplex(0.75, -0.5, 0.25)
+TOP_VALUE = TOP_POINT * 2.0**TOP_SCALE
+
+
+def test_descriptors_at_the_top_of_the_double_range():
+    # d, s, D, rho and the canonical coordinates are degree-1
+    # homogeneous and the angles do not depend on scale, so the top of
+    # the range gives the small point's values scaled exactly
+    small, big = polar(TOP_POINT), polar(TOP_VALUE)
+    for name in ("d", "s", "D", "rho"):
+        assert getattr(big, name) == math.ldexp(getattr(small, name), TOP_SCALE)
+    assert (big.theta, big.phi) == (small.theta, small.phi)
+    assert amplitude(TOP_VALUE) == math.ldexp(amplitude(TOP_POINT), TOP_SCALE)
+    want = inverse(TOP_POINT)
+    assert inverse(TOP_VALUE) == Tricomplex(
+        *(math.ldexp(t, -TOP_SCALE) for t in (want.x, want.y, want.z))
+    )
+    # only the sums on the way overflow here; the coordinates do not
+    c = to_canonical(Tricomplex(1e308, -1e308, 1e308))
+    assert (c.v1, c.vp) == (1e308, 1e308)
+    assert abs(c.v1t + SQRT3 * 1e308) < 1e-15 * SQRT3 * 1e308
+    assert abs(polar(Tricomplex(1e308, -1e308, 1e308)).phi - 5.0 * math.pi / 3.0) < 1e-15
+    # the cubic form overflows below the squares: 1e120 cubed; and it
+    # underflows to 0 for 1e-110 when no tolerance guards it
+    assert abs(inverse(Tricomplex(1e120, 0.0, 0.0)).x - 1e-120) < 1e-135
+    assert abs(inverse(Tricomplex(1e-110, 0.0, 0.0), tol=0.0).x - 1e110) < 1e95
+
+
+def test_descriptors_beyond_the_double_range_overflow():
+    with pytest.raises(Overflow):
+        to_canonical(Tricomplex(1e308, 1e308, 1e308))  # vp = 3e308
+    with pytest.raises(Overflow):
+        polar(Tricomplex(1.7e308, 1.7e308, 0.0))  # d = 2.4e308
+    with pytest.raises(Overflow):
+        amplitude(Tricomplex(1.7e308, -1.7e308, 1.7e308))  # rho = 2.7e308
