@@ -259,8 +259,10 @@ def inverse(u: Tricomplex, tol: float | None = None) -> Tricomplex:
         except Overflow:
             pass
     # a square or the cubic form left the double range: 1/u is 1/v
-    # scaled by 2**-e for v = u / 2**e
+    # scaled by 2**-e for v = u / 2**e; when v is u, it is the result
     v, e = _pow2_scaled(u)
+    if e == 0:
+        raise Overflow(f"the inverse of {u} exceeds the double range")
     w = inverse(v, tol=0.0)
     return _computed(*(_times_pow2(t, -e, f"the inverse of {u}") for t in (w.x, w.y, w.z)))
 

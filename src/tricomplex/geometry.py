@@ -15,7 +15,7 @@ vp.  This split is what makes exponential and trigonometric forms work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     Tricomplex,
@@ -142,23 +142,21 @@ def polar(u: Tricomplex) -> PolarForm:
     value; the PolarForm properties raise on access.  Raises Overflow
     when a descriptor itself exceeds the double range.
     """
-    d, s, D, theta, phi = _lengths_and_angles(u)
-    if not (math.isfinite(d) and math.isfinite(s) and math.isfinite(D)):
-        # an intermediate square overflowed: d, s and D are degree-1
-        # homogeneous and the angles do not depend on scale
-        v, e = _pow2_scaled(u)
-        d, s, D, theta, phi = _lengths_and_angles(v)
-        d, s, D = (_times_pow2(t, e, f"a polar descriptor of {u}") for t in (d, s, D))
-    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=phi)
-
-
-def _lengths_and_angles(u: Tricomplex) -> tuple:
-    """d, s, D, theta and phi as computed directly from the components."""
     d = abs(u)
-    s = component_sum(u) / _SQRT3
+    sigma = component_sum(u)
+    s = sigma / _SQRT3
     delta, phi = _azimuth(u)
     D = delta * math.sqrt(2.0 / 3.0)
-    return d, s, D, (None if d == 0.0 else math.atan2(D, s)), phi
+    rho = amplitude(u)
+    if not (math.isfinite(d) and math.isfinite(s) and math.isfinite(D)):
+        # a square or sum overflowed on the way: d, s and D are degree-1
+        # homogeneous and the angles do not depend on scale
+        v, e = _pow2_scaled(u)
+        p = polar(v)
+        d, s, D = (_times_pow2(t, e, f"a polar descriptor of {u}") for t in (p.d, p.s, p.D))
+        return replace(p, d=d, s=s, D=D, rho=rho)
+    theta = None if d == 0.0 else math.atan2(D, s)
+    return PolarForm(d=d, s=s, D=D, rho=rho, theta_or_none=theta, phi_or_none=phi)
 
 
 def _azimuth(u: Tricomplex) -> tuple[float, float | None]:
@@ -201,6 +199,8 @@ def from_exponential(rho: float, theta: float, phi: float) -> Tricomplex:
         raise DomainError(
             "polar angle must lie strictly between 0 and pi/2", REASON_ANGLE_RANGE
         )
+    if not (math.isfinite(rho) and math.isfinite(phi)):
+        raise ValueError("amplitude and azimuthal angle must be finite")
     delta, sigma = transverse_longitudinal(rho, theta)
     return from_canonical(
         CanonicalForm(delta * math.cos(phi), delta * math.sin(phi), sigma)
@@ -217,7 +217,7 @@ def invariant_circle_point(phi: float) -> Tricomplex:
     c = math.cos(phi)
     s = math.sin(phi) / _SQRT3
     third = 1.0 / 3.0
-    return _computed(third + 2.0 * third * c, third - third * c + s, third - third * c - s)
+    return Tricomplex(third + 2.0 * third * c, third - third * c + s, third - third * c - s)
 
 
 def canonical_mul(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:

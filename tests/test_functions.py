@@ -13,8 +13,9 @@ from tricomplex import (
     ONE,
     Overflow,
     Tricomplex,
-    ZERO,
     TricomplexError,
+    ZERO,
+    amplitude,
     cx,
     inverse,
     mx,
@@ -30,7 +31,6 @@ from tricomplex import (
     tsin,
     tsinh,
 )
-from tricomplex.algebra import amplitude
 from tricomplex.errors import REASON_NODAL_PLANE_SIDE, REASON_TRISECTOR_LINE
 from util import random_triples, tri_err
 
@@ -145,6 +145,7 @@ def test_top_of_double_range():
 # the whole double range, with extra weight where exp and cosh overflow
 whole_range = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e3, 1e3)
 whole_range_triples = st.builds(Tricomplex, whole_range, whole_range, whole_range)
+
 
 def _polar_parts(u):
     p = polar(u)

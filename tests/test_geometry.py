@@ -151,6 +151,14 @@ def test_from_exponential_domain():
         from_exponential(1.0, 2.0, 0.0)
 
 
+def test_from_exponential_rejects_non_finite_input():
+    # malformed input, not an overflow of a computed value
+    with pytest.raises(ValueError):
+        from_exponential(math.inf, 0.5, 0.0)
+    with pytest.raises(ValueError):
+        from_exponential(1.0, 0.5, math.nan)
+
+
 def test_three_term_reconstruction():
     # u = e1*delta*cos(phi) + e1t*delta*sin(phi) + ep*sigma, valid off the line
     rng = np.random.default_rng(47)
@@ -237,3 +245,6 @@ def test_descriptors_beyond_the_double_range_overflow():
         polar(Tricomplex(1.7e308, 1.7e308, 0.0))  # d = 2.4e308
     with pytest.raises(Overflow):
         amplitude(Tricomplex(1.7e308, -1.7e308, 1.7e308))  # rho = 2.7e308
+    with pytest.raises(Overflow):
+        # the cubic form is 1.3e-310, the inverse 4e309; nothing to rescale
+        inverse(Tricomplex(0.75, -0.75, 7.5e-311), tol=0.0)
