@@ -12,10 +12,12 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import Overflow, ZeroDivisor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -128,7 +130,7 @@ class Tricomplex:
         return result
 
     def __abs__(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.hypot(self.x, self.y, self.z)
 
     def max_abs_component(self) -> float:
         return max(abs(self.x), abs(self.y), abs(self.z))
@@ -270,6 +272,8 @@ def inverse(u: Tricomplex, tol: float | None = None) -> Tricomplex:
 def to_matrix(u: Tricomplex) -> np.ndarray:
     """Circulant 3x3 representation; matrix product mirrors the algebra
     product and the determinant equals amplitude(u)**3."""
+    import numpy as np
+
     return np.array(
         [
             [u.x, u.y, u.z],
@@ -283,6 +287,8 @@ def irreducible_rep(u: Tricomplex) -> np.ndarray:
     """Block-diagonal real representation: a 2x2 rotation-scaling block
     acting on the plane transverse to the trisector line, plus the 1x1
     component sum along it."""
+    import numpy as np
+
     a = u.x - 0.5 * (u.y + u.z)
     b = 0.5 * _SQRT3 * (u.y - u.z)
     return np.array(

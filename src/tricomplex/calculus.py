@@ -16,10 +16,22 @@ converges exponentially on a smooth closed loop (Trefethen & Weideman
 2014, SIAM Review 56(3)); every other path takes a fixed 8-point
 Gauss-Legendre rule on equal panels.  Each level doubles the node count
 and the loop stops when two levels agree.
+
+The quadrature runs in split coordinates: the product acts as complex
+multiplication on the transverse pair w = v1 + i*v1t and as real
+multiplication on the component sum v, so f(u) du is the pair
+(f_w dw, f_v dv), and 1/(u - a) is (1/(w - a_w), 1/(v - a_v)).  Nodes,
+integrand and sums stay (complex, float) pairs, joined to a Tricomplex
+once at the end.  The pole's loop integral is the residue theorem on the
+transverse plane: dw/(w - a_w) picks up 2*pi*i per turn around a_w, and
+dv/(v - a_v) integrates to zero on a closed loop.  The winding of a
+circle is known in closed form, and that of a polyline from its
+vertices; only other loops are sampled.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -32,9 +44,7 @@ from .algebra import (
     ZERO,
     _computed,
     classify,
-    component_sum,
     inverse,
-    quadratic_form,
 )
 from .errors import (
     AmbiguousWinding,
@@ -43,13 +53,20 @@ from .errors import (
     SingularOnPath,
     ZeroDivisor,
 )
-from .geometry import projection_on_nodal_plane
+from .geometry import _from_split, projection_on_nodal_plane, to_canonical
 from .series import TriSeries
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
+#: An integrand in split coordinates: the pair (f_w, f_v) of f(u) from a
+#: node's pair (w, v) and its path point u (None when the node was made
+#: in split coordinates and no path point exists).
+SplitFunction = Callable[[complex, float, Tricomplex | None], tuple[complex, float]]
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI = 2.0 * math.pi
+#: Euclidean length of a unit of the transverse pair: |u| is
+#: sqrt((2/3)|w|^2 + v^2/3), as e1, e1t and ep are orthogonal.
+_TRANSVERSE_NORM = math.sqrt(2.0 / 3.0)
 
 #: Value of one positive turn around a simple pole with unit residue.
 POLE_LOOP_VALUE = Tricomplex(0.0, _TWO_PI / _SQRT3, -_TWO_PI / _SQRT3)
@@ -118,8 +135,11 @@ class Path3:
     known.  ``samples`` is the panel count of the coarsest Gauss-Legendre
     level; later levels halve the panels, so a kink at a multiple of
     1/samples stays on a panel edge (a polyline has one panel per
-    segment).  A circle keeps 64 samples per turn for ``winding_count``;
-    its trapezoid rule starts at 8 nodes per turn, whatever ``samples``.
+    segment).  Circles and polylines keep their defining data, and
+    quadrature and ``winding_count`` build on that instead of calling
+    ``point_at``.  A circle's trapezoid rule starts at 8 nodes per turn,
+    whatever ``samples``; its 64 samples per turn only bound what
+    ``winding_count`` accepts.
     """
 
     point_at: Callable[[float], Tricomplex]
@@ -133,7 +153,7 @@ class Path3:
 
     @classmethod
     def polyline(cls, vertices: Sequence[Tricomplex], closed: bool = False) -> "Path3":
-        pts = list(vertices)
+        pts = tuple(vertices)
         if len(pts) < 2:
             raise ValueError("a polyline needs at least two vertices")
         if closed and (pts[0] - pts[-1]).max_abs_component() > _ENDPOINT_TOL:
@@ -153,7 +173,9 @@ class Path3:
         def tangent(t: float) -> Tricomplex:
             return steps[segment(t)[0]]
 
-        return cls(point_at=at, samples=nseg, closed=closed, tangent_at=tangent)
+        return _Polyline(
+            point_at=at, samples=nseg, closed=closed, tangent_at=tangent, vertices=pts
+        )
 
     @classmethod
     def parametric(
@@ -187,17 +209,35 @@ class Path3:
             samples=64 * abs(turns),
             closed=True,
             tangent_at=tangent,
+            center=center,
+            radius=radius,
             turns=turns,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
+class _Polyline(Path3):
+    """A polyline with its vertices, on which its nodes are linear."""
+
+    vertices: tuple[Tricomplex, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.samples != len(self.vertices) - 1:
+            raise ValueError("a polyline has one sample per segment")
+
+
+@dataclass(frozen=True, kw_only=True)
 class _Circle(Path3):
     """A circle: smooth and periodic, so quadrature takes the periodic
     trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
     turn.  Gauss-Legendre panels took 2.2 times the evaluations on the
-    benchmark's circles."""
+    benchmark's circles.  In split coordinates its nodes are
+    w = c_w + radius*sqrt(3/2)*exp(2*pi*i*turns*t) with v = c_v fixed:
+    the in-plane units _XI1 and _XI2 are sqrt(3/2) and i*sqrt(3/2)."""
 
+    center: Tricomplex
+    radius: float
     turns: int = 1
 
     def __post_init__(self) -> None:
@@ -356,52 +396,144 @@ def check_analytic(
     )
 
 
-def _nodes(path: Path3, n: int) -> Iterator[tuple[Tricomplex, Tricomplex]]:
-    """The n nodes u of one level's rule, each with its weighted step du."""
+def _nodes(
+    path: Path3, n: int
+) -> Iterator[tuple[complex, float, complex, float, Tricomplex | None]]:
+    """The n nodes of one level's rule in split coordinates: the node
+    (w, v), its weighted step (dw, dv) and its path point u, which is
+    None where the node is made in split coordinates."""
     if isinstance(path, _Circle):
+        c = to_canonical(path.center)
+        cw, cv = c.transverse(), c.vp
+        omega = _TWO_PI * path.turns
+        radius = path.radius / _TRANSVERSE_NORM
         for i in range(n):
-            t = i / n
-            yield path.point_at(t), path.tangent_at(t) * (1.0 / n)
+            e = cmath.rect(radius, omega * (i / n))
+            yield cw + e, cv, e * complex(0.0, omega / n), 0.0, None
         return
     panels = n // _ORDER
+    if isinstance(path, _Polyline):
+        per_segment = panels // path.samples
+        ends = [(c.transverse(), c.vp) for c in map(to_canonical, path.vertices)]
+        for (w0, v0), (w1, v1) in zip(ends, ends[1:]):
+            ew, ev = w1 - w0, v1 - v0
+            for q in range(per_segment):
+                for c, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                    s = (q + c) / per_segment
+                    h = weight / per_segment
+                    yield w0 + ew * s, v0 + ev * s, ew * h, ev * h, None
+        return
     for p in range(panels):
         ts = [(p + c) / panels for c in _GL_NODES]
+        us = [path.point_at(t) for t in ts]
+        cs = [to_canonical(u) for u in us]
+        ws, vs = [c.transverse() for c in cs], [c.vp for c in cs]
         if path.tangent_at is not None:
-            for t, w in zip(ts, _GL_WEIGHTS):
-                yield path.point_at(t), path.tangent_at(t) * (w / panels)
+            for t, weight, u, w, v in zip(ts, _GL_WEIGHTS, us, ws, vs):
+                d, h = to_canonical(path.tangent_at(t)), weight / panels
+                yield w, v, d.transverse() * h, d.vp * h, u
             continue
-        pts = [path.point_at(t) for t in ts]
-        xs, ys, zs = [q.x for q in pts], [q.y for q in pts], [q.z for q in pts]
-        for u, row in zip(pts, _GL_WEIGHTED_DIFF):
-            yield u, _computed(
-                sum(map(mul, row, xs)), sum(map(mul, row, ys)), sum(map(mul, row, zs))
+        for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs):
+            yield w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u
+
+
+def _integrand(
+    f: TriFunction | None, pole: Tricomplex | None, guard: float = 1e-10
+) -> SplitFunction:
+    """f(u), times 1/(u - pole) when a pole is given, in split
+    coordinates; f None stands for 1.
+
+    f takes the path point, or the node joined to a Tricomplex where
+    the path gave none; an f that fails or overflows there is reported
+    as SingularOnPath.  1/(u - pole) is (1/(w - a_w), 1/(v - a_v)), with
+    an explicit distance guard against the singular plane (v = a_v) and
+    line (w = a_w) through the pole; |w - a_w| is
+    sqrt(quadratic_form(u - pole)).
+    """
+
+    def at(w: complex, v: float, u: Tricomplex | None) -> Tricomplex:
+        return _from_split(w, v) if u is None else u
+
+    def lifted(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
+        u = at(w, v, u)
+        try:
+            c = to_canonical(f(u))
+        except (Overflow, ZeroDivisor, OverflowError) as exc:
+            raise SingularOnPath(f"integrand blows up near {u}") from exc
+        return c.transverse(), c.vp
+
+    if pole is None:
+        return lifted
+    c = to_canonical(pole)
+    aw, av = c.transverse(), c.vp
+
+    def reciprocal(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
+        dw, dv = w - aw, v - av
+        mw, mv = abs(dw), abs(dv)
+        near = guard * (1.0 + max(mw, mv))
+        if mv <= near:
+            raise SingularOnPath(
+                f"path touches the singular plane through {pole} near {at(w, v, u)}"
             )
+        if mw <= near:
+            raise SingularOnPath(
+                f"path touches the singular line through {pole} near {at(w, v, u)}"
+            )
+        return 1.0 / dw, 1.0 / dv
+
+    if f is None:
+        return reciprocal
+
+    def product(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
+        pw, pv = reciprocal(w, v, u)
+        fw, fv = lifted(w, v, u)
+        return fw * pw, fv * pv
+
+    return product
 
 
 def _quadrature(
-    f: TriFunction, path: Path3, tol: float, cap: int
+    f: TriFunction | None,
+    path: Path3,
+    tol: float,
+    cap: int,
+    pole: Tricomplex | None = None,
 ) -> tuple[Tricomplex, int, float]:
-    """The refinement loop behind ``path_integral``: the value, the
-    integrand evaluations it took and its error estimate, the modulus of
-    the last change between levels."""
+    """The refinement loop behind ``path_integral``, ``loop_integral_pole``
+    and ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole)
+    (see ``_integrand``), the integrand evaluations it took and its
+    error estimate, the Euclidean modulus of the last change between
+    levels.  The sums are (complex, float) pairs, each part summed
+    exactly rounded by ``math.fsum`` (a running sum of a few hundred
+    terms near 2*pi drifts by several ulps), and joined once at the end.
+    """
+    g = _integrand(f, pole)
     n = _ORDER * (abs(path.turns) if isinstance(path, _Circle) else path.samples)
     evaluations = 0
     previous = None
     while n <= cap:
-        total = ZERO
-        for u, du in _nodes(path, n):
-            # the product and the sum stay inside: an f(u) du that
-            # overflows is reported like a singular integrand
-            try:
-                total = total + f(u) * du
-            except (Overflow, ZeroDivisor, OverflowError) as exc:
-                raise SingularOnPath(f"integrand blows up near {u}") from exc
+        re, im, lo = [], [], []
+        for w, v, dw, dv, u in _nodes(path, n):
+            fw, fv = g(w, v, u)
+            t = fw * dw
+            re.append(t.real)
+            im.append(t.imag)
+            lo.append(fv * dv)
+        try:
+            sums = [math.fsum(parts) for parts in (re, im, lo)]
+        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+            sums = [math.inf]
+        if not all(map(math.isfinite, sums)):
+            raise SingularOnPath(f"the integral over {n} nodes leaves the double range")
+        sw, sv = complex(sums[0], sums[1]), sums[2]
         evaluations += n
         if previous is not None:
-            error = abs(total - previous)
+            error = math.hypot(
+                _TRANSVERSE_NORM * abs(sw - previous[0]), (sv - previous[1]) / _SQRT3
+            )
             if error < tol:
-                return total, evaluations, error
-        previous = total
+                return _from_split(sw, sv), evaluations, error
+        previous = sw, sv
         n *= 2
     raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
 
@@ -416,35 +548,20 @@ def path_integral(
 
     A circle takes the periodic trapezoid rule with its exact tangent.
     Every other path takes a fixed 8-point Gauss-Legendre rule on
-    ``path.samples`` equal panels; the tangent comes from ``tangent_at``
-    or, when that is None, from the derivative of the polynomial that
-    interpolates the path at each panel's nodes.  Each level doubles
-    the node count, and the sum is returned once it differs from the
-    previous level's by less than ``tol`` in modulus.  NonConvergent is
-    raised, before any evaluation, at a level of more than ``cap``
-    nodes.
+    ``path.samples`` equal panels; the tangent comes from a polyline's
+    segments, from ``tangent_at`` or, when that is None, from the
+    derivative of the polynomial that interpolates the path at each
+    panel's nodes.  Each level doubles the node count, and the sum is
+    returned once it differs from the previous level's by less than
+    ``tol`` in modulus.  NonConvergent is raised, before any evaluation,
+    at a level of more than ``cap`` nodes.
+
+    The quadrature runs in split coordinates: f(u) du is summed as the
+    pair (f_w dw, f_v dv) on the transverse pair and the component sum.
+    Circle and polyline nodes are made there, and f sees them joined to
+    a Tricomplex; other paths give f their own points.
     """
     return _quadrature(f, path, tol, cap)[0]
-
-
-def _guarded_pole_inverse(a: Tricomplex, guard: float = 1e-10) -> TriFunction:
-    """1/(u - a) with an explicit distance guard against the singular
-    plane and line through ``a``."""
-
-    def f(u: Tricomplex) -> Tricomplex:
-        w = u - a
-        scale = 1.0 + w.max_abs_component()
-        if abs(component_sum(w)) <= guard * scale:
-            raise SingularOnPath(
-                f"path touches the singular plane through {a} near {u}"
-            )
-        if quadratic_form(w) <= (guard * scale) ** 2:
-            raise SingularOnPath(
-                f"path touches the singular line through {a} near {u}"
-            )
-        return inverse(w)
-
-    return f
 
 
 def loop_integral_pole(a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL) -> Tricomplex:
@@ -457,7 +574,7 @@ def loop_integral_pole(a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL) 
     """
     if not loop.closed:
         raise ValueError("loop must be closed")
-    return path_integral(_guarded_pole_inverse(a), loop, tol=tol)
+    return _quadrature(None, loop, tol, QUADRATURE_CAP, pole=a)[0]
 
 
 def cauchy_value(
@@ -471,12 +588,10 @@ def cauchy_value(
     """
     if not loop.closed:
         raise ValueError("loop must be closed")
-    pole = _guarded_pole_inverse(a)
+    return _quadrature(f, loop, tol, QUADRATURE_CAP, pole=a)[0]
 
-    def integrand(u: Tricomplex) -> Tricomplex:
-        return f(u) * pole(u)
 
-    return path_integral(integrand, loop, tol=tol)
+_ON_LOOP = "projected pole lies on (or too near) the projected loop"
 
 
 def _winding_number(
@@ -494,9 +609,7 @@ def _winding_number(
         t = 0.0 if ee == 0.0 else min(1.0, max(0.0, -(v0x * ex + v0y * ey) / ee))
         dx, dy = v0x + t * ex, v0y + t * ey
         if math.hypot(dx, dy) <= scale:
-            raise AmbiguousWinding(
-                "projected pole lies on (or too near) the projected loop"
-            )
+            raise AmbiguousWinding(_ON_LOOP)
         total += math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
     return round(total / _TWO_PI)
 
@@ -504,13 +617,30 @@ def _winding_number(
 def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     """Winding of the loop's nodal-plane projection around the
     projection of ``point``.  Loops winding more than once report the
-    integer multiplicity.  A loop of more than ``QUADRATURE_CAP``
-    samples raises NonConvergent before any point is taken."""
+    integer multiplicity.
+
+    A circle's winding is closed form: ``turns`` when the projected point
+    lies inside the projected circle (|a_w - c_w| < radius*sqrt(3/2) in
+    split coordinates), else 0.  A polyline's comes from its vertices,
+    and any other loop's from max(samples, 256) points on it.  A point
+    within the guard band of the projected loop raises AmbiguousWinding.
+    A loop of more than ``QUADRATURE_CAP`` samples raises NonConvergent
+    before any point is taken."""
     n = max(loop.samples, 256)
     if n > QUADRATURE_CAP:
         raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
-    pts = [projection_on_nodal_plane(loop.point_at(i / n)) for i in range(n + 1)]
-    return _winding_number(pts, projection_on_nodal_plane(point), guard)
+    p = projection_on_nodal_plane(point)
+    if isinstance(loop, _Circle):
+        (px, py), (cx, cy), r = p, projection_on_nodal_plane(loop.center), loop.radius
+        d = math.hypot(px - cx, py - cy)
+        if abs(d - r) <= guard * (1.0 + max(abs(px), abs(py), abs(cx) + r, abs(cy) + r)):
+            raise AmbiguousWinding(_ON_LOOP)
+        return loop.turns if d < r else 0
+    if isinstance(loop, _Polyline):
+        pts = [projection_on_nodal_plane(v) for v in loop.vertices]
+    else:
+        pts = [projection_on_nodal_plane(loop.point_at(i / n)) for i in range(n + 1)]
+    return _winding_number(pts, p, guard)
 
 
 def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
@@ -529,15 +659,12 @@ def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
 
 def taylor_recenter(s: TriSeries, a: Tricomplex) -> TriSeries:
     """Re-expand sum(a_l u^l) around ``a``: coefficients of the series in
-    powers of (u - a), obtained by the binomial reshuffle."""
-    n = len(s.coeffs)
-    powers = [ONE]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * a)
-    out = []
-    for k in range(n):
-        acc = ZERO
-        for l in range(n - k):
-            acc = acc + math.comb(k + l, l) * (s.coeffs[k + l] * powers[l])
-        out.append(acc)
-    return TriSeries(tuple(out))
+    powers of (u - a), obtained by repeated synthetic division (the
+    Horner form of the Taylor shift).  It forms no binomial weights, so
+    a result in the double range is returned even where those weights
+    are not; a result beyond it raises Overflow."""
+    b = list(s.coeffs)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] = b[j] + a * b[j + 1]
+    return TriSeries(tuple(b))

@@ -28,7 +28,7 @@ from .errors import (
     DomainError,
     Overflow,
 )
-from .geometry import CanonicalForm, _azimuth, from_canonical, to_canonical
+from .geometry import CanonicalForm, _azimuth, _from_split, from_canonical, to_canonical
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI = 2.0 * math.pi
@@ -46,20 +46,6 @@ class ElementaryFn(enum.Enum):
     COS = "cos"
     SINH = "sinh"
     COSH = "cosh"
-
-
-def _from_split(fw: complex, fp: float) -> Tricomplex:
-    """The number with transverse pair ``fw`` and component sum ``fp``.
-
-    from_canonical forms 2*v1 and sqrt(3)*v1t, which can leave the double
-    range although the result does not; the retry prescales by a power of
-    two, which is exact, so results in range keep their bits.
-    """
-    try:
-        return from_canonical(CanonicalForm(fw.real, fw.imag, fp))
-    except Overflow:
-        t = from_canonical(CanonicalForm(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp))
-        return _computed(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
 
 
 def _split(u: Tricomplex, cfn, rfn) -> Tricomplex:

@@ -29,6 +29,7 @@ from .algebra import (
 from .errors import (
     REASON_ANGLE_RANGE,
     DomainError,
+    Overflow,
     UndefinedAngle,
 )
 
@@ -82,6 +83,20 @@ def from_canonical(c: CanonicalForm) -> Tricomplex:
         (-c.v1 + r + c.vp) / 3.0,
         (-c.v1 - r + c.vp) / 3.0,
     )
+
+
+def _from_split(fw: complex, fp: float) -> Tricomplex:
+    """The number with transverse pair ``fw`` and component sum ``fp``.
+
+    from_canonical forms 2*v1 and sqrt(3)*v1t, which can leave the double
+    range although the result does not; the retry prescales by a power of
+    two, which is exact, so results in range keep their bits.
+    """
+    try:
+        return from_canonical(CanonicalForm(fw.real, fw.imag, fp))
+    except Overflow:
+        t = from_canonical(CanonicalForm(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp))
+        return _computed(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
 
 
 @dataclass(frozen=True)

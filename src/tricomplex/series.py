@@ -142,7 +142,8 @@ def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
 
 
 def exp_series(terms: int = 30) -> TriSeries:
-    """Coefficients 1/l! of the exponential, handy as a test series."""
-    return TriSeries(
-        tuple(ONE * (1.0 / math.factorial(l)) for l in range(terms))
-    )
+    """Coefficients 1/l! of the exponential, handy as a test series.
+
+    Integer true division rounds 1/l! correctly and gives 0.0 once it
+    underflows; converting l! to a float first overflows from l = 171."""
+    return TriSeries(tuple(ONE * (1 / math.factorial(l)) for l in range(terms)))

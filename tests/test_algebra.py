@@ -267,6 +267,13 @@ def test_computed_values_are_plain_values():
     assert hash(got) == hash(Tricomplex(3.0, 1.5, -0.25))
 
 
+def test_modulus_above_the_square_root_of_the_double_range():
+    # the squares overflow from about 1.34e154; the modulus does not
+    assert abs(Tricomplex(1e200, 0.0, 0.0)) == 1e200
+    assert abs(Tricomplex(3e300, -4e300, 12e300)) == pytest.approx(13e300, rel=1e-15)
+    assert abs(Tricomplex(1e-200, 0.0, 0.0)) == 1e-200
+
+
 def test_computed_values_beyond_the_double_range_overflow():
     # a result that leaves the double range is Overflow wherever it is
     # computed; only non-finite input is ValueError

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tricomplex
 from tricomplex import (
@@ -26,6 +28,7 @@ from tricomplex import (
     check_analytic,
     derivative,
     eval_series,
+    exp_series,
     inverse,
     loop_integral_pole,
     path_integral,
@@ -36,7 +39,18 @@ from tricomplex import (
     tsin,
     winding_count,
 )
-from tricomplex.calculus import QUADRATURE_CAP, QUADRATURE_TOL, _quadrature
+from tricomplex.calculus import (
+    QUADRATURE_CAP,
+    QUADRATURE_TOL,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _XI1,
+    _XI2,
+    _nodes,
+    _quadrature,
+    _winding_number,
+)
+from tricomplex.geometry import _from_split, projection_on_nodal_plane
 from util import random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -240,6 +254,17 @@ def test_singular_loop_is_rejected():
         loop_integral_pole(ZERO, loop)
 
 
+def test_loop_through_the_singular_line_is_rejected():
+    # the first Gauss-Legendre node of the first edge lands on the
+    # trisector line x = y = z, the singular line through the pole at 0
+    c = _GL_NODES[0]
+    line, d = Tricomplex(1, 1, 1), Tricomplex(1, -1, 0)
+    corners = [line - d * c, line + d * (1 - c), Tricomplex(2, 0, 1)]
+    loop = Path3.polyline(corners + corners[:1], closed=True)
+    with pytest.raises(SingularOnPath, match="singular line"):
+        loop_integral_pole(ZERO, loop)
+
+
 def test_multi_turn_loop():
     loop = Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=2)
     got = loop_integral_pole(ZERO, loop)
@@ -259,11 +284,13 @@ class Counted:
 
 
 def test_readme_circle_takes_few_evaluations():
-    # the trapezoid rule with the exact tangent converges exponentially
-    points = Counted(UNIT_LOOP.point_at)
-    got = loop_integral_pole(ZERO, dataclasses.replace(UNIT_LOOP, point_at=points))
+    # the trapezoid rule with the exact tangent converges exponentially;
+    # circle nodes are made in split coordinates, so count the evaluations
+    # the refinement loop reports instead of calls to point_at
+    got, evaluations, _ = _quadrature(None, UNIT_LOOP, QUADRATURE_TOL, QUADRATURE_CAP, pole=ZERO)
+    assert got == loop_integral_pole(ZERO, UNIT_LOOP)
     assert abs(got - POLE_LOOP_VALUE) < 1e-14
-    assert points.calls <= 32
+    assert evaluations <= 32
 
 
 def test_circle_takes_the_trapezoid_rule():
@@ -311,6 +338,32 @@ def test_kinks_on_panel_edges_without_tangent():
     assert abs(loop_integral_pole(ZERO, square) - POLE_LOOP_VALUE) < 1e-12
 
 
+def test_overflowing_level_sum_is_singular_on_path():
+    # each f(u) du is finite, but their sum leaves the double range
+    big = Tricomplex(1e308, 0.0, 0.0)
+    with pytest.raises(SingularOnPath):
+        path_integral(lambda u: big, Path3.polyline([ZERO, Tricomplex(1.9, 0.0, 0.0)]))
+
+
+def test_split_nodes_are_the_path_points_and_steps():
+    # circle and polyline nodes are made in split coordinates; joined,
+    # they are point_at and tangent_at times the weight at the rule's t
+    c = Tricomplex(0.3, -0.2, 0.5)
+    circle = Path3.circle(c, 1.3, turns=-2)
+    n = 32
+    for i, (w, v, dw, dv, u) in enumerate(_nodes(circle, n)):
+        assert u is None
+        assert tri_err(_from_split(w, v), circle.point_at(i / n)) < 1e-15
+        assert tri_err(_from_split(dw, dv), circle.tangent_at(i / n) * (1.0 / n)) < 1e-15
+    for path in (_square(c), Path3(_square(c).point_at, 4, True, _square(c).tangent_at)):
+        panels = 2 * path.samples
+        for k, (w, v, dw, dv, u) in enumerate(_nodes(path, 8 * panels)):
+            t = (k // 8 + _GL_NODES[k % 8]) / panels
+            assert tri_err(_from_split(w, v), path.point_at(t)) < 1e-15
+            step = path.tangent_at(t) * (_GL_WEIGHTS[k % 8] / panels)
+            assert tri_err(_from_split(dw, dv), step) < 1e-15
+
+
 def test_node_cap_is_checked_before_evaluating():
     f = Counted(inverse)
     with pytest.raises(NonConvergent):
@@ -346,6 +399,23 @@ def test_quadrature_does_not_load_numpy_polynomial():
         "import sys, tricomplex as T\n"
         "T.path_integral(T.texp, T.Path3.polyline([T.ZERO, T.ONE]))\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(tricomplex.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_and_cli_eval_do_not_load_numpy():
+    # numpy only builds the matrix representations
+    code = (
+        "import runpy, sys\n"
+        "import tricomplex\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.argv = ['tricomplex', 'eval', '--fn', 'exp', '--at', '(0,0,0)']\n"
+        "try:\n"
+        "    runpy.run_module('tricomplex', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(tricomplex.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
@@ -433,6 +503,76 @@ def test_ambiguous_winding():
         residue_sum([pole], UNIT_LOOP)
 
 
+def _triangle():
+    verts = [_XI1 * math.cos(a) + _XI2 * math.sin(a) for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    return verts, Path3.polyline(verts + verts[:1], closed=True)
+
+
+def test_polyline_winding_keeps_its_corners():
+    # a pole 0.4% of the radius inside a vertex that no sample of t hits
+    verts, triangle = _triangle()
+    pole = verts[1] * 0.996 + Tricomplex(0.3, 0.3, 0.3)
+    assert winding_count(triangle, pole) == 1
+    got = residue_sum([PoleSpec(pole, ONE)], triangle)
+    assert abs(got - loop_integral_pole(pole, triangle)) < 1e-9
+
+
+def _circle_or_polyline(draw):
+    c = Tricomplex(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+    r = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        return Path3.circle(c, r, turns=draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))), c, r, r
+    nseg = draw(st.integers(3, 12))
+    step = 2 * math.pi / nseg
+    # vertices on a star around c, with edges outside 0.5 r and inside 1.2 r
+    rads = [r * draw(st.floats(0.8, 1.2)) for _ in range(nseg)]
+    lifts = [draw(st.floats(-0.2, 0.2)) for _ in range(nseg)]
+    verts = [
+        c + _XI1 * (q * math.cos(k * step)) + _XI2 * (q * math.sin(k * step)) + Tricomplex(h, h, h)
+        for k, (q, h) in enumerate(zip(rads, lifts))
+    ]
+    return Path3.polyline(verts + verts[:1], closed=True), c, 0.8 * r * math.cos(step / 2), 1.2 * r
+
+
+@st.composite
+def loops_with_poles(draw):
+    loop, c, inner, outer = _circle_or_polyline(draw)
+    ang = draw(st.floats(0.0, 2 * math.pi))
+    rad = draw(st.floats(0.0, 0.8)) * inner if draw(st.booleans()) else draw(st.floats(1.2, 3.0)) * outer
+    lift = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
+    pole = c + _XI1 * (rad * math.cos(ang)) + _XI2 * (rad * math.sin(ang)) + Tricomplex(lift, lift, lift)
+    return loop, pole
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=loops_with_poles())
+def test_loop_integral_is_winding_times_pole_value(case):
+    loop, pole = case
+    n = winding_count(loop, pole)
+    assert abs(loop_integral_pole(pole, loop) - POLE_LOOP_VALUE * float(n)) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    turns=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    r=st.floats(0.5, 2.0),
+    ang=st.floats(0.0, 2 * math.pi),
+    gap=st.floats(1e-3, 1.0),
+    inside=st.booleans(),
+    lift=st.floats(-2.0, 2.0),
+)
+def test_circle_winding_matches_the_sampled_winding(turns, r, ang, gap, inside, lift):
+    # the closed form against the winding of 1024 points per turn, whose
+    # chords stay within 5e-6 r of the circle
+    c = Tricomplex(0.3, -0.2, 0.5)
+    loop = Path3.circle(c, r, turns=turns)
+    q = r * (1.0 - gap if inside else 1.0 + 2.0 * gap)
+    pole = c + _XI1 * (q * math.cos(ang)) + _XI2 * (q * math.sin(ang)) + Tricomplex(lift, lift, lift)
+    m = 1024 * abs(turns)
+    pts = [projection_on_nodal_plane(loop.point_at(i / m)) for i in range(m + 1)]
+    assert winding_count(loop, pole) == _winding_number(pts, projection_on_nodal_plane(pole), 1e-9)
+
+
 def test_winding_count_is_capped_before_sampling():
     # 64 samples per turn: one turn more than the node cap allows
     turns = QUADRATURE_CAP // 64 + 1
@@ -460,3 +600,12 @@ def test_taylor_recenter_degree_six():
         want = eval_series(s, u)
         got = eval_series(shifted, u - a)
         assert tri_err(got, want) < 1e-10
+
+
+def test_taylor_recenter_past_the_float_binomials():
+    # the binomial weights of 1100 coefficients exceed the double range;
+    # the recentered series does not
+    a = Tricomplex(0.5, 0.1, -0.2)
+    shifted = taylor_recenter(exp_series(1100), a)
+    u = Tricomplex(0.1, 0.2, 0.3)
+    assert tri_err(eval_series(shifted, u - a), texp(u)) < 1e-14

@@ -83,6 +83,18 @@ def test_eval_series_overflow():
         eval_series(s, Tricomplex(50.0, 0.0, 0.0))
 
 
+def test_exp_series_past_the_float_factorials():
+    # 171! is beyond the double range; 1/l! is not, and underflows to 0
+    s = exp_series(200)
+    assert s.coeffs[170] == Tricomplex(1.0 / math.factorial(170), 0.0, 0.0)
+    assert s.coeffs[199] == ZERO
+    assert tri_err(eval_series(s, Tricomplex(0.3, -0.2, 0.1)), texp(Tricomplex(0.3, -0.2, 0.1))) < 1e-14
+
+
+def test_modulus_near_the_top_of_the_range():
+    assert modulus(Tricomplex(1e300, 1e300, 1e300)) == pytest.approx(SQRT3 * 1e300, rel=1e-15)
+
+
 def test_spherical_radius_examples():
     ones = TriSeries(tuple(ONE for _ in range(20)))
     assert abs(radius_spherical(ones) - 1.0 / SQRT3) < 1e-15
