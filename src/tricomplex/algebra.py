@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,8 +19,6 @@ from .errors import Overflow, ZeroDivisor
 
 if TYPE_CHECKING:
     import numpy as np
-
-_SQRT3 = math.sqrt(3.0)
 
 _LITERAL_RE = re.compile(
     r"^\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$"
@@ -192,10 +191,11 @@ def amplitude(u: Tricomplex) -> float:
     the two nodal sets.  Raises Overflow when the amplitude itself
     exceeds the double range.
     """
-    rho = _cbrt(determinant_form(u))
-    if math.isfinite(rho):
-        return rho
-    # the cubic form overflowed; the amplitude is degree-1 homogeneous
+    f = determinant_form(u)
+    if sys.float_info.min <= abs(f) < math.inf:
+        return _cbrt(f)
+    # the cubic form overflowed or left the normal range below (or u is
+    # on a nodal set); the amplitude is degree-1 homogeneous
     v, e = _pow2_scaled(u)
     return _times_pow2(_cbrt(determinant_form(v)), e, f"the amplitude of {u}")
 
@@ -289,12 +289,13 @@ def irreducible_rep(u: Tricomplex) -> np.ndarray:
     component sum along it."""
     import numpy as np
 
-    a = u.x - 0.5 * (u.y + u.z)
-    b = 0.5 * _SQRT3 * (u.y - u.z)
+    from .geometry import _to_split
+
+    w, vp = _to_split(u)
     return np.array(
         [
-            [a, b, 0.0],
-            [-b, a, 0.0],
-            [0.0, 0.0, component_sum(u)],
+            [w.real, w.imag, 0.0],
+            [-w.imag, w.real, 0.0],
+            [0.0, 0.0, vp],
         ]
     )

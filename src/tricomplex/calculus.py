@@ -53,7 +53,7 @@ from .errors import (
     SingularOnPath,
     ZeroDivisor,
 )
-from .geometry import _from_split, projection_on_nodal_plane, to_canonical
+from .geometry import _from_split, _to_split, projection_on_nodal_plane
 from .series import TriSeries
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
@@ -403,8 +403,7 @@ def _nodes(
     (w, v), its weighted step (dw, dv) and its path point u, which is
     None where the node is made in split coordinates."""
     if isinstance(path, _Circle):
-        c = to_canonical(path.center)
-        cw, cv = c.transverse(), c.vp
+        cw, cv = _to_split(path.center)
         omega = _TWO_PI * path.turns
         radius = path.radius / _TRANSVERSE_NORM
         for i in range(n):
@@ -414,7 +413,7 @@ def _nodes(
     panels = n // _ORDER
     if isinstance(path, _Polyline):
         per_segment = panels // path.samples
-        ends = [(c.transverse(), c.vp) for c in map(to_canonical, path.vertices)]
+        ends = [_to_split(u) for u in path.vertices]
         for (w0, v0), (w1, v1) in zip(ends, ends[1:]):
             ew, ev = w1 - w0, v1 - v0
             for q in range(per_segment):
@@ -426,12 +425,11 @@ def _nodes(
     for p in range(panels):
         ts = [(p + c) / panels for c in _GL_NODES]
         us = [path.point_at(t) for t in ts]
-        cs = [to_canonical(u) for u in us]
-        ws, vs = [c.transverse() for c in cs], [c.vp for c in cs]
+        ws, vs = zip(*map(_to_split, us))
         if path.tangent_at is not None:
             for t, weight, u, w, v in zip(ts, _GL_WEIGHTS, us, ws, vs):
-                d, h = to_canonical(path.tangent_at(t)), weight / panels
-                yield w, v, d.transverse() * h, d.vp * h, u
+                (dw, dv), h = _to_split(path.tangent_at(t)), weight / panels
+                yield w, v, dw * h, dv * h, u
             continue
         for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs):
             yield w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u
@@ -457,15 +455,13 @@ def _integrand(
     def lifted(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
         u = at(w, v, u)
         try:
-            c = to_canonical(f(u))
+            return _to_split(f(u))
         except (Overflow, ZeroDivisor, OverflowError) as exc:
             raise SingularOnPath(f"integrand blows up near {u}") from exc
-        return c.transverse(), c.vp
 
     if pole is None:
         return lifted
-    c = to_canonical(pole)
-    aw, av = c.transverse(), c.vp
+    aw, av = _to_split(pole)
 
     def reciprocal(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
         dw, dv = w - aw, v - av
@@ -624,11 +620,8 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     split coordinates), else 0.  A polyline's comes from its vertices,
     and any other loop's from max(samples, 256) points on it.  A point
     within the guard band of the projected loop raises AmbiguousWinding.
-    A loop of more than ``QUADRATURE_CAP`` samples raises NonConvergent
-    before any point is taken."""
-    n = max(loop.samples, 256)
-    if n > QUADRATURE_CAP:
-        raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
+    A sampled loop of more than ``QUADRATURE_CAP`` samples raises
+    NonConvergent before any point is taken."""
     p = projection_on_nodal_plane(point)
     if isinstance(loop, _Circle):
         (px, py), (cx, cy), r = p, projection_on_nodal_plane(loop.center), loop.radius
@@ -639,6 +632,9 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     if isinstance(loop, _Polyline):
         pts = [projection_on_nodal_plane(v) for v in loop.vertices]
     else:
+        n = max(loop.samples, 256)
+        if n > QUADRATURE_CAP:
+            raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
         pts = [projection_on_nodal_plane(loop.point_at(i / n)) for i in range(n + 1)]
     return _winding_number(pts, p, guard)
 

@@ -7,12 +7,12 @@ line along it, and a power series acts on each part separately.  So the
 production route for exp and the circular/hyperbolic functions is one
 split evaluation: the complex function on the transverse pair, the real
 function on the component sum, joined back in the canonical basis.
-log and the fractional power invert the exponential form in closed form
-(amplitude, polar angle, azimuthal angle).
+log and the power take the same route: log|w| + i*phi and |w|^m
+rotated by m*phi on the transverse pair w, the real ones on the sum.
 
 ``oracle_eval`` evaluates instead as a product of cosexponential
-factors, exp(x) * exp(hy) * exp(kz) over complex scalars, and exists so
-tests can compare two independent routes.
+factors, exp(x) * exp(hy) * exp(kz) over complex scalars, and log in the
+paper's exponential form; it exists so tests can compare two routes.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ import cmath
 import enum
 import math
 
-from .algebra import Tricomplex, _computed, _pow2_scaled, component_sum, inverse
+from .algebra import Tricomplex, _computed, inverse
 from .errors import (
     REASON_NODAL_PLANE_SIDE,
     REASON_TRISECTOR_LINE,
     DomainError,
     Overflow,
 )
-from .geometry import CanonicalForm, _azimuth, _from_split, from_canonical, to_canonical
+from .geometry import _from_split, _scaled_split, _to_split, polar
 
 _SQRT3 = math.sqrt(3.0)
-_TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 #: Primitive cube root of unity, the eigenvalue of h on the transverse plane.
 _OMEGA = complex(-0.5, 0.5 * _SQRT3)
@@ -52,9 +51,9 @@ def _split(u: Tricomplex, cfn, rfn) -> Tricomplex:
     """f(u) for a real power series f: the complex ``cfn`` on the
     transverse pair and the real ``rfn`` on the component sum.  Both
     report a result beyond the double range as OverflowError."""
-    c = to_canonical(u)
+    w, vp = _to_split(u)
     try:
-        fw, fp = cfn(c.transverse()), rfn(c.vp)
+        fw, fp = cfn(w), rfn(vp)
     except OverflowError as exc:
         raise Overflow(f"{rfn.__name__} overflows at {u}") from exc
     return _from_split(fw, fp)
@@ -90,57 +89,42 @@ def tcosh(u: Tricomplex) -> Tricomplex:
     return _split(u, cmath.cosh, math.cosh)
 
 
-def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float]:
-    """(sigma, delta, phi) with the domain checks shared by log and the
+def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float, int]:
+    """``_scaled_split`` with the domain checks shared by log and the
     power: strictly off the trisector line and, when ``purpose`` names a
-    real logarithm or fractional power, component sum > 0."""
-    delta, phi = _azimuth(u)
+    real logarithm or fractional power, component sum > 0.  The checks
+    run on the scaled copy, whose sums stay in the double range."""
+    r, phi, sigma, e = _scaled_split(u)
     if phi is None:
         raise DomainError(
             "argument lies on the trisector line (azimuthal angle undefined)",
             REASON_TRISECTOR_LINE,
         )
-    sigma = component_sum(u)
     if purpose is not None and sigma <= 0.0:
         raise DomainError(
             f"component sum x+y+z must be > 0 for {purpose}",
             REASON_NODAL_PLANE_SIDE,
         )
-    return sigma, delta, phi
+    return r, phi, sigma, e
 
 
 def tlog(u: Tricomplex) -> Tricomplex:
     """Principal logarithm, the inverse of ``texp``.
 
     Defined for x+y+z > 0 off the trisector line; the azimuthal angle is
-    taken in [0, 2*pi).  On the transverse plane this is the complex
-    log of magnitude delta and argument phi; along the trisector line it
-    is the real log of the component sum.
+    taken in [0, 2*pi).  The complex log, log|w| + i*phi, on the
+    transverse pair w and the real log on the component sum; where u was
+    taken scaled by 2**-e, both add e*log(2).
     """
-    sigma, delta, phi = _log_pieces(u, "a real logarithm")
-    # amplitude^3 = sigma * delta^2, so log(amplitude) = (log sigma + 2 log delta)/3
-    ls = math.log(sigma)
-    ld = math.log(delta)
-    scalar = (ls + 2.0 * ld) / 3.0
-    longitudinal = (ls - ld) / 3.0  # (1/3) log(sigma/delta)
-    transverse = phi / _SQRT3
-    try:
-        return _computed(
-            scalar,
-            longitudinal + transverse,
-            longitudinal - transverse,
-        )
-    except Overflow:
-        # sigma or delta overflowed, the logarithm cannot:
-        # log u = log(u / 2**e) + e log 2
-        v, e = _pow2_scaled(u)
-        w = tlog(v)
-        return _computed(w.x + e * _LN2, w.y, w.z)
+    r, phi, sigma, e = _log_pieces(u, "a real logarithm")
+    shift = e * _LN2
+    return _from_split(complex(math.log(r) + shift, phi), math.log(sigma) + shift)
 
 
 def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
-    """Power through the exponential form: transverse magnitude delta^m
-    rotated by m*phi, longitudinal component sigma^m.
+    """Power through the split core: |w|^m rotated by m*phi on the
+    transverse pair w, sigma^m on the component sum; where u was taken
+    scaled by 2**-e, both are multiplied by 2**(e*m).
 
     Exact for integer m whenever the azimuthal angle exists; for
     fractional m this is the principal branch (phi in [0, 2*pi)) and
@@ -150,13 +134,13 @@ def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
     if not math.isfinite(m):
         raise ValueError("pow exponent must be finite")
     fractional = not float(m).is_integer()
-    sigma, delta, phi = _log_pieces(u, "a fractional power" if fractional else None)
-    # OverflowError from ** and pow; ValueError from cos/sin of an angle
+    r, phi, sigma, e = _log_pieces(u, "a fractional power" if fractional else None)
+    # OverflowError from ** and pow; ValueError from rect at an angle
     # beyond the double range and from the pole 0**m, m < 0
     try:
-        dm = delta**m
-        fw = complex(dm * math.cos(m * phi), dm * math.sin(m * phi))
-        fp = math.pow(sigma, m)
+        scale = 2.0 ** (e * m)
+        fw = cmath.rect(scale * r**m, m * phi)
+        fp = scale * math.pow(sigma, m)
     except (OverflowError, ValueError) as exc:
         raise Overflow(f"pow overflows at {u}") from exc
     return _from_split(fw, fp)
@@ -222,29 +206,28 @@ def oracle_eval(fn: ElementaryFn, u: Tricomplex) -> Tricomplex:
 
     exp is the product of cosexponential factors; cos and sin are the
     real and imaginary parts of exp(i*u); cosh and sinh are the half sum
-    and half difference of exp(u) and exp(-u).  log applies cmath.log to
-    the transverse pair v1 + i*v1t and math.log to vp; its domain
-    mirrors ``tlog`` (vp > 0 and a nonzero transverse part, with the
-    complex argument taken in [0, 2*pi)).
+    and half difference of exp(u) and exp(-u).  log is the paper's
+    exponential form, ln rho + (1/3)(h+k) ln(sqrt(2)/tan theta)
+    + (h-k) phi/sqrt(3), from the amplitude rho and the polar and
+    azimuthal angles of ``polar``; its domain mirrors ``tlog`` (x+y+z > 0
+    off the trisector line, phi in [0, 2*pi)).
     """
     try:
         if fn is ElementaryFn.LOG:
-            c = to_canonical(u)
-            w = c.transverse()
-            if w == 0:
+            p = polar(u)
+            if p.phi_or_none is None:
                 raise DomainError(
                     "argument lies on the trisector line (azimuthal angle undefined)",
                     REASON_TRISECTOR_LINE,
                 )
-            if c.vp <= 0.0:
+            if p.s <= 0.0:
                 raise DomainError(
                     "component sum x+y+z must be > 0 for a real logarithm",
                     REASON_NODAL_PLANE_SIDE,
                 )
-            fw = cmath.log(w)
-            if fw.imag < 0.0:
-                fw = complex(fw.real, fw.imag + _TWO_PI)
-            return from_canonical(CanonicalForm(fw.real, fw.imag, math.log(c.vp)))
+            longitudinal = math.log(math.sqrt(2.0) / math.tan(p.theta)) / 3.0
+            transverse = p.phi / _SQRT3
+            return _computed(math.log(p.rho), longitudinal + transverse, longitudinal - transverse)
         if fn is ElementaryFn.EXP:
             return _computed(*(e.real for e in _exp_product(u.x, u.y, u.z)))
         if fn in (ElementaryFn.COS, ElementaryFn.SIN):

@@ -14,8 +14,9 @@ vp.  This split is what makes exponential and trigonometric forms work.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import (
     Tricomplex,
@@ -23,8 +24,6 @@ from .algebra import (
     _pow2_scaled,
     _times_pow2,
     amplitude,
-    component_sum,
-    quadratic_form,
 )
 from .errors import (
     REASON_ANGLE_RANGE,
@@ -62,41 +61,70 @@ class CanonicalForm:
         return complex(self.v1, self.v1t)
 
 
-def to_canonical(u: Tricomplex) -> CanonicalForm:
-    """Canonical coordinates; Overflow when one exceeds the double range."""
-    v1 = u.x - 0.5 * (u.y + u.z)
-    v1t = 0.5 * _SQRT3 * (u.y - u.z)
-    vp = component_sum(u)
+def _to_split(u: Tricomplex) -> tuple[complex, float]:
+    """(w, vp): the transverse pair v1 + i*v1t and the component sum, the
+    one place they are computed.  v1 comes from x-y and x-z, which are
+    exact near the trisector line, where x - (y+z)/2 cancels."""
+    x, y, z = u.x, u.y, u.z
+    v1 = 0.5 * ((x - y) + (x - z))
+    v1t = 0.5 * _SQRT3 * (y - z)
+    vp = x + y + z
     if math.isfinite(v1) and math.isfinite(v1t) and math.isfinite(vp):
-        return CanonicalForm(v1, v1t, vp)
+        return complex(v1, v1t), vp
     # a sum overflowed, maybe only on the way; the coordinates are linear
     v, e = _pow2_scaled(u)
-    c = to_canonical(v)
+    w, vp = _to_split(v)
     what = f"a canonical coordinate of {u}"
-    return CanonicalForm(*(_times_pow2(t, e, what) for t in (c.v1, c.v1t, c.vp)))
-
-
-def from_canonical(c: CanonicalForm) -> Tricomplex:
-    r = _SQRT3 * c.v1t
-    return _computed(
-        (2.0 * c.v1 + c.vp) / 3.0,
-        (-c.v1 + r + c.vp) / 3.0,
-        (-c.v1 - r + c.vp) / 3.0,
-    )
+    v1, v1t, vp = (_times_pow2(t, e, what) for t in (w.real, w.imag, vp))
+    return complex(v1, v1t), vp
 
 
 def _from_split(fw: complex, fp: float) -> Tricomplex:
     """The number with transverse pair ``fw`` and component sum ``fp``.
 
-    from_canonical forms 2*v1 and sqrt(3)*v1t, which can leave the double
-    range although the result does not; the retry prescales by a power of
-    two, which is exact, so results in range keep their bits.
+    The join forms 2*v1 and sqrt(3)*v1t, which can leave the double
+    range although the result does not; the retry prescales by a power
+    of two, which is exact, so results in range keep their bits.
     """
     try:
-        return from_canonical(CanonicalForm(fw.real, fw.imag, fp))
+        return _join(fw.real, fw.imag, fp)
     except Overflow:
-        t = from_canonical(CanonicalForm(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp))
+        t = _join(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp)
         return _computed(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
+
+
+def _join(v1: float, v1t: float, vp: float) -> Tricomplex:
+    r = _SQRT3 * v1t
+    return _computed((2.0 * v1 + vp) / 3.0, (-v1 + r + vp) / 3.0, (-v1 - r + vp) / 3.0)
+
+
+def to_canonical(u: Tricomplex) -> CanonicalForm:
+    """Canonical coordinates; Overflow when one exceeds the double range."""
+    w, vp = _to_split(u)
+    return CanonicalForm(w.real, w.imag, vp)
+
+
+def from_canonical(c: CanonicalForm) -> Tricomplex:
+    return _from_split(complex(c.v1, c.v1t), c.vp)
+
+
+def _scaled_split(u: Tricomplex) -> tuple[float, float | None, float, int]:
+    """(|w|, phi, vp, e) of u / 2**e: phi is arg w in [0, 2*pi), None on
+    the trisector line; e is 0 unless a split coordinate or |w| of u
+    leaves the double range, and the copy is then scaled into it."""
+    e = 0
+    try:
+        w, vp = _to_split(u)
+        r = math.hypot(w.real, w.imag)
+    except Overflow:
+        r = math.inf
+    if r == math.inf:
+        v, e = _pow2_scaled(u)
+        w, vp = _to_split(v)
+        r = math.hypot(w.real, w.imag)
+    # math.atan2, not cmath.phase, which raises once the angle underflows
+    phi = None if w == 0 else normalize_phi(math.atan2(w.imag, w.real))
+    return r, phi, vp, e
 
 
 @dataclass(frozen=True)
@@ -158,30 +186,16 @@ def polar(u: Tricomplex) -> PolarForm:
     when a descriptor itself exceeds the double range.
     """
     d = abs(u)
-    sigma = component_sum(u)
-    s = sigma / _SQRT3
-    delta, phi = _azimuth(u)
-    D = delta * math.sqrt(2.0 / 3.0)
-    rho = amplitude(u)
-    if not (math.isfinite(d) and math.isfinite(s) and math.isfinite(D)):
-        # a square or sum overflowed on the way: d, s and D are degree-1
-        # homogeneous and the angles do not depend on scale
-        v, e = _pow2_scaled(u)
-        p = polar(v)
-        d, s, D = (_times_pow2(t, e, f"a polar descriptor of {u}") for t in (p.d, p.s, p.D))
-        return replace(p, d=d, s=s, D=D, rho=rho)
+    if not math.isfinite(d):
+        raise Overflow(f"a polar descriptor of {u} exceeds the double range")
+    r, phi, vp, e = _scaled_split(u)
+    s, D = vp / _SQRT3, r * math.sqrt(2.0 / 3.0)
+    if e:
+        # d, s and D are degree-1 homogeneous, the angles scale-free
+        what = f"a polar descriptor of {u}"
+        s, D = _times_pow2(s, e, what), _times_pow2(D, e, what)
     theta = None if d == 0.0 else math.atan2(D, s)
-    return PolarForm(d=d, s=s, D=D, rho=rho, theta_or_none=theta, phi_or_none=phi)
-
-
-def _azimuth(u: Tricomplex) -> tuple[float, float | None]:
-    """(delta, phi): the transverse magnitude sqrt(x^2+y^2+z^2-xy-xz-yz)
-    and the azimuthal angle in [0, 2*pi), which is None on the trisector
-    line (delta = 0)."""
-    delta = math.sqrt(quadratic_form(u))
-    if delta == 0.0:
-        return delta, None
-    return delta, normalize_phi(math.atan2(_SQRT3 * (u.y - u.z), 2.0 * u.x - u.y - u.z))
+    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=phi)
 
 
 def normalize_phi(phi: float) -> float:
@@ -217,9 +231,7 @@ def from_exponential(rho: float, theta: float, phi: float) -> Tricomplex:
     if not (math.isfinite(rho) and math.isfinite(phi)):
         raise ValueError("amplitude and azimuthal angle must be finite")
     delta, sigma = transverse_longitudinal(rho, theta)
-    return from_canonical(
-        CanonicalForm(delta * math.cos(phi), delta * math.sin(phi), sigma)
-    )
+    return _from_split(cmath.rect(delta, phi), sigma)
 
 
 def invariant_circle_point(phi: float) -> Tricomplex:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .algebra import ONE, Tricomplex
 from .errors import ComplexLongitudinalRoot, NonConvergent
-from .geometry import CanonicalForm, from_canonical, to_canonical
+from .geometry import _from_split, _to_split
 
 _EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 200
@@ -95,13 +95,8 @@ def decompose(p: TriPolynomial) -> DecomposedPoly:
     """Split into the transverse complex polynomial and the longitudinal
     real polynomial; evaluating both and recombining through the
     canonical basis reproduces the polynomial's values."""
-    trans = []
-    longi = []
-    for a in p.coeffs:
-        c = to_canonical(a)
-        trans.append(complex(c.v1, c.v1t))
-        longi.append(c.vp)
-    return DecomposedPoly(tuple(trans), tuple(longi))
+    trans, longi = zip(*map(_to_split, p.coeffs))
+    return DecomposedPoly(trans, longi)
 
 
 def _residual(coeffs: Sequence[complex], sizes: Sequence[float], w: complex) -> tuple[complex, float]:
@@ -230,7 +225,7 @@ def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
 
 def _combine(trans: Sequence[complex], longi: Sequence[float], order: Sequence[int]) -> RootSet:
     roots = tuple(
-        from_canonical(CanonicalForm(t.real, t.imag, longi[j]))
+        _from_split(t, longi[j])
         for t, j in zip(trans, order)
     )
     return RootSet(roots=roots, pairing=tuple(order))

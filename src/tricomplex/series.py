@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import ONE, Tricomplex, component_sum, quadratic_form
+from .algebra import ONE, Tricomplex, _pow2_scaled, _times_pow2, component_sum
 from .errors import Indeterminate
+
+_SQRT2 = math.sqrt(2.0)
 
 #: Number of trailing coefficient ratios averaged by the radius estimators.
 TAIL_RATIOS = 8
@@ -28,8 +30,16 @@ def modulus(u: Tricomplex) -> float:
 
 def delta(u: Tricomplex) -> float:
     """Transverse magnitude sqrt(x^2+y^2+z^2-xy-xz-yz): the modulus of
-    the transverse (complex-plane) part of ``u``."""
-    return math.sqrt(quadratic_form(u))
+    the transverse (complex-plane) part of ``u``, taken as
+    hypot(x-y, x-z, y-z)/sqrt(2) so that it stays finite wherever it is
+    in the double range."""
+    d = math.hypot(u.x - u.y, u.x - u.z, u.y - u.z) / _SQRT2
+    if math.isfinite(d):
+        return d
+    # a difference or the hypot overflowed on the way; delta is
+    # degree-1 homogeneous
+    v, e = _pow2_scaled(u)
+    return _times_pow2(delta(v), e, f"the transverse magnitude of {u}")
 
 
 def sigma(u: Tricomplex) -> float:

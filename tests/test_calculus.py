@@ -574,17 +574,25 @@ def test_circle_winding_matches_the_sampled_winding(turns, r, ang, gap, inside, 
 
 
 def test_winding_count_is_capped_before_sampling():
-    # 64 samples per turn: one turn more than the node cap allows
-    turns = QUADRATURE_CAP // 64 + 1
+    # a sampled loop of one sample more than the node cap allows
     points = Counted(UNIT_LOOP.point_at)
-    loop = dataclasses.replace(
-        Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=turns), point_at=points
-    )
+    loop = Path3.parametric(points, samples=QUADRATURE_CAP + 1, closed=True)
+    points.calls = 0  # the endpoint check when the loop is made
     with pytest.raises(NonConvergent):
         winding_count(loop, ZERO)
     with pytest.raises(NonConvergent):
         residue_sum([PoleSpec(ZERO, ONE)], loop)
     assert points.calls == 0
+
+
+def test_circle_winding_is_not_capped():
+    # 64 samples per turn would be one turn over the node cap, but a
+    # circle's winding is closed form and takes no samples
+    turns = QUADRATURE_CAP // 64 + 1
+    loop = Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=turns)
+    assert winding_count(loop, ZERO) == turns
+    got = residue_sum([PoleSpec(ZERO, ONE)], loop)
+    assert tri_err(got, POLE_LOOP_VALUE * float(turns)) < 1e-15
 
 
 # -- series re-expansion --------------------------------------------------------

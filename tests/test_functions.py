@@ -17,6 +17,7 @@ from tricomplex import (
     ZERO,
     amplitude,
     cx,
+    delta,
     inverse,
     mx,
     oracle_eval,
@@ -168,6 +169,7 @@ WHOLE_RANGE_OPERATIONS = {
     "pow 0.5": lambda u, v: tpow(u, 0.5),
     "mul": lambda u, v: u * v,
     "add": lambda u, v: u + v,
+    "delta": lambda u, v: (delta(u),),
 }
 
 
@@ -184,6 +186,53 @@ def test_whole_range_results_are_finite_or_reported(u, v):
             continue
         parts = (got.x, got.y, got.z) if isinstance(got, Tricomplex) else got
         assert all(t is None or math.isfinite(t) for t in parts), (name, u, v, got)
+
+
+@given(u=whole_range_triples)
+@settings(max_examples=300, deadline=None)
+def test_log_and_square_root_never_overflow(u):
+    # both results lie in the double range for every finite u, whatever
+    # the split coordinates or |w| of u do on the way
+    for op in (tlog, lambda u: tpow(u, 0.5)):
+        try:
+            op(u)
+        except DomainError:
+            pass
+
+
+def _close_relative(a, b, tol):
+    return (a - b).max_abs_component() <= tol * max(a.max_abs_component(), b.max_abs_component())
+
+
+# 0 or at least 1e-100 in size: the components, their sums and
+# differences stay clear of the subnormals for every k below
+scalable = st.just(0.0) | st.floats(1e-100, 3.0) | st.floats(-3.0, -1e-100)
+
+
+@given(u=st.builds(Tricomplex, scalable, scalable, scalable), k=st.integers(-100, 511))
+@settings(max_examples=300, deadline=None)
+def test_square_root_is_homogeneous_across_the_range(u, k):
+    # u * 4**k is exact, and up to 3 * 2**1022 its sums leave the range
+    try:
+        want = tpow(u, 0.5) * 2.0**k
+    except DomainError:
+        return
+    assert _close_relative(tpow(u * 4.0**k, 0.5), want, 1e-15)
+
+
+def test_square_root_above_the_square_root_of_the_double_range():
+    u = Tricomplex(1e200, 1e199, 0.0)
+    r = tpow(u, 0.5)
+    assert _close_relative(r * r, u, 1e-15)
+
+
+def test_negative_sums_beyond_the_range_stay_on_the_nodal_plane_side():
+    big = 1.7976931348623157e308
+    for u in (Tricomplex(-big, -big, 680.0), Tricomplex(-1e308, -1e308, -1e307), Tricomplex(big, -big, -big)):
+        for op in (tlog, lambda u: tpow(u, 0.5)):
+            with pytest.raises(DomainError) as err:
+                op(u)
+            assert err.value.reason == REASON_NODAL_PLANE_SIDE
 
 
 def test_log_at_the_top_of_the_double_range():
@@ -418,6 +467,16 @@ def test_oracle_equivalence_random():
             (ElementaryFn.COSH, tcosh),
         ):
             assert tri_err(oracle_eval(fn, u), direct(u)) < 1e-10
+
+
+def test_log_and_its_oracle_where_the_squares_underflow():
+    # the squared differences and the cubic form of u underflow, the
+    # transverse magnitude, the amplitude and the logarithm do not
+    u = Tricomplex(1e-200, 0.0, 0.0)
+    want = Tricomplex(math.log(1e-200), 0.0, 0.0)
+    for got in (tlog(u), oracle_eval(ElementaryFn.LOG, u)):
+        assert abs(got - want) < 1e-15 * abs(want)
+    assert amplitude(u) == 1e-200
 
 
 def test_oracle_domain_mirrors_log():

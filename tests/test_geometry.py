@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricomplex import (
     DomainError,
@@ -26,6 +29,7 @@ from tricomplex import (
     polar,
     to_canonical,
 )
+from tricomplex.functions import _log_pieces
 from util import random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -248,3 +252,32 @@ def test_descriptors_beyond_the_double_range_overflow():
     with pytest.raises(Overflow):
         # the cubic form is 1.3e-310, the inverse 4e309; nothing to rescale
         inverse(Tricomplex(0.75, -0.75, 7.5e-311), tol=0.0)
+
+
+def _exact_split(u):
+    """v1 and v1t from the exact values of the components (and of the
+    double sqrt(3)), rounded once."""
+    x, y, z = (Fraction(t) for t in (u.x, u.y, u.z))
+    return float(x - (y + z) / 2), float(Fraction(SQRT3) / 2 * (y - z))
+
+
+near_line_scale = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+near_line_offset = st.floats(-1e-12, 1e-12)
+
+
+@given(a=near_line_scale, p=near_line_offset, q=near_line_offset)
+@settings(max_examples=300, deadline=None)
+def test_split_and_phi_near_the_trisector_line(a, p, q):
+    # x - y and x - z are exact here, so v1 is rounded once; the
+    # form x - (y+z)/2 loses up to an ulp of x, which moved arg w by up
+    # to pi/6 at (1, 1+2**-52, 1+2**-51)
+    for u in (Tricomplex(a, a * (1.0 + p), a * (1.0 + q)), Tricomplex(1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51)):
+        v1, v1t = _exact_split(u)
+        if v1 == v1t == 0.0:
+            continue
+        c = to_canonical(u)
+        assert abs(c.v1 - v1) <= 4.0 * math.ulp(v1)
+        assert abs(c.v1t - v1t) <= 4.0 * math.ulp(v1t)
+        phi = normalize_phi(math.atan2(v1t, v1))
+        assert abs(polar(u).phi - phi) < 1e-15
+        assert abs(_log_pieces(u, None)[1] - phi) < 1e-15

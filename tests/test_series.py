@@ -95,6 +95,16 @@ def test_modulus_near_the_top_of_the_range():
     assert modulus(Tricomplex(1e300, 1e300, 1e300)) == pytest.approx(SQRT3 * 1e300, rel=1e-15)
 
 
+def test_delta_near_the_top_of_the_range():
+    # sqrt(x^2 + y^2 - xy) = 1e199 * sqrt(91); the squares overflow
+    assert delta(Tricomplex(1e200, 1e199, 0.0)) == pytest.approx(1e199 * math.sqrt(91.0), rel=1e-15)
+    # here the differences themselves overflow
+    big = 1.7976931348623157e308
+    assert delta(Tricomplex(big, 0.0, 0.0)) == big
+    with pytest.raises(Overflow):
+        delta(Tricomplex(big, -big, 0.0))
+
+
 def test_spherical_radius_examples():
     ones = TriSeries(tuple(ONE for _ in range(20)))
     assert abs(radius_spherical(ones) - 1.0 / SQRT3) < 1e-15
