@@ -10,12 +10,16 @@ sets; around a simple pole at ``a`` the loop integral picks up the
 fixed transverse unit (2*pi/sqrt(3))(h - k) once per turn of the loop's
 projection on the nodal plane around the projection of ``a``.
 
-Path integrals use spectral rules behind one refinement loop.  Circles
-take the periodic trapezoid rule with their exact tangent, which
-converges exponentially on a smooth closed loop (Trefethen & Weideman
-2014, SIAM Review 56(3)); every other path takes a fixed 8-point
-Gauss-Legendre rule on equal panels.  Each level doubles the node count
-and the loop stops when two levels agree.
+Path integrals use spectral rules.  Circles take the periodic
+trapezoid rule with their exact tangent, which converges exponentially
+on a smooth closed loop (Trefethen & Weideman 2014, SIAM Review 56(3));
+each level doubles the node count and the loop stops when two levels
+agree.  Every other path takes a fixed 8-point Gauss-Legendre rule on
+panels, each with its own error estimate from its 8 nodes: the size of
+its top Legendre coefficients, or once halved, the change from its
+parent panel.  Only the panels that fail it are halved, so a smooth
+loop settles on its starting panels and a panel near a pole is refined
+on its own.
 
 The quadrature runs in split coordinates: the product acts as complex
 multiplication on the transverse pair w = v1 + i*v1t and as real
@@ -33,9 +37,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     AlgebraClass,
@@ -81,6 +86,9 @@ DEFAULT_DERIVATIVE_STEP = 1e-5
 DEFAULT_STENCIL_STEP = 1e-4
 QUADRATURE_TOL = 1e-9
 QUADRATURE_CAP = 2**20
+#: A panel's rounding, as a share of the moduli of its terms summed: the
+#: 50 epsilon of QUADPACK's rules (Piessens et al. 1983).
+_ROUNDING = 50.0 * sys.float_info.epsilon
 
 #: Nodes per Gauss-Legendre panel, and the trapezoid rule's first node
 #: count per circle turn.
@@ -89,12 +97,15 @@ _ORDER = 8
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], ...]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (n
-    even), and each weight times its row of the differentiation matrix
-    of the polynomial interpolating at the nodes.
+    even), each weight times its row of the differentiation matrix of
+    the polynomial interpolating at the nodes, and the rows that take a
+    panel's weighted terms to its top Legendre coefficients.
 
     The positive roots of P_n come from Newton's method on the Legendre
     recurrence, started at the cosine estimates; mirroring them keeps
-    the rule exactly symmetric.
+    the rule exactly symmetric.  The rule is exact on the interpolant
+    times P_k, so row k, (2k + 1)*P_k(x), takes the terms weight*h*g of
+    a panel of width h to h times the coefficient of P_k.
     """
     half = []
     for i in range(n // 2):
@@ -121,10 +132,17 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], ...]:
         ]
         row[i] = -sum(row)
         rows.append(tuple(weights[i] * d for d in row))
-    return nodes, weights, tuple(rows)
+    legendre = [[1.0] * n, [x for x, _ in ordered]]
+    for k in range(1, n - 1):
+        legendre.append(
+            [((2 * k + 1) * x * p1 - k * p0) / (k + 1) for (x, _), p0, p1 in zip(ordered, *legendre[-2:])]
+        )
+    tails = tuple(tuple((2 * k + 1) * p for p in legendre[k]) for k in range(n - 4, n))
+    return nodes, weights, tuple(rows), tails
 
 
-_GL_NODES, _GL_WEIGHTS, _GL_WEIGHTED_DIFF = _gauss_legendre(_ORDER)
+_GL_NODES, _GL_WEIGHTS, _GL_WEIGHTED_DIFF, _GL_TAILS = _gauss_legendre(_ORDER)
+_GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -132,14 +150,15 @@ class Path3:
     """Curve in the component space, parameterized over t in [0, 1].
 
     ``tangent_at`` is d ``point_at``/dt, or None when only points are
-    known.  ``samples`` is the panel count of the coarsest Gauss-Legendre
-    level; later levels halve the panels, so a kink at a multiple of
-    1/samples stays on a panel edge (a polyline has one panel per
-    segment).  Circles and polylines keep their defining data, and
-    quadrature and ``winding_count`` build on that instead of calling
-    ``point_at``.  A circle's trapezoid rule starts at 8 nodes per turn,
-    whatever ``samples``; its 64 samples per turn only bound what
-    ``winding_count`` accepts.
+    known.  ``samples`` is the count of starting Gauss-Legendre panels;
+    a panel whose error estimate fails is halved, so a kink at a
+    multiple of 1/samples stays on a panel edge (a polyline has one
+    panel per segment).  Circles and polylines are made from their
+    defining data, which also gives their ``point_at`` and
+    ``tangent_at``; quadrature and ``winding_count`` build on that data
+    instead of calling ``point_at``.  A circle's trapezoid rule starts at
+    8 nodes per turn, whatever ``samples``; its 64 samples per turn only
+    bound what ``winding_count`` accepts.
     """
 
     point_at: Callable[[float], Tricomplex]
@@ -156,26 +175,7 @@ class Path3:
         pts = tuple(vertices)
         if len(pts) < 2:
             raise ValueError("a polyline needs at least two vertices")
-        if closed and (pts[0] - pts[-1]).max_abs_component() > _ENDPOINT_TOL:
-            raise ValueError("closed polyline endpoints do not match")
-        nseg = len(pts) - 1
-        steps = [(b - a) * nseg for a, b in zip(pts, pts[1:])]
-
-        def segment(t: float) -> tuple[int, float]:
-            s = min(max(t, 0.0), 1.0) * nseg
-            i = min(int(s), nseg - 1)
-            return i, s - i
-
-        def at(t: float) -> Tricomplex:
-            i, frac = segment(t)
-            return pts[i] + (pts[i + 1] - pts[i]) * frac
-
-        def tangent(t: float) -> Tricomplex:
-            return steps[segment(t)[0]]
-
-        return _Polyline(
-            point_at=at, samples=nseg, closed=closed, tangent_at=tangent, vertices=pts
-        )
+        return _Polyline(samples=len(pts) - 1, closed=closed, vertices=pts)
 
     @classmethod
     def parametric(
@@ -190,9 +190,71 @@ class Path3:
         """Closed circle of given radius around the parallel to the
         trisector line through ``center``, lying in the plane through
         ``center`` parallel to the nodal plane."""
+        return _Circle(
+            samples=64 * abs(turns), closed=True, center=center, radius=radius, turns=turns
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Polyline(Path3):
+    """A polyline with its vertices, on which its nodes are linear.
+    ``point_at`` and ``tangent_at`` are made from the vertices."""
+
+    point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    vertices: tuple[Tricomplex, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        pts = self.vertices
+        if self.samples != len(pts) - 1:
+            raise ValueError("a polyline has one sample per segment")
+        if self.closed and (pts[0] - pts[-1]).max_abs_component() > _ENDPOINT_TOL:
+            raise ValueError("closed polyline endpoints do not match")
+        nseg = self.samples
+        steps = [(b - a) * nseg for a, b in zip(pts, pts[1:])]
+
+        def segment(t: float) -> tuple[int, float]:
+            s = min(max(t, 0.0), 1.0) * nseg
+            i = min(int(s), nseg - 1)
+            return i, s - i
+
+        def at(t: float) -> Tricomplex:
+            i, frac = segment(t)
+            return pts[i] + (pts[i + 1] - pts[i]) * frac
+
+        def tangent(t: float) -> Tricomplex:
+            return steps[segment(t)[0]]
+
+        object.__setattr__(self, "point_at", at)
+        object.__setattr__(self, "tangent_at", tangent)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Circle(Path3):
+    """A circle: smooth and periodic, so quadrature takes the periodic
+    trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
+    turn.  Gauss-Legendre panels took 2.2 times the evaluations on the
+    benchmark's circles.  In split coordinates its nodes are
+    w = c_w + radius*sqrt(3/2)*exp(2*pi*i*turns*t) with v = c_v fixed:
+    the in-plane units _XI1 and _XI2 are sqrt(3/2) and i*sqrt(3/2).
+    ``point_at`` and ``tangent_at`` are made from center, radius and
+    turns."""
+
+    point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    center: Tricomplex
+    radius: float
+    turns: int = 1
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        center, radius = self.center, self.radius
         if not (math.isfinite(radius) and radius > 0.0):
             raise ValueError("radius must be finite and > 0")
-        omega = _TWO_PI * turns
+        if self.turns == 0:
+            raise ValueError("turns must be nonzero")
+        omega = _TWO_PI * self.turns
 
         def at(t: float) -> Tricomplex:
             ang = omega * t
@@ -204,48 +266,8 @@ class Path3:
             ang = omega * t
             return (_XI2 * math.cos(ang) - _XI1 * math.sin(ang)) * (omega * radius)
 
-        return _Circle(
-            point_at=at,
-            samples=64 * abs(turns),
-            closed=True,
-            tangent_at=tangent,
-            center=center,
-            radius=radius,
-            turns=turns,
-        )
-
-
-@dataclass(frozen=True, kw_only=True)
-class _Polyline(Path3):
-    """A polyline with its vertices, on which its nodes are linear."""
-
-    vertices: tuple[Tricomplex, ...]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.samples != len(self.vertices) - 1:
-            raise ValueError("a polyline has one sample per segment")
-
-
-@dataclass(frozen=True, kw_only=True)
-class _Circle(Path3):
-    """A circle: smooth and periodic, so quadrature takes the periodic
-    trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
-    turn.  Gauss-Legendre panels took 2.2 times the evaluations on the
-    benchmark's circles.  In split coordinates its nodes are
-    w = c_w + radius*sqrt(3/2)*exp(2*pi*i*turns*t) with v = c_v fixed:
-    the in-plane units _XI1 and _XI2 are sqrt(3/2) and i*sqrt(3/2)."""
-
-    center: Tricomplex
-    radius: float
-    turns: int = 1
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.turns == 0:
-            raise ValueError("turns must be nonzero")
-        if self.tangent_at is None:
-            raise ValueError("a circle needs its tangent")
+        object.__setattr__(self, "point_at", at)
+        object.__setattr__(self, "tangent_at", tangent)
 
 
 @dataclass(frozen=True)
@@ -396,43 +418,56 @@ def check_analytic(
     )
 
 
-def _nodes(
-    path: Path3, n: int
-) -> Iterator[tuple[complex, float, complex, float, Tricomplex | None]]:
-    """The n nodes of one level's rule in split coordinates: the node
-    (w, v), its weighted step (dw, dv) and its path point u, which is
-    None where the node is made in split coordinates."""
-    if isinstance(path, _Circle):
-        cw, cv = _to_split(path.center)
-        omega = _TWO_PI * path.turns
-        radius = path.radius / _TRANSVERSE_NORM
-        for i in range(n):
-            e = cmath.rect(radius, omega * (i / n))
-            yield cw + e, cv, e * complex(0.0, omega / n), 0.0, None
-        return
-    panels = n // _ORDER
+#: A node in split coordinates: the node (w, v), its weighted step
+#: (dw, dv) and its path point u, None where the node is made in split
+#: coordinates.
+Node = tuple[complex, float, complex, float, Tricomplex | None]
+
+
+def _circle_nodes(path: _Circle, n: int) -> Iterator[Node]:
+    """The n nodes of the trapezoid rule on a circle."""
+    cw, cv = _to_split(path.center)
+    omega = _TWO_PI * path.turns
+    radius = path.radius / _TRANSVERSE_NORM
+    for i in range(n):
+        e = cmath.rect(radius, omega * (i / n))
+        yield cw + e, cv, e * complex(0.0, omega / n), 0.0, None
+
+
+def _panel_nodes(path: Path3) -> Callable[[float, float], list[Node]]:
+    """The maker of the 8 nodes of a Gauss-Legendre panel [a, a + h],
+    measured in samples (t = s/samples), so halving is exact and a
+    polyline's panel stays on its segment int(a)."""
+    n = path.samples
     if isinstance(path, _Polyline):
-        per_segment = panels // path.samples
         ends = [_to_split(u) for u in path.vertices]
-        for (w0, v0), (w1, v1) in zip(ends, ends[1:]):
-            ew, ev = w1 - w0, v1 - v0
-            for q in range(per_segment):
-                for c, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                    s = (q + c) / per_segment
-                    h = weight / per_segment
-                    yield w0 + ew * s, v0 + ev * s, ew * h, ev * h, None
-        return
-    for p in range(panels):
-        ts = [(p + c) / panels for c in _GL_NODES]
+        edges = [(w0, v0, w1 - w0, v1 - v0) for (w0, v0), (w1, v1) in zip(ends, ends[1:])]
+
+        def polyline(a: float, h: float) -> list[Node]:
+            i = int(a)
+            w0, v0, ew, ev = edges[i]
+            a -= i
+            w, v, dw, dv = w0 + ew * a, v0 + ev * a, ew * h, ev * h
+            return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
+
+        return polyline
+
+    def parametric(a: float, h: float) -> list[Node]:
+        ts = [(a + c * h) / n for c in _GL_NODES]
         us = [path.point_at(t) for t in ts]
         ws, vs = zip(*map(_to_split, us))
-        if path.tangent_at is not None:
-            for t, weight, u, w, v in zip(ts, _GL_WEIGHTS, us, ws, vs):
-                (dw, dv), h = _to_split(path.tangent_at(t)), weight / panels
-                yield w, v, dw * h, dv * h, u
-            continue
-        for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs):
-            yield w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u
+        if path.tangent_at is None:
+            return [
+                (w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u)
+                for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs)
+            ]
+        steps = [_to_split(path.tangent_at(t)) for t in ts]
+        return [
+            (w, v, dw * (wt * h / n), dv * (wt * h / n), u)
+            for wt, u, w, v, (dw, dv) in zip(_GL_WEIGHTS, us, ws, vs, steps)
+        ]
+
+    return parametric
 
 
 def _integrand(
@@ -446,7 +481,8 @@ def _integrand(
     as SingularOnPath.  1/(u - pole) is (1/(w - a_w), 1/(v - a_v)), with
     an explicit distance guard against the singular plane (v = a_v) and
     line (w = a_w) through the pole; |w - a_w| is
-    sqrt(quadratic_form(u - pole)).
+    sqrt(quadratic_form(u - pole)).  Nodes on both sides of that plane
+    raise SingularOnPath too: there dv/(v - a_v) is not integrable.
     """
 
     def at(w: complex, v: float, u: Tricomplex | None) -> Tricomplex:
@@ -462,15 +498,23 @@ def _integrand(
     if pole is None:
         return lifted
     aw, av = _to_split(pole)
+    side = 0.0  # the sign of v - a_v at the nodes, once one is seen
 
     def reciprocal(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
+        nonlocal side
         dw, dv = w - aw, v - av
         mw, mv = abs(dw), abs(dv)
-        near = guard * (1.0 + max(mw, mv))
-        if mv <= near:
-            raise SingularOnPath(
-                f"path touches the singular plane through {pole} near {at(w, v, u)}"
-            )
+        near = guard + guard * (mw if mw > mv else mv)
+        if side * dv <= near:
+            if mv <= near:
+                raise SingularOnPath(
+                    f"path touches the singular plane through {pole} near {at(w, v, u)}"
+                )
+            if side:
+                raise SingularOnPath(
+                    f"path crosses the singular plane through {pole} near {at(w, v, u)}"
+                )
+            side = math.copysign(1.0, dv)
         if mw <= near:
             raise SingularOnPath(
                 f"path touches the singular line through {pole} near {at(w, v, u)}"
@@ -488,6 +532,73 @@ def _integrand(
     return product
 
 
+def _norm(dw: complex, dv: float) -> float:
+    """Euclidean modulus of the value whose split pair is (dw, dv)."""
+    return math.hypot(_TRANSVERSE_NORM * abs(dw), dv / _SQRT3)
+
+
+def _terms(g: SplitFunction, nodes: Iterable[Node]) -> tuple[list[complex], list[float]]:
+    """The weighted terms (f_w dw, f_v dv) of the integrand g at the nodes."""
+    tw, tv = [], []
+    for w, v, dw, dv, u in nodes:
+        fw, fv = g(w, v, u)
+        tw.append(fw * dw)
+        tv.append(fv * dv)
+    return tw, tv
+
+
+def _exact_sum(tw: list[complex], tv: list[float]) -> tuple[complex, float]:
+    """The sum of the terms, each part exactly rounded by ``math.fsum`` (a
+    running sum of a few hundred terms near 2*pi drifts by several ulps).
+    A sum beyond the double range raises SingularOnPath."""
+    try:
+        sums = [math.fsum(part) for part in ([t.real for t in tw], [t.imag for t in tw], tv)]
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        sums = [math.inf]
+    if not all(map(math.isfinite, sums)):
+        raise SingularOnPath(f"the integral over {len(tv)} nodes leaves the double range")
+    return complex(sums[0], sums[1]), sums[2]
+
+
+def _panel(
+    g: SplitFunction, nodes: Callable[[float, float], list[Node]], a: float, h: float
+) -> tuple[complex, float, list[complex], list[float]]:
+    """The sum and the terms of g on the panel [a, a + h].  A sum beyond
+    the double range raises SingularOnPath."""
+    tw, tv = _terms(g, nodes(a, h))
+    sw, sv = sum(tw), sum(tv)
+    if not (cmath.isfinite(sw) and math.isfinite(sv)):
+        raise SingularOnPath(f"the integral over a panel of {len(tv)} nodes leaves the double range")
+    return sw, sv, tw, tv
+
+
+def _coefficient_size(row: tuple[float, ...], tw: list[complex], tv: list[float]) -> float:
+    """Modulus of the Legendre coefficient that a row of ``_GL_TAILS``
+    takes from a panel's terms."""
+    return _norm(sum(map(mul, row, tw)), sum(map(mul, row, tv)))
+
+
+def _rounding(tw: list[complex], tv: list[float]) -> float:
+    """The rounding of a panel's sum and coefficients, which no halving
+    reduces: an estimate below it passes, whatever ``tol``."""
+    return _ROUNDING * (_TRANSVERSE_NORM * sum(map(abs, tw)) + sum(map(abs, tv)) / _SQRT3)
+
+
+def _tail_estimate(tw: list[complex], tv: list[float], limit: float) -> float:
+    """Error estimate of one Gauss-Legendre panel from its terms: the size
+    of the interpolant's top two Legendre coefficients, |c6| + |c7|.
+    Only when that exceeds ``limit`` is it multiplied by rho**8, where
+    rho = min(1, 4*sqrt((|c6| + |c7|)/(|c4| + |c5|))) is a pessimistic
+    decay rate per degree (Trefethen, Approximation Theory and
+    Approximation Practice, 2013, ch. 7 and 19)."""
+    c4, c5, c6, c7 = _GL_TAILS
+    top = _coefficient_size(c6, tw, tv) + _coefficient_size(c7, tw, tv)
+    if top <= limit:
+        return top
+    below = _coefficient_size(c4, tw, tv) + _coefficient_size(c5, tw, tv)
+    return top * min(1.0, 16.0 * top / below) ** 4 if below > 0.0 else top
+
+
 def _quadrature(
     f: TriFunction | None,
     path: Path3,
@@ -495,43 +606,69 @@ def _quadrature(
     cap: int,
     pole: Tricomplex | None = None,
 ) -> tuple[Tricomplex, int, float]:
-    """The refinement loop behind ``path_integral``, ``loop_integral_pole``
-    and ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole)
-    (see ``_integrand``), the integrand evaluations it took and its
-    error estimate, the Euclidean modulus of the last change between
-    levels.  The sums are (complex, float) pairs, each part summed
-    exactly rounded by ``math.fsum`` (a running sum of a few hundred
-    terms near 2*pi drifts by several ulps), and joined once at the end.
+    """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
+    ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
+    ``_integrand``), the integrand evaluations it took and its error
+    estimate, for a circle the change between its last two levels.
+
+    A Gauss-Legendre panel is accepted once its estimate is at most
+    ``tol`` times its share of [0, 1], and the others are halved, as in
+    QUADPACK's QAG (Piessens et al. 1983).  A starting panel's estimate
+    is ``_tail_estimate``; two halves are first estimated by the change
+    from their parent's value, and each by its own ``_tail_estimate``
+    when that fails.  A panel whose estimate is below its ``_rounding``
+    is accepted too.  The estimate returned is the sum of the accepted
+    panels'.
     """
     g = _integrand(f, pole)
-    n = _ORDER * (abs(path.turns) if isinstance(path, _Circle) else path.samples)
-    evaluations = 0
-    previous = None
-    while n <= cap:
-        re, im, lo = [], [], []
-        for w, v, dw, dv, u in _nodes(path, n):
-            fw, fv = g(w, v, u)
-            t = fw * dw
-            re.append(t.real)
-            im.append(t.imag)
-            lo.append(fv * dv)
-        try:
-            sums = [math.fsum(parts) for parts in (re, im, lo)]
-        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-            sums = [math.inf]
-        if not all(map(math.isfinite, sums)):
-            raise SingularOnPath(f"the integral over {n} nodes leaves the double range")
-        sw, sv = complex(sums[0], sums[1]), sums[2]
-        evaluations += n
-        if previous is not None:
-            error = math.hypot(
-                _TRANSVERSE_NORM * abs(sw - previous[0]), (sv - previous[1]) / _SQRT3
-            )
-            if error < tol:
-                return _from_split(sw, sv), evaluations, error
-        previous = sw, sv
-        n *= 2
-    raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
+    if isinstance(path, _Circle):
+        n, evaluations, previous = _ORDER * abs(path.turns), 0, None
+        while n <= cap:
+            sw, sv = _exact_sum(*_terms(g, _circle_nodes(path, n)))
+            evaluations += n
+            if previous is not None:
+                error = _norm(sw - previous[0], sv - previous[1])
+                if error < tol:
+                    return _from_split(sw, sv), evaluations, error
+            previous = sw, sv
+            n *= 2
+        raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
+    nodes = _panel_nodes(path)
+    scale = tol / path.samples  # the tolerance of a panel one sample wide
+    tw_all, tv_all, estimate, evaluations = [], [], 0.0, 0
+    # (start, width, value): a panel, or when its value is known, its halves
+    batch: list[tuple[float, float, tuple[complex, float] | None]]
+    batch = [(float(p), 1.0, None) for p in range(path.samples)]
+    while batch:
+        evaluations += _ORDER * sum(1 if whole is None else 2 for _, _, whole in batch)
+        if evaluations > cap:
+            raise NonConvergent(f"quadrature did not settle below {tol} within {cap} evaluations")
+        failed = []
+        for a, h, whole in batch:
+            if whole is None:
+                panels = [(a, h, *_panel(g, nodes, a, h))]
+            else:
+                h /= 2.0
+                left, right = _panel(g, nodes, a, h), _panel(g, nodes, a + h, h)
+                error = _norm(whole[0] - left[0] - right[0], whole[1] - left[1] - right[1])
+                if error <= 2.0 * h * scale or error <= _rounding(left[2] + right[2], left[3] + right[3]):
+                    tw_all += left[2]
+                    tw_all += right[2]
+                    tv_all += left[3]
+                    tv_all += right[3]
+                    estimate += error
+                    continue
+                panels = [(a, h, *left), (a + h, h, *right)]
+            for b, h, sw, sv, tw, tv in panels:
+                error = _tail_estimate(tw, tv, h * scale)
+                if error <= h * scale or error <= _rounding(tw, tv):
+                    tw_all += tw
+                    tv_all += tv
+                    estimate += error
+                else:
+                    failed.append((b, h, (sw, sv)))
+        batch = failed
+    return _from_split(*_exact_sum(tw_all, tv_all)), evaluations, estimate
 
 
 def path_integral(
@@ -542,15 +679,19 @@ def path_integral(
 ) -> Tricomplex:
     """Integral of f(u) du along the path.
 
-    A circle takes the periodic trapezoid rule with its exact tangent.
-    Every other path takes a fixed 8-point Gauss-Legendre rule on
-    ``path.samples`` equal panels; the tangent comes from a polyline's
-    segments, from ``tangent_at`` or, when that is None, from the
-    derivative of the polynomial that interpolates the path at each
-    panel's nodes.  Each level doubles the node count, and the sum is
-    returned once it differs from the previous level's by less than
-    ``tol`` in modulus.  NonConvergent is raised, before any evaluation,
-    at a level of more than ``cap`` nodes.
+    A circle takes the periodic trapezoid rule with its exact tangent:
+    each level doubles the node count, and the sum is returned once it
+    differs from the previous level's by less than ``tol`` in modulus.
+    Every other path takes a fixed 8-point Gauss-Legendre rule, starting
+    from ``path.samples`` equal panels; the tangent comes from a
+    polyline's segments, from ``tangent_at`` or, when that is None, from
+    the derivative of the polynomial that interpolates the path at each
+    panel's nodes.  Each panel estimates its own error, and only the
+    panels whose estimate exceeds ``tol`` times their share of the path's
+    parameter range are halved; the sum is returned once every panel
+    passes.  NonConvergent is raised, before any evaluation, at a circle
+    level of more than ``cap`` nodes, or at a batch of panels that would
+    take the evaluations past ``cap``.
 
     The quadrature runs in split coordinates: f(u) du is summed as the
     pair (f_w dw, f_v dv) on the transverse pair and the component sum.
@@ -566,7 +707,8 @@ def loop_integral_pole(a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL) 
     For a closed loop whose projection on the nodal plane winds n times
     around the projection of ``a``, the value is n times
     ``POLE_LOOP_VALUE``; the quadrature result is returned as computed
-    either way.
+    either way.  A loop that touches the singular plane or line through
+    ``a``, or crosses that plane, raises SingularOnPath.
     """
     if not loop.closed:
         raise ValueError("loop must be closed")

@@ -46,7 +46,8 @@ from tricomplex.calculus import (
     _GL_WEIGHTS,
     _XI1,
     _XI2,
-    _nodes,
+    _circle_nodes,
+    _panel_nodes,
     _quadrature,
     _winding_number,
 )
@@ -213,22 +214,36 @@ def test_loop_missing_the_pole_gives_zero():
     assert winding_count(UNIT_LOOP, a) == 0
 
 
-def test_loop_deformation_invariance():
-    a = Tricomplex(0.1, 0.0, -0.1)
-
+def _wobbly(lift):
+    # component sum 1 + 3*lift*cos(2 ang)
     def wobble(t):
         ang = 2.0 * math.pi * t
         r = 1.0 + 0.3 * math.sin(3.0 * ang)
-        lift = 0.4 * math.cos(2.0 * ang)
-        base = Tricomplex(1 / 3 + lift, 1 / 3 + lift, 1 / 3 + lift)
+        h = lift * math.cos(2.0 * ang)
+        base = Tricomplex(1 / 3 + h, 1 / 3 + h, 1 / 3 + h)
         xi1 = Tricomplex(2.0, -1.0, -1.0) * (1.0 / math.sqrt(6.0))
         xi2 = Tricomplex(0.0, 1.0, -1.0) * (1.0 / math.sqrt(2.0))
         return base + xi1 * (r * math.cos(ang)) + xi2 * (r * math.sin(ang))
 
-    wobbly = Path3.parametric(wobble, samples=128, closed=True)
-    got = loop_integral_pole(a, wobbly)
+    return Path3.parametric(wobble, samples=128, closed=True)
+
+
+def test_loop_deformation_invariance():
+    # the component sum stays at 0.1 or more, above the pole's 0
+    a = Tricomplex(0.1, 0.0, -0.1)
+    got = loop_integral_pole(a, _wobbly(0.3))
     want = loop_integral_pole(a, Path3.circle(a + Tricomplex(1, 1, 1), 1.0))
     assert abs(got - want) < 1e-6
+
+
+def test_loop_through_the_singular_plane_is_rejected():
+    # the component sum 1 + 1.2 cos(2 ang) crosses the pole's 0 four
+    # times, where du/(u - a) is not integrable
+    a = Tricomplex(0.1, 0.0, -0.1)
+    with pytest.raises(SingularOnPath, match="crosses the singular plane"):
+        loop_integral_pole(a, _wobbly(0.4))
+    with pytest.raises(SingularOnPath, match="crosses the singular plane"):
+        cauchy_value(texp, a, _wobbly(0.4))
 
 
 def test_pointwise_differential_on_circle():
@@ -303,6 +318,22 @@ def test_circle_takes_the_trapezoid_rule():
     assert f.calls <= 64
 
 
+def test_circles_and_polylines_are_made_from_their_data():
+    # point_at and tangent_at follow the defining data, and cannot be
+    # replaced apart from it
+    square = _square(ZERO)
+    for path in (UNIT_LOOP, square):
+        for name in ("point_at", "tangent_at"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(path, **{name: lambda t: ZERO})
+    moved = dataclasses.replace(UNIT_LOOP, center=UNIT_LOOP.center + ONE)
+    assert tri_err(moved.point_at(0.3), UNIT_LOOP.point_at(0.3) + ONE) < 1e-15
+    assert abs(loop_integral_pole(ONE, moved) - POLE_LOOP_VALUE) < 1e-14
+    shifted = dataclasses.replace(square, vertices=tuple(v + ONE for v in square.vertices))
+    assert tri_err(shifted.point_at(0.3), square.point_at(0.3) + ONE) < 1e-15
+    assert tri_err(shifted.tangent_at(0.3), square.tangent_at(0.3)) < 1e-15
+
+
 def test_circle_start_does_not_depend_on_samples():
     # the trapezoid rule starts from the turns; samples serve winding_count
     few = dataclasses.replace(UNIT_LOOP, samples=4)
@@ -338,11 +369,93 @@ def test_kinks_on_panel_edges_without_tangent():
     assert abs(loop_integral_pole(ZERO, square) - POLE_LOOP_VALUE) < 1e-12
 
 
+def _ellipse(center, a, b):
+    def at(t):
+        ang = 2.0 * math.pi * t
+        return center + _XI1 * (a * math.cos(ang)) + _XI2 * (b * math.sin(ang))
+
+    return Path3.parametric(at, samples=64, closed=True)
+
+
+def test_smooth_loop_settles_on_its_first_panels():
+    # every starting panel of a smooth ellipse passes its own estimate;
+    # whole-level doubling took 512 + 1024 evaluations
+    loop = _ellipse(Tricomplex(-1 / 3, -1 / 3, -1 / 3), 1.2, 0.8)
+    got, evaluations, error = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=ZERO)
+    assert evaluations <= 640
+    assert abs(got - POLE_LOOP_VALUE) < 1e-12
+    assert error < QUADRATURE_TOL
+
+
+def _regular_polygon(center, r, nseg):
+    verts = [
+        center + _XI1 * (r * math.cos(2 * math.pi * k / nseg)) + _XI2 * (r * math.sin(2 * math.pi * k / nseg))
+        for k in range(nseg)
+    ]
+    return Path3.polyline(verts + verts[:1], closed=True)
+
+
+def test_panels_near_a_pole_are_refined_on_their_own():
+    # the projected pole lies 1% of the radius inside the middle of one
+    # edge; whole-level doubling took 16256 evaluations
+    c, r, nseg = Tricomplex(0.5, 0.5, 0.5), 1.0, 16
+    loop = _regular_polygon(c, r, nseg)
+    q = 0.99 * r * math.cos(math.pi / nseg)
+    ang = math.pi / nseg
+    pole = c + _XI1 * (q * math.cos(ang)) + _XI2 * (q * math.sin(ang)) + Tricomplex(0.2, 0.2, 0.2)
+    got, evaluations, _ = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert evaluations <= 1000
+    assert abs(got - POLE_LOOP_VALUE) < QUADRATURE_TOL
+
+
+@st.composite
+def wobbly_loops_with_poles(draw):
+    c = Tricomplex(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+    a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    k, depth = draw(st.integers(1, 6)), draw(st.floats(0.0, 0.2))
+    lift, spin = draw(st.floats(-0.3, 0.3)), draw(st.integers(1, 4))
+
+    def at(t):
+        ang = 2.0 * math.pi * t
+        r = 1.0 + depth * math.sin(k * ang)
+        h = lift * math.cos(spin * ang)
+        return c + _XI1 * (a * r * math.cos(ang)) + _XI2 * (b * r * math.sin(ang)) + Tricomplex(h, h, h)
+
+    inner, outer = 0.8 * min(a, b) * (1.0 - depth), 1.2 * max(a, b) * (1.0 + depth)
+    ang = draw(st.floats(0.0, 2 * math.pi))
+    rad = draw(st.floats(0.0, 0.8)) * inner if draw(st.booleans()) else draw(st.floats(1.2, 3.0)) * outer
+    # off the component sums 3*h of the loop, by at least 0.6
+    off = draw(st.sampled_from((-1.0, 1.0))) * (abs(lift) + draw(st.floats(0.2, 1.0)))
+    pole = c + _XI1 * (rad * math.cos(ang)) + _XI2 * (rad * math.sin(ang)) + Tricomplex(off, off, off)
+    return Path3.parametric(at, samples=64, closed=True), pole
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=wobbly_loops_with_poles())
+def test_smooth_loop_integral_is_winding_times_pole_value(case):
+    loop, pole = case
+    n = winding_count(loop, pole)
+    assert abs(loop_integral_pole(pole, loop) - POLE_LOOP_VALUE * float(n)) < QUADRATURE_TOL
+
+
 def test_overflowing_level_sum_is_singular_on_path():
     # each f(u) du is finite, but their sum leaves the double range
     big = Tricomplex(1e308, 0.0, 0.0)
     with pytest.raises(SingularOnPath):
         path_integral(lambda u: big, Path3.polyline([ZERO, Tricomplex(1.9, 0.0, 0.0)]))
+
+
+def test_large_integrands_settle_at_their_rounding():
+    # the rounding of terms this large is far above the absolute
+    # tolerance, and no halving reduces it
+    b = Tricomplex(1.0, 0.5, 0.0)
+    a = Tricomplex(0.1, -0.05, 0.2)
+    for scale in (1e8, 1e14):
+        got, evaluations, _ = _quadrature(lambda u: u * scale, Path3.polyline([ZERO, b]), QUADRATURE_TOL, QUADRATURE_CAP)
+        assert evaluations <= 24
+        assert tri_err(got * (1.0 / scale), b * b * 0.5) < 1e-15
+        got = cauchy_value(lambda u: texp(u) * scale, a, _square(Tricomplex(-1 / 3, -1 / 3, -1 / 3)))
+        assert tri_err(got * (1.0 / scale), POLE_LOOP_VALUE * texp(a)) < 1e-14
 
 
 def test_split_nodes_are_the_path_points_and_steps():
@@ -351,13 +464,14 @@ def test_split_nodes_are_the_path_points_and_steps():
     c = Tricomplex(0.3, -0.2, 0.5)
     circle = Path3.circle(c, 1.3, turns=-2)
     n = 32
-    for i, (w, v, dw, dv, u) in enumerate(_nodes(circle, n)):
+    for i, (w, v, dw, dv, u) in enumerate(_circle_nodes(circle, n)):
         assert u is None
         assert tri_err(_from_split(w, v), circle.point_at(i / n)) < 1e-15
         assert tri_err(_from_split(dw, dv), circle.tangent_at(i / n) * (1.0 / n)) < 1e-15
     for path in (_square(c), Path3(_square(c).point_at, 4, True, _square(c).tangent_at)):
         panels = 2 * path.samples
-        for k, (w, v, dw, dv, u) in enumerate(_nodes(path, 8 * panels)):
+        nodes = [node for p in range(panels) for node in _panel_nodes(path)(p / 2, 0.5)]
+        for k, (w, v, dw, dv, u) in enumerate(nodes):
             t = (k // 8 + _GL_NODES[k % 8]) / panels
             assert tri_err(_from_split(w, v), path.point_at(t)) < 1e-15
             step = path.tangent_at(t) * (_GL_WEIGHTS[k % 8] / panels)
