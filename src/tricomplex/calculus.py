@@ -28,9 +28,9 @@ multiplication on the component sum v, so f(u) du is the pair
 integrand and sums stay (complex, float) pairs, joined to a Tricomplex
 once at the end.  The pole's loop integral is the residue theorem on the
 transverse plane: dw/(w - a_w) picks up 2*pi*i per turn around a_w, and
-dv/(v - a_v) integrates to zero on a closed loop.  The winding of a
-circle is known in closed form, and that of a polyline from its
-vertices; only other loops are sampled.
+dv/(v - a_v) integrates to zero on a closed loop.  The winding is
+taken on w as well: that of a circle is known in closed form, and that
+of a polyline from its split vertices; only other loops are sampled.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .errors import (
     SingularOnPath,
     ZeroDivisor,
 )
-from .geometry import _from_split, _to_split, projection_on_nodal_plane
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _to_split
 from .series import TriSeries
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
@@ -67,19 +67,8 @@ TriFunction = Callable[[Tricomplex], Tricomplex]
 #: in split coordinates and no path point exists).
 SplitFunction = Callable[[complex, float, Tricomplex | None], tuple[complex, float]]
 
-_SQRT3 = math.sqrt(3.0)
-_TWO_PI = 2.0 * math.pi
-#: Euclidean length of a unit of the transverse pair: |u| is
-#: sqrt((2/3)|w|^2 + v^2/3), as e1, e1t and ep are orthogonal.
-_TRANSVERSE_NORM = math.sqrt(2.0 / 3.0)
-
 #: Value of one positive turn around a simple pole with unit residue.
 POLE_LOOP_VALUE = Tricomplex(0.0, _TWO_PI / _SQRT3, -_TWO_PI / _SQRT3)
-
-#: In-plane unit directions spanning the nodal plane, used for circles
-#: perpendicular to the trisector line.
-_XI1 = Tricomplex(2.0, -1.0, -1.0) * (1.0 / math.sqrt(6.0))
-_XI2 = Tricomplex(0.0, 1.0, -1.0) * (1.0 / math.sqrt(2.0))
 
 _ENDPOINT_TOL = 1e-12
 DEFAULT_DERIVATIVE_STEP = 1e-5
@@ -154,11 +143,11 @@ class Path3:
     a panel whose error estimate fails is halved, so a kink at a
     multiple of 1/samples stays on a panel edge (a polyline has one
     panel per segment).  Circles and polylines are made from their
-    defining data, which also gives their ``point_at`` and
-    ``tangent_at``; quadrature and ``winding_count`` build on that data
-    instead of calling ``point_at``.  A circle's trapezoid rule starts at
-    8 nodes per turn, whatever ``samples``; its 64 samples per turn only
-    bound what ``winding_count`` accepts.
+    defining data, split once into transverse pairs w and component
+    sums v when the path is made; their quadrature nodes and
+    ``winding_count`` read that split data instead of calling
+    ``point_at``.  A circle's trapezoid rule starts at 8 nodes per turn,
+    whatever ``samples``.
     """
 
     point_at: Callable[[float], Tricomplex]
@@ -198,10 +187,14 @@ class Path3:
 @dataclass(frozen=True, kw_only=True)
 class _Polyline(Path3):
     """A polyline with its vertices, on which its nodes are linear.
-    ``point_at`` and ``tangent_at`` are made from the vertices."""
+    ``point_at`` and ``tangent_at`` are made from the vertices;
+    ``split_vertices`` holds each vertex's (w, v), and ``edges`` each
+    segment's start and step (w0, v0, w1 - w0, v1 - v0)."""
 
     point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
     tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    split_vertices: tuple[tuple[complex, float], ...] = field(init=False, repr=False)
+    edges: tuple[tuple[complex, float, complex, float], ...] = field(init=False, repr=False)
     vertices: tuple[Tricomplex, ...]
 
     def __post_init__(self) -> None:
@@ -226,8 +219,12 @@ class _Polyline(Path3):
         def tangent(t: float) -> Tricomplex:
             return steps[segment(t)[0]]
 
+        ends = tuple(map(_to_split, pts))
+        edges = tuple((w0, v0, w1 - w0, v1 - v0) for (w0, v0), (w1, v1) in zip(ends, ends[1:]))
         object.__setattr__(self, "point_at", at)
         object.__setattr__(self, "tangent_at", tangent)
+        object.__setattr__(self, "split_vertices", ends)
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -235,39 +232,43 @@ class _Circle(Path3):
     """A circle: smooth and periodic, so quadrature takes the periodic
     trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
     turn.  Gauss-Legendre panels took 2.2 times the evaluations on the
-    benchmark's circles.  In split coordinates its nodes are
-    w = c_w + radius*sqrt(3/2)*exp(2*pi*i*turns*t) with v = c_v fixed:
-    the in-plane units _XI1 and _XI2 are sqrt(3/2) and i*sqrt(3/2).
-    ``point_at`` and ``tangent_at`` are made from center, radius and
-    turns."""
+    benchmark's circles.  In split coordinates the circle is
+    w = center_w + radius_w*exp(2*pi*i*turns*t) with v = center_v fixed:
+    (center_w, center_v) is the center's split and radius_w is
+    radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
+    They are computed once, and ``point_at``, ``tangent_at``, the
+    trapezoid nodes and ``winding_count`` read them."""
 
     point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
     tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    center_w: complex = field(init=False, repr=False)
+    center_v: float = field(init=False, repr=False)
+    radius_w: float = field(init=False, repr=False)
     center: Tricomplex
     radius: float
     turns: int = 1
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        center, radius = self.center, self.radius
-        if not (math.isfinite(radius) and radius > 0.0):
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be finite and > 0")
         if self.turns == 0:
             raise ValueError("turns must be nonzero")
+        cw, cv = _to_split(self.center)
+        radius = self.radius / _TRANSVERSE_NORM
         omega = _TWO_PI * self.turns
 
         def at(t: float) -> Tricomplex:
-            ang = omega * t
-            return center + _XI1 * (radius * math.cos(ang)) + _XI2 * (
-                radius * math.sin(ang)
-            )
+            return _from_split(cw + cmath.rect(radius, omega * t), cv)
 
         def tangent(t: float) -> Tricomplex:
-            ang = omega * t
-            return (_XI2 * math.cos(ang) - _XI1 * math.sin(ang)) * (omega * radius)
+            return _from_split(cmath.rect(radius, omega * t) * complex(0.0, omega), 0.0)
 
         object.__setattr__(self, "point_at", at)
         object.__setattr__(self, "tangent_at", tangent)
+        object.__setattr__(self, "center_w", cw)
+        object.__setattr__(self, "center_v", cv)
+        object.__setattr__(self, "radius_w", radius)
 
 
 @dataclass(frozen=True)
@@ -426,11 +427,9 @@ Node = tuple[complex, float, complex, float, Tricomplex | None]
 
 def _circle_nodes(path: _Circle, n: int) -> Iterator[Node]:
     """The n nodes of the trapezoid rule on a circle."""
-    cw, cv = _to_split(path.center)
-    omega = _TWO_PI * path.turns
-    radius = path.radius / _TRANSVERSE_NORM
+    cw, cv, omega = path.center_w, path.center_v, _TWO_PI * path.turns
     for i in range(n):
-        e = cmath.rect(radius, omega * (i / n))
+        e = cmath.rect(path.radius_w, omega * (i / n))
         yield cw + e, cv, e * complex(0.0, omega / n), 0.0, None
 
 
@@ -440,12 +439,10 @@ def _panel_nodes(path: Path3) -> Callable[[float, float], list[Node]]:
     polyline's panel stays on its segment int(a)."""
     n = path.samples
     if isinstance(path, _Polyline):
-        ends = [_to_split(u) for u in path.vertices]
-        edges = [(w0, v0, w1 - w0, v1 - v0) for (w0, v0), (w1, v1) in zip(ends, ends[1:])]
 
         def polyline(a: float, h: float) -> list[Node]:
             i = int(a)
-            w0, v0, ew, ev = edges[i]
+            w0, v0, ew, ev = path.edges[i]
             a -= i
             w, v, dw, dv = w0 + ew * a, v0 + ev * a, ew * h, ev * h
             return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
@@ -732,53 +729,55 @@ def cauchy_value(
 _ON_LOOP = "projected pole lies on (or too near) the projected loop"
 
 
-def _winding_number(
-    pts: list[tuple[float, float]], point: tuple[float, float], guard: float
-) -> int:
-    px, py = point
-    scale = guard * (1.0 + max(abs(px), abs(py), max(abs(x) for x, _ in pts), max(abs(y) for _, y in pts)))
+def _winding_number(ws: list[complex], aw: complex, guard: float) -> int:
+    """Winding of the polygon through the transverse pairs ``ws`` around
+    ``aw``: the sum of the angles its edges subtend.  A point within
+    guard*(1 + the largest coordinate) of an edge raises
+    AmbiguousWinding."""
+    scale = guard * (1.0 + max(max(abs(w.real), abs(w.imag)) for w in (aw, *ws)))
     total = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        v0x, v0y = x0 - px, y0 - py
-        v1x, v1y = x1 - px, y1 - py
-        # distance from the point to this segment
-        ex, ey = x1 - x0, y1 - y0
-        ee = ex * ex + ey * ey
-        t = 0.0 if ee == 0.0 else min(1.0, max(0.0, -(v0x * ex + v0y * ey) / ee))
-        dx, dy = v0x + t * ex, v0y + t * ey
-        if math.hypot(dx, dy) <= scale:
+    for w0, w1 in zip(ws, ws[1:]):
+        d0, d1, e = w0 - aw, w1 - aw, w1 - w0
+        # distance from the point to this edge
+        ee = e.real * e.real + e.imag * e.imag
+        t = 0.0 if ee == 0.0 else min(1.0, max(0.0, -(d0 * e.conjugate()).real / ee))
+        if abs(d0 + t * e) <= scale:
             raise AmbiguousWinding(_ON_LOOP)
-        total += math.atan2(v0x * v1y - v0y * v1x, v0x * v1x + v0y * v1y)
+        q = d0.conjugate() * d1
+        total += math.atan2(q.imag, q.real)
     return round(total / _TWO_PI)
 
 
 def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     """Winding of the loop's nodal-plane projection around the
-    projection of ``point``.  Loops winding more than once report the
-    integer multiplicity.
+    projection of ``point``, taken on their transverse pairs w (the
+    projections scaled by sqrt(3/2)).  Loops winding more than once
+    report the integer multiplicity; an open loop raises ValueError.
 
-    A circle's winding is closed form: ``turns`` when the projected point
-    lies inside the projected circle (|a_w - c_w| < radius*sqrt(3/2) in
-    split coordinates), else 0.  A polyline's comes from its vertices,
-    and any other loop's from max(samples, 256) points on it.  A point
-    within the guard band of the projected loop raises AmbiguousWinding.
-    A sampled loop of more than ``QUADRATURE_CAP`` samples raises
-    NonConvergent before any point is taken."""
-    p = projection_on_nodal_plane(point)
+    A circle's winding is closed form: ``turns`` when the point's a_w
+    lies inside the circle's w, |a_w - center_w| < radius_w, else 0.  A
+    polyline's comes from its split vertices, and any other loop's from
+    max(samples, 256) points on it.  A point whose a_w lies within
+    guard*(1 + the largest coordinate) of the loop's w raises
+    AmbiguousWinding.  A sampled loop of more than ``QUADRATURE_CAP``
+    samples raises NonConvergent before any point is taken."""
+    if not loop.closed:
+        raise ValueError("loop must be closed")
+    aw = _to_split(point)[0]
     if isinstance(loop, _Circle):
-        (px, py), (cx, cy), r = p, projection_on_nodal_plane(loop.center), loop.radius
-        d = math.hypot(px - cx, py - cy)
-        if abs(d - r) <= guard * (1.0 + max(abs(px), abs(py), abs(cx) + r, abs(cy) + r)):
+        cw, r = loop.center_w, loop.radius_w
+        d, scale = abs(aw - cw), max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
+        if abs(d - r) <= guard * (1.0 + scale):
             raise AmbiguousWinding(_ON_LOOP)
         return loop.turns if d < r else 0
     if isinstance(loop, _Polyline):
-        pts = [projection_on_nodal_plane(v) for v in loop.vertices]
+        ws = [w for w, _ in loop.split_vertices]
     else:
         n = max(loop.samples, 256)
         if n > QUADRATURE_CAP:
             raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
-        pts = [projection_on_nodal_plane(loop.point_at(i / n)) for i in range(n + 1)]
-    return _winding_number(pts, p, guard)
+        ws = [_to_split(loop.point_at(i / n))[0] for i in range(n + 1)]
+    return _winding_number(ws, aw, guard)
 
 
 def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:

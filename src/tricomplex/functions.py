@@ -21,16 +21,15 @@ import cmath
 import enum
 import math
 
-from .algebra import Tricomplex, _computed, inverse
+from .algebra import Tricomplex, _computed
 from .errors import (
     REASON_NODAL_PLANE_SIDE,
     REASON_TRISECTOR_LINE,
     DomainError,
     Overflow,
 )
-from .geometry import _from_split, _scaled_split, _to_split, polar
+from .geometry import _SQRT3, _from_split, _scaled_split, _to_split, polar
 
-_SQRT3 = math.sqrt(3.0)
 _LN2 = math.log(2.0)
 #: Primitive cube root of unity, the eigenvalue of h on the transverse plane.
 _OMEGA = complex(-0.5, 0.5 * _SQRT3)
@@ -149,15 +148,13 @@ def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
 def tpow(u: Tricomplex, m: float) -> Tricomplex:
     """Power function.
 
-    Integer exponents use exact repeated multiplication (negative ones
-    invert first, so zero divisors are rejected); fractional exponents
-    go through the principal-branch exponential form.
+    Integer exponents use ``Tricomplex.__pow__``, exact repeated
+    multiplication (negative ones invert first, so zero divisors are
+    rejected); fractional exponents go through the principal-branch
+    exponential form.
     """
     if isinstance(m, int) or float(m).is_integer():
-        mi = int(m)
-        if mi >= 0:
-            return u**mi
-        return inverse(u) ** (-mi)
+        return u ** int(m)
     return power_from_polar(u, float(m))
 
 

@@ -34,6 +34,9 @@ from .errors import (
 
 _SQRT3 = math.sqrt(3.0)
 _TWO_PI = 2.0 * math.pi
+#: Euclidean length of a unit of the transverse pair: |u| is
+#: sqrt((2/3)|w|^2 + v^2/3), as e1, e1t and ep are orthogonal.
+_TRANSVERSE_NORM = math.sqrt(2.0 / 3.0)
 
 #: Transverse unit idempotent: e1*e1 = e1, |e1| = sqrt(2/3).
 E1 = Tricomplex(2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0)
@@ -189,7 +192,7 @@ def polar(u: Tricomplex) -> PolarForm:
     if not math.isfinite(d):
         raise Overflow(f"a polar descriptor of {u} exceeds the double range")
     r, phi, vp, e = _scaled_split(u)
-    s, D = vp / _SQRT3, r * math.sqrt(2.0 / 3.0)
+    s, D = vp / _SQRT3, r * _TRANSVERSE_NORM
     if e:
         # d, s and D are degree-1 homogeneous, the angles scale-free
         what = f"a polar descriptor of {u}"
@@ -239,12 +242,10 @@ def invariant_circle_point(phi: float) -> Tricomplex:
 
     The circle is centered at (1/3, 1/3, 1/3), has radius sqrt(2/3),
     passes through the three unit points of the axes, and is closed
-    under the product with angles adding.
+    under the product with angles adding: its points are the unit
+    transverse pairs exp(i*phi) with component sum 1.
     """
-    c = math.cos(phi)
-    s = math.sin(phi) / _SQRT3
-    third = 1.0 / 3.0
-    return Tricomplex(third + 2.0 * third * c, third - third * c + s, third - third * c - s)
+    return _from_split(cmath.rect(1.0, phi), 1.0)
 
 
 def canonical_mul(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
@@ -260,10 +261,16 @@ def canonical_mul(a: CanonicalForm, b: CanonicalForm) -> CanonicalForm:
 def projection_on_nodal_plane(u: Tricomplex) -> tuple[float, float]:
     """Orthogonal coordinates of the projection of ``u`` on the nodal
     plane, in the in-plane frame whose first axis points toward the
-    meridian of the x axis."""
-    xi1 = (2.0 * u.x - u.y - u.z) / math.sqrt(6.0)
-    xi2 = (u.y - u.z) / math.sqrt(2.0)
-    return xi1, xi2
+    meridian of the x axis: sqrt(2/3) times the transverse pair w.
+
+    w is taken on ``u`` scaled by a power of two, whose differences and
+    sum stay in the double range, so Overflow means that the projection
+    itself exceeds it.
+    """
+    v, e = _pow2_scaled(u)
+    w = _TRANSVERSE_NORM * _to_split(v)[0]
+    what = f"the projection of {u} on the nodal plane"
+    return _times_pow2(w.real, e, what), _times_pow2(w.imag, e, what)
 
 
 __all__ = [

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .algebra import ONE, Tricomplex, _pow2_scaled, _times_pow2, component_sum
+from .algebra import ONE, Tricomplex, _times_pow2, component_sum
 from .errors import Indeterminate
-
-_SQRT2 = math.sqrt(2.0)
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _scaled_split
 
 #: Number of trailing coefficient ratios averaged by the radius estimators.
 TAIL_RATIOS = 8
@@ -29,17 +28,12 @@ def modulus(u: Tricomplex) -> float:
 
 
 def delta(u: Tricomplex) -> float:
-    """Transverse magnitude sqrt(x^2+y^2+z^2-xy-xz-yz): the modulus of
-    the transverse (complex-plane) part of ``u``, taken as
-    hypot(x-y, x-z, y-z)/sqrt(2) so that it stays finite wherever it is
-    in the double range."""
-    d = math.hypot(u.x - u.y, u.x - u.z, u.y - u.z) / _SQRT2
-    if math.isfinite(d):
-        return d
-    # a difference or the hypot overflowed on the way; delta is
-    # degree-1 homogeneous
-    v, e = _pow2_scaled(u)
-    return _times_pow2(delta(v), e, f"the transverse magnitude of {u}")
+    """Transverse magnitude sqrt(x^2+y^2+z^2-xy-xz-yz): the modulus |w|
+    of the transverse pair w = v1 + i*v1t of ``u``, from
+    ``geometry._scaled_split``, so that it stays finite wherever it is in
+    the double range."""
+    r, _, _, e = _scaled_split(u)
+    return _times_pow2(r, e, f"the transverse magnitude of {u}") if e else r
 
 
 def sigma(u: Tricomplex) -> float:
@@ -80,12 +74,12 @@ class ConvergenceRegion:
     @property
     def geometric_radius(self) -> float:
         """Radius of the cylinder in ordinary Euclidean distance."""
-        return self.c1 * math.sqrt(2.0 / 3.0)
+        return self.c1 * _TRANSVERSE_NORM
 
     @property
     def geometric_height(self) -> float:
         """Full height of the cylinder along the trisector line."""
-        return 2.0 * self.cplus / math.sqrt(3.0)
+        return 2.0 * self.cplus / _SQRT3
 
     def contains(self, u: Tricomplex) -> bool:
         return abs(sigma(u)) < self.cplus and delta(u) < self.c1
@@ -99,9 +93,22 @@ def eval_series(s: TriSeries, u: Tricomplex) -> Tricomplex:
     return acc
 
 
-def _tail_average(ratios: Sequence[float]) -> float:
-    tail = ratios[-TAIL_RATIOS:]
-    return sum(tail) / len(tail)
+def _tail_ratios(size: Callable[[Tricomplex], float], coeffs: Sequence[Tricomplex]) -> list[float]:
+    """The last ``TAIL_RATIOS`` ratios size(a_l) / size(a_{l+1}) over
+    consecutive coefficients of nonzero size, in ascending order of l.
+    Only they enter an estimate, so sizes are taken from the last
+    coefficient down, as far as those ratios reach."""
+    tail: list[float] = []
+    after = size(coeffs[-1])
+    for a in reversed(coeffs[:-1]):
+        here = size(a)
+        if here > 0.0 and after > 0.0:
+            tail.append(here / after)
+            if len(tail) == TAIL_RATIOS:
+                break
+        after = here
+    tail.reverse()
+    return tail
 
 
 def radius_spherical(s: TriSeries) -> float:
@@ -111,15 +118,10 @@ def radius_spherical(s: TriSeries) -> float:
     The underlying bound is a limit; this averages the last few usable
     ratios and is therefore only an estimate.
     """
-    mods = [modulus(a) for a in s.coeffs]
-    ratios = [
-        mods[i] / (math.sqrt(3.0) * mods[i + 1])
-        for i in range(len(mods) - 1)
-        if mods[i] > 0.0 and mods[i + 1] > 0.0
-    ]
-    if not ratios or modulus(s.coeffs[-1]) == 0.0:
+    tail = _tail_ratios(modulus, s.coeffs)
+    if not tail or modulus(s.coeffs[-1]) == 0.0:
         raise Indeterminate("trailing coefficients vanish; no usable ratios")
-    return _tail_average(ratios)
+    return sum(tail) / (_SQRT3 * len(tail))
 
 
 def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
@@ -130,24 +132,14 @@ def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
     The spherical bound is filled in as well; the ball of radius c0 is
     contained in the cylinder.
     """
-    trans = [delta(a) for a in s.coeffs]
-    longi = [abs(sigma(a)) for a in s.coeffs]
-    t_ratios = [
-        trans[i] / trans[i + 1]
-        for i in range(len(trans) - 1)
-        if trans[i] > 0.0 and trans[i + 1] > 0.0
-    ]
-    l_ratios = [
-        longi[i] / longi[i + 1]
-        for i in range(len(longi) - 1)
-        if longi[i] > 0.0 and longi[i + 1] > 0.0
-    ]
-    if not t_ratios or not l_ratios:
+    trans = _tail_ratios(delta, s.coeffs)
+    longi = _tail_ratios(lambda a: abs(sigma(a)), s.coeffs)
+    if not trans or not longi:
         raise Indeterminate("split coefficients vanish; no usable ratios")
     return ConvergenceRegion(
         c0=radius_spherical(s),
-        c1=_tail_average(t_ratios),
-        cplus=_tail_average(l_ratios),
+        c1=sum(trans) / len(trans),
+        cplus=sum(longi) / len(longi),
     )
 
 

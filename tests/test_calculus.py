@@ -44,15 +44,13 @@ from tricomplex.calculus import (
     QUADRATURE_TOL,
     _GL_NODES,
     _GL_WEIGHTS,
-    _XI1,
-    _XI2,
     _circle_nodes,
     _panel_nodes,
     _quadrature,
     _winding_number,
 )
-from tricomplex.geometry import _from_split, projection_on_nodal_plane
-from util import random_triples, tri_err
+from tricomplex.geometry import _from_split, _to_split
+from util import XI1, XI2, random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
 
@@ -372,7 +370,7 @@ def test_kinks_on_panel_edges_without_tangent():
 def _ellipse(center, a, b):
     def at(t):
         ang = 2.0 * math.pi * t
-        return center + _XI1 * (a * math.cos(ang)) + _XI2 * (b * math.sin(ang))
+        return center + XI1 * (a * math.cos(ang)) + XI2 * (b * math.sin(ang))
 
     return Path3.parametric(at, samples=64, closed=True)
 
@@ -389,7 +387,7 @@ def test_smooth_loop_settles_on_its_first_panels():
 
 def _regular_polygon(center, r, nseg):
     verts = [
-        center + _XI1 * (r * math.cos(2 * math.pi * k / nseg)) + _XI2 * (r * math.sin(2 * math.pi * k / nseg))
+        center + XI1 * (r * math.cos(2 * math.pi * k / nseg)) + XI2 * (r * math.sin(2 * math.pi * k / nseg))
         for k in range(nseg)
     ]
     return Path3.polyline(verts + verts[:1], closed=True)
@@ -402,7 +400,7 @@ def test_panels_near_a_pole_are_refined_on_their_own():
     loop = _regular_polygon(c, r, nseg)
     q = 0.99 * r * math.cos(math.pi / nseg)
     ang = math.pi / nseg
-    pole = c + _XI1 * (q * math.cos(ang)) + _XI2 * (q * math.sin(ang)) + Tricomplex(0.2, 0.2, 0.2)
+    pole = c + XI1 * (q * math.cos(ang)) + XI2 * (q * math.sin(ang)) + Tricomplex(0.2, 0.2, 0.2)
     got, evaluations, _ = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
     assert evaluations <= 1000
     assert abs(got - POLE_LOOP_VALUE) < QUADRATURE_TOL
@@ -419,14 +417,14 @@ def wobbly_loops_with_poles(draw):
         ang = 2.0 * math.pi * t
         r = 1.0 + depth * math.sin(k * ang)
         h = lift * math.cos(spin * ang)
-        return c + _XI1 * (a * r * math.cos(ang)) + _XI2 * (b * r * math.sin(ang)) + Tricomplex(h, h, h)
+        return c + XI1 * (a * r * math.cos(ang)) + XI2 * (b * r * math.sin(ang)) + Tricomplex(h, h, h)
 
     inner, outer = 0.8 * min(a, b) * (1.0 - depth), 1.2 * max(a, b) * (1.0 + depth)
     ang = draw(st.floats(0.0, 2 * math.pi))
     rad = draw(st.floats(0.0, 0.8)) * inner if draw(st.booleans()) else draw(st.floats(1.2, 3.0)) * outer
     # off the component sums 3*h of the loop, by at least 0.6
     off = draw(st.sampled_from((-1.0, 1.0))) * (abs(lift) + draw(st.floats(0.2, 1.0)))
-    pole = c + _XI1 * (rad * math.cos(ang)) + _XI2 * (rad * math.sin(ang)) + Tricomplex(off, off, off)
+    pole = c + XI1 * (rad * math.cos(ang)) + XI2 * (rad * math.sin(ang)) + Tricomplex(off, off, off)
     return Path3.parametric(at, samples=64, closed=True), pole
 
 
@@ -618,7 +616,7 @@ def test_ambiguous_winding():
 
 
 def _triangle():
-    verts = [_XI1 * math.cos(a) + _XI2 * math.sin(a) for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    verts = [XI1 * math.cos(a) + XI2 * math.sin(a) for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
     return verts, Path3.polyline(verts + verts[:1], closed=True)
 
 
@@ -642,7 +640,7 @@ def _circle_or_polyline(draw):
     rads = [r * draw(st.floats(0.8, 1.2)) for _ in range(nseg)]
     lifts = [draw(st.floats(-0.2, 0.2)) for _ in range(nseg)]
     verts = [
-        c + _XI1 * (q * math.cos(k * step)) + _XI2 * (q * math.sin(k * step)) + Tricomplex(h, h, h)
+        c + XI1 * (q * math.cos(k * step)) + XI2 * (q * math.sin(k * step)) + Tricomplex(h, h, h)
         for k, (q, h) in enumerate(zip(rads, lifts))
     ]
     return Path3.polyline(verts + verts[:1], closed=True), c, 0.8 * r * math.cos(step / 2), 1.2 * r
@@ -654,7 +652,7 @@ def loops_with_poles(draw):
     ang = draw(st.floats(0.0, 2 * math.pi))
     rad = draw(st.floats(0.0, 0.8)) * inner if draw(st.booleans()) else draw(st.floats(1.2, 3.0)) * outer
     lift = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0))
-    pole = c + _XI1 * (rad * math.cos(ang)) + _XI2 * (rad * math.sin(ang)) + Tricomplex(lift, lift, lift)
+    pole = c + XI1 * (rad * math.cos(ang)) + XI2 * (rad * math.sin(ang)) + Tricomplex(lift, lift, lift)
     return loop, pole
 
 
@@ -681,10 +679,22 @@ def test_circle_winding_matches_the_sampled_winding(turns, r, ang, gap, inside, 
     c = Tricomplex(0.3, -0.2, 0.5)
     loop = Path3.circle(c, r, turns=turns)
     q = r * (1.0 - gap if inside else 1.0 + 2.0 * gap)
-    pole = c + _XI1 * (q * math.cos(ang)) + _XI2 * (q * math.sin(ang)) + Tricomplex(lift, lift, lift)
+    pole = c + XI1 * (q * math.cos(ang)) + XI2 * (q * math.sin(ang)) + Tricomplex(lift, lift, lift)
     m = 1024 * abs(turns)
-    pts = [projection_on_nodal_plane(loop.point_at(i / m)) for i in range(m + 1)]
-    assert winding_count(loop, pole) == _winding_number(pts, projection_on_nodal_plane(pole), 1e-9)
+    pts = [_to_split(loop.point_at(i / m))[0] for i in range(m + 1)]
+    assert winding_count(loop, pole) == _winding_number(pts, _to_split(pole)[0], 1e-9)
+
+
+def test_winding_of_an_open_loop_is_rejected():
+    # three quarters of a turn around the trisector line, whose subtended
+    # angle 3*pi/2 would round to one turn
+    def arc(t):
+        ang = 1.5 * math.pi * t
+        return XI1 * math.cos(ang) + XI2 * math.sin(ang)
+
+    for loop in (Path3.polyline([arc(k / 12) for k in range(13)]), Path3.parametric(arc)):
+        with pytest.raises(ValueError, match="loop must be closed"):
+            winding_count(loop, ZERO)
 
 
 def test_winding_count_is_capped_before_sampling():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tricomplex
 from tricomplex import Tricomplex, cx, mx, px, texp
 from tricomplex.cli import run
 
@@ -316,8 +318,10 @@ def test_determinism_across_processes():
         "--step",
         "0.25",
     ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # the child processes import the package from where this one did
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(tricomplex.__file__))}
+    first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.count("\n") == 10

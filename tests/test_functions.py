@@ -23,6 +23,7 @@ from tricomplex import (
     oracle_eval,
     polar,
     power_from_polar,
+    projection_on_nodal_plane,
     px,
     tcos,
     tcosh,
@@ -170,6 +171,7 @@ WHOLE_RANGE_OPERATIONS = {
     "mul": lambda u, v: u * v,
     "add": lambda u, v: u + v,
     "delta": lambda u, v: (delta(u),),
+    "projection": lambda u, v: projection_on_nodal_plane(u),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from tricomplex import (
     invariant_circle_point,
     normalize_phi,
     polar,
+    projection_on_nodal_plane,
     to_canonical,
 )
 from tricomplex.functions import _log_pieces
@@ -205,6 +207,21 @@ def test_invariant_circle():
     pt = invariant_circle_point(1.234)
     assert abs(component_sum(pt) - 1.0) < 1e-15
     assert abs(abs(pt - Tricomplex(1 / 3, 1 / 3, 1 / 3)) - math.sqrt(2.0 / 3.0)) < 1e-15
+
+
+def test_projection_on_nodal_plane():
+    # the in-plane frame (2, -1, -1)/sqrt(6), (0, 1, -1)/sqrt(2)
+    for u in random_triples(np.random.default_rng(61), 200):
+        xi1, xi2 = projection_on_nodal_plane(u)
+        assert abs(xi1 - (2.0 * u.x - u.y - u.z) / math.sqrt(6.0)) < 1e-14
+        assert abs(xi2 - (u.y - u.z) / math.sqrt(2.0)) < 1e-14
+    # 2x and x+y+z overflow on the way, the projection (max/sqrt(6), 0)
+    # does not; (max, -max, -max) projects beyond the double range
+    big = sys.float_info.max
+    xi1, xi2 = projection_on_nodal_plane(Tricomplex(big, big / 2, big / 2))
+    assert abs(xi1 - big / math.sqrt(6.0)) <= 1e-15 * xi1 and xi2 == 0.0
+    with pytest.raises(Overflow):
+        projection_on_nodal_plane(Tricomplex(big, -big, -big))
 
 
 def test_amplitude_on_circle_is_one():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ def test_spherical_radius_examples():
     short = radius_spherical(exp_series(20))
     long = radius_spherical(exp_series(40))
     assert long > short > 1.0
+
+
+def test_radius_estimates_read_only_the_tail():
+    # only the last ratios enter an estimate, so a head coefficient whose
+    # transverse magnitude is beyond the double range leaves it unchanged
+    big = sys.float_info.max
+    s = exp_series(30)
+    head = TriSeries((Tricomplex(big, -big, 0.0),) + s.coeffs[1:])
+    assert radius_cylindrical(head) == radius_cylindrical(s)
 
 
 def test_spherical_radius_indeterminate():

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from tricomplex import AlgebraClass, Tricomplex, classify, component_sum
+
+#: In-plane unit directions spanning the nodal plane: the first toward the
+#: meridian of the x axis, the second a quarter turn from it.
+XI1 = Tricomplex(2.0, -1.0, -1.0) * (1.0 / math.sqrt(6.0))
+XI2 = Tricomplex(0.0, 1.0, -1.0) * (1.0 / math.sqrt(2.0))
 
 
 def rel_err(a: float, b: float) -> float:
