@@ -30,7 +30,7 @@ once at the end.  The pole's loop integral is the residue theorem on the
 transverse plane: dw/(w - a_w) picks up 2*pi*i per turn around a_w, and
 dv/(v - a_v) integrates to zero on a closed loop.  The winding is
 taken on w as well: that of a circle is known in closed form, and that
-of a polyline from its split vertices; only other loops are sampled.
+of a polyline from its split edges; only other loops are sampled.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ from .algebra import (
     Tricomplex,
     ZERO,
     _computed,
+    _times_pow2,
     classify,
+    default_tolerance,
     inverse,
 )
 from .errors import (
@@ -58,7 +60,7 @@ from .errors import (
     SingularOnPath,
     ZeroDivisor,
 )
-from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _to_split
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _scaled_split, _to_split
 from .series import TriSeries
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
@@ -70,7 +72,6 @@ SplitFunction = Callable[[complex, float, Tricomplex | None], tuple[complex, flo
 #: Value of one positive turn around a simple pole with unit residue.
 POLE_LOOP_VALUE = Tricomplex(0.0, _TWO_PI / _SQRT3, -_TWO_PI / _SQRT3)
 
-_ENDPOINT_TOL = 1e-12
 DEFAULT_DERIVATIVE_STEP = 1e-5
 DEFAULT_STENCIL_STEP = 1e-4
 QUADRATURE_TOL = 1e-9
@@ -142,12 +143,13 @@ class Path3:
     known.  ``samples`` is the count of starting Gauss-Legendre panels;
     a panel whose error estimate fails is halved, so a kink at a
     multiple of 1/samples stays on a panel edge (a polyline has one
-    panel per segment).  Circles and polylines are made from their
-    defining data, split once into transverse pairs w and component
-    sums v when the path is made; their quadrature nodes and
-    ``winding_count`` read that split data instead of calling
-    ``point_at``.  A circle's trapezoid rule starts at 8 nodes per turn,
-    whatever ``samples``.
+    panel per segment).  A closed path's ends must agree within 1e-12
+    times max(1, their largest component); circles are closed by
+    construction.  Circles and polylines are split into transverse pairs
+    w and component sums v once, when made: ``point_at`` and
+    ``tangent_at`` join that split, and the quadrature nodes and
+    ``winding_count`` read it.  A circle's trapezoid rule starts at 8
+    nodes per turn, whatever ``samples``.
     """
 
     point_at: Callable[[float], Tricomplex]
@@ -158,20 +160,24 @@ class Path3:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        # a circle's ends differ by its angle's rounding, 4.7e-8 at 10**9 turns
+        if self.closed and not isinstance(self, _Circle):
+            a, b = self.point_at(0.0), self.point_at(1.0)
+            gap = max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
+            if gap > max(default_tolerance(a), default_tolerance(b)):
+                raise ValueError("closed path endpoints do not match")
 
     @classmethod
     def polyline(cls, vertices: Sequence[Tricomplex], closed: bool = False) -> "Path3":
         pts = tuple(vertices)
         if len(pts) < 2:
             raise ValueError("a polyline needs at least two vertices")
-        return _Polyline(samples=len(pts) - 1, closed=closed, vertices=pts)
+        return _Polyline(closed=closed, vertices=pts)
 
     @classmethod
     def parametric(
         cls, fn: Callable[[float], Tricomplex], samples: int = 64, closed: bool = False
     ) -> "Path3":
-        if closed and (fn(0.0) - fn(1.0)).max_abs_component() > _ENDPOINT_TOL:
-            raise ValueError("closed parametric path endpoints do not match")
         return cls(point_at=fn, samples=samples, closed=closed)
 
     @classmethod
@@ -179,56 +185,52 @@ class Path3:
         """Closed circle of given radius around the parallel to the
         trisector line through ``center``, lying in the plane through
         ``center`` parallel to the nodal plane."""
-        return _Circle(
-            samples=64 * abs(turns), closed=True, center=center, radius=radius, turns=turns
-        )
+        return _Circle(samples=64 * abs(turns), center=center, radius=radius, turns=turns)
 
 
 @dataclass(frozen=True, kw_only=True)
-class _Polyline(Path3):
-    """A polyline with its vertices, on which its nodes are linear.
-    ``point_at`` and ``tangent_at`` are made from the vertices;
-    ``split_vertices`` holds each vertex's (w, v), and ``edges`` each
-    segment's start and step (w0, v0, w1 - w0, v1 - v0)."""
+class _SplitPath(Path3):
+    """A path made from its defining data, which a subclass splits when
+    the path is made.  Its ``_split(t)`` gives the node (w, v) and the
+    step (dw/dt, dv/dt) at t; ``point_at`` and ``tangent_at`` are their
+    joins, so ``replace`` cannot detach them from the data."""
 
     point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
     tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
-    split_vertices: tuple[tuple[complex, float], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "point_at", lambda t: _from_split(*self._split(t)[:2]))
+        object.__setattr__(self, "tangent_at", lambda t: _from_split(*self._split(t)[2:]))
+        super().__post_init__()
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Polyline(_SplitPath):
+    """A polyline, linear in the split between its vertices: ``edges``
+    holds each segment's start and step (w0, v0, w1 - w0, v1 - v0), and
+    ``samples`` is its number of segments."""
+
+    samples: int = field(init=False)
     edges: tuple[tuple[complex, float, complex, float], ...] = field(init=False, repr=False)
     vertices: tuple[Tricomplex, ...]
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        pts = self.vertices
-        if self.samples != len(pts) - 1:
-            raise ValueError("a polyline has one sample per segment")
-        if self.closed and (pts[0] - pts[-1]).max_abs_component() > _ENDPOINT_TOL:
-            raise ValueError("closed polyline endpoints do not match")
-        nseg = self.samples
-        steps = [(b - a) * nseg for a, b in zip(pts, pts[1:])]
-
-        def segment(t: float) -> tuple[int, float]:
-            s = min(max(t, 0.0), 1.0) * nseg
-            i = min(int(s), nseg - 1)
-            return i, s - i
-
-        def at(t: float) -> Tricomplex:
-            i, frac = segment(t)
-            return pts[i] + (pts[i + 1] - pts[i]) * frac
-
-        def tangent(t: float) -> Tricomplex:
-            return steps[segment(t)[0]]
-
-        ends = tuple(map(_to_split, pts))
+        ends = tuple(map(_to_split, self.vertices))
         edges = tuple((w0, v0, w1 - w0, v1 - v0) for (w0, v0), (w1, v1) in zip(ends, ends[1:]))
-        object.__setattr__(self, "point_at", at)
-        object.__setattr__(self, "tangent_at", tangent)
-        object.__setattr__(self, "split_vertices", ends)
+        object.__setattr__(self, "samples", len(edges))
         object.__setattr__(self, "edges", edges)
+        super().__post_init__()
+
+    def _split(self, t: float) -> tuple[complex, float, complex, float]:
+        n = self.samples
+        s = min(max(t, 0.0), 1.0) * n
+        i = min(int(s), n - 1)
+        w0, v0, ew, ev = self.edges[i]
+        return w0 + ew * (s - i), v0 + ev * (s - i), ew * n, ev * n
 
 
 @dataclass(frozen=True, kw_only=True)
-class _Circle(Path3):
+class _Circle(_SplitPath):
     """A circle: smooth and periodic, so quadrature takes the periodic
     trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
     turn.  Gauss-Legendre panels took 2.2 times the evaluations on the
@@ -236,11 +238,9 @@ class _Circle(Path3):
     w = center_w + radius_w*exp(2*pi*i*turns*t) with v = center_v fixed:
     (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
-    They are computed once, and ``point_at``, ``tangent_at``, the
-    trapezoid nodes and ``winding_count`` read them."""
+    The trapezoid nodes and ``winding_count`` read them too."""
 
-    point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
-    tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    closed: bool = field(default=True, init=False)
     center_w: complex = field(init=False, repr=False)
     center_v: float = field(init=False, repr=False)
     radius_w: float = field(init=False, repr=False)
@@ -249,26 +249,20 @@ class _Circle(Path3):
     turns: int = 1
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be finite and > 0")
         if self.turns == 0:
             raise ValueError("turns must be nonzero")
         cw, cv = _to_split(self.center)
-        radius = self.radius / _TRANSVERSE_NORM
-        omega = _TWO_PI * self.turns
-
-        def at(t: float) -> Tricomplex:
-            return _from_split(cw + cmath.rect(radius, omega * t), cv)
-
-        def tangent(t: float) -> Tricomplex:
-            return _from_split(cmath.rect(radius, omega * t) * complex(0.0, omega), 0.0)
-
-        object.__setattr__(self, "point_at", at)
-        object.__setattr__(self, "tangent_at", tangent)
         object.__setattr__(self, "center_w", cw)
         object.__setattr__(self, "center_v", cv)
-        object.__setattr__(self, "radius_w", radius)
+        object.__setattr__(self, "radius_w", self.radius / _TRANSVERSE_NORM)
+        super().__post_init__()
+
+    def _split(self, t: float) -> tuple[complex, float, complex, float]:
+        omega = _TWO_PI * self.turns
+        e = cmath.rect(self.radius_w, omega * t)
+        return self.center_w + e, self.center_v, e * complex(0.0, omega), 0.0
 
 
 @dataclass(frozen=True)
@@ -323,15 +317,21 @@ def derivative(
 
     The increment runs along ``direction`` (default: the real axis),
     which must be invertible; a direction on a nodal set cannot be
-    divided by and raises ZeroDivisor.
+    divided by and raises ZeroDivisor.  ``step`` must be finite and > 0.
     """
     cls = classify(direction)
     if cls is not AlgebraClass.REGULAR:
         raise ZeroDivisor(
             f"increment direction {direction} lies on a nodal set ({cls.value})", cls
         )
-    du = direction * step
+    du = direction * _checked_step(step)
     return (f(u0 + du) - f(u0 - du)) * inverse(du * 2.0)
+
+
+def _checked_step(step: float) -> float:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and > 0")
+    return step
 
 
 def _shift(u: Tricomplex, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> Tricomplex:
@@ -347,9 +347,7 @@ def check_analytic(
     residuals are reported, never judged, so a caller chooses its own
     threshold.  A residual beyond the double range raises Overflow.
     """
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be finite and > 0")
-    s = step
+    s = _checked_step(step)
     axes = ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
 
     f0 = f(u0)
@@ -615,8 +613,10 @@ def _quadrature(
     from their parent's value, and each by its own ``_tail_estimate``
     when that fails.  A panel whose estimate is below its ``_rounding``
     is accepted too.  The estimate returned is the sum of the accepted
-    panels'.
+    panels'.  A pole's loop must be closed.
     """
+    if pole is not None and not path.closed:
+        raise ValueError("loop must be closed")
     g = _integrand(f, pole)
     if isinstance(path, _Circle):
         n, evaluations, previous = _ORDER * abs(path.turns), 0, None
@@ -707,8 +707,6 @@ def loop_integral_pole(a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL) 
     either way.  A loop that touches the singular plane or line through
     ``a``, or crosses that plane, raises SingularOnPath.
     """
-    if not loop.closed:
-        raise ValueError("loop must be closed")
     return _quadrature(None, loop, tol, QUADRATURE_CAP, pole=a)[0]
 
 
@@ -721,8 +719,6 @@ def cauchy_value(
     positive turn, this equals POLE_LOOP_VALUE * f(a); componentwise it
     determines only the differences between f(a)'s components.
     """
-    if not loop.closed:
-        raise ValueError("loop must be closed")
     return _quadrature(f, loop, tol, QUADRATURE_CAP, pole=a)[0]
 
 
@@ -756,14 +752,17 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
 
     A circle's winding is closed form: ``turns`` when the point's a_w
     lies inside the circle's w, |a_w - center_w| < radius_w, else 0.  A
-    polyline's comes from its split vertices, and any other loop's from
+    polyline's comes from its split edges, and any other loop's from
     max(samples, 256) points on it.  A point whose a_w lies within
     guard*(1 + the largest coordinate) of the loop's w raises
     AmbiguousWinding.  A sampled loop of more than ``QUADRATURE_CAP``
     samples raises NonConvergent before any point is taken."""
     if not loop.closed:
         raise ValueError("loop must be closed")
-    aw = _to_split(point)[0]
+    aw, _, e = _scaled_split(point)
+    if e:
+        what = f"the transverse pair of {point}"
+        aw = complex(_times_pow2(aw.real, e, what), _times_pow2(aw.imag, e, what))
     if isinstance(loop, _Circle):
         cw, r = loop.center_w, loop.radius_w
         d, scale = abs(aw - cw), max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
@@ -771,7 +770,7 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
             raise AmbiguousWinding(_ON_LOOP)
         return loop.turns if d < r else 0
     if isinstance(loop, _Polyline):
-        ws = [w for w, _ in loop.split_vertices]
+        ws = [w for w, _, _, _ in loop.edges + loop.edges[:1]]
     else:
         n = max(loop.samples, 256)
         if n > QUADRATURE_CAP:

@@ -28,7 +28,7 @@ from .errors import (
     DomainError,
     Overflow,
 )
-from .geometry import _SQRT3, _from_split, _scaled_split, _to_split, polar
+from .geometry import _SQRT3, _azimuth, _from_split, _scaled_split, _to_split, polar
 
 _LN2 = math.log(2.0)
 #: Primitive cube root of unity, the eigenvalue of h on the transverse plane.
@@ -89,11 +89,13 @@ def tcosh(u: Tricomplex) -> Tricomplex:
 
 
 def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float, int]:
-    """``_scaled_split`` with the domain checks shared by log and the
-    power: strictly off the trisector line and, when ``purpose`` names a
-    real logarithm or fractional power, component sum > 0.  The checks
-    run on the scaled copy, whose sums stay in the double range."""
-    r, phi, sigma, e = _scaled_split(u)
+    """(|w|, phi, sigma, e) of ``_scaled_split``, with the domain checks
+    of log and the power: strictly off the trisector line and, when
+    ``purpose`` names a real logarithm or fractional power, component
+    sum > 0.  The checks run on the scaled copy, whose sums stay in the
+    double range."""
+    w, sigma, e = _scaled_split(u)
+    phi = _azimuth(w)
     if phi is None:
         raise DomainError(
             "argument lies on the trisector line (azimuthal angle undefined)",
@@ -104,7 +106,7 @@ def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float
             f"component sum x+y+z must be > 0 for {purpose}",
             REASON_NODAL_PLANE_SIDE,
         )
-    return r, phi, sigma, e
+    return math.hypot(w.real, w.imag), phi, sigma, e
 
 
 def tlog(u: Tricomplex) -> Tricomplex:
@@ -125,10 +127,11 @@ def power_from_polar(u: Tricomplex, m: float) -> Tricomplex:
     transverse pair w, sigma^m on the component sum; where u was taken
     scaled by 2**-e, both are multiplied by 2**(e*m).
 
-    Exact for integer m whenever the azimuthal angle exists; for
-    fractional m this is the principal branch (phi in [0, 2*pi)) and
-    requires x+y+z > 0.  A non-finite exponent is malformed input
-    (ValueError).
+    Accurate for integer m whenever the azimuthal angle exists, though
+    not exact: ``tpow`` sends integer exponents to ``__pow__`` for
+    exactness.  For fractional m this is the principal branch (phi in
+    [0, 2*pi)) and requires x+y+z > 0.  A non-finite exponent is
+    malformed input (ValueError).
     """
     if not math.isfinite(m):
         raise ValueError("pow exponent must be finite")
@@ -206,22 +209,13 @@ def oracle_eval(fn: ElementaryFn, u: Tricomplex) -> Tricomplex:
     and half difference of exp(u) and exp(-u).  log is the paper's
     exponential form, ln rho + (1/3)(h+k) ln(sqrt(2)/tan theta)
     + (h-k) phi/sqrt(3), from the amplitude rho and the polar and
-    azimuthal angles of ``polar``; its domain mirrors ``tlog`` (x+y+z > 0
+    azimuthal angles of ``polar``; its domain is ``tlog``'s (x+y+z > 0
     off the trisector line, phi in [0, 2*pi)).
     """
     try:
         if fn is ElementaryFn.LOG:
+            _log_pieces(u, "a real logarithm")  # tlog's domain checks
             p = polar(u)
-            if p.phi_or_none is None:
-                raise DomainError(
-                    "argument lies on the trisector line (azimuthal angle undefined)",
-                    REASON_TRISECTOR_LINE,
-                )
-            if p.s <= 0.0:
-                raise DomainError(
-                    "component sum x+y+z must be > 0 for a real logarithm",
-                    REASON_NODAL_PLANE_SIDE,
-                )
             longitudinal = math.log(math.sqrt(2.0) / math.tan(p.theta)) / 3.0
             transverse = p.phi / _SQRT3
             return _computed(math.log(p.rho), longitudinal + transverse, longitudinal - transverse)

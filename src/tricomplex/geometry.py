@@ -59,10 +59,6 @@ class CanonicalForm:
     v1t: float
     vp: float
 
-    def transverse(self) -> complex:
-        """The transverse pair as one complex number."""
-        return complex(self.v1, self.v1t)
-
 
 def _to_split(u: Tricomplex) -> tuple[complex, float]:
     """(w, vp): the transverse pair v1 + i*v1t and the component sum, the
@@ -111,23 +107,25 @@ def from_canonical(c: CanonicalForm) -> Tricomplex:
     return _from_split(complex(c.v1, c.v1t), c.vp)
 
 
-def _scaled_split(u: Tricomplex) -> tuple[float, float | None, float, int]:
-    """(|w|, phi, vp, e) of u / 2**e: phi is arg w in [0, 2*pi), None on
-    the trisector line; e is 0 unless a split coordinate or |w| of u
-    leaves the double range, and the copy is then scaled into it."""
-    e = 0
+def _scaled_split(u: Tricomplex) -> tuple[complex, float, int]:
+    """(w, vp, e) of u / 2**e: e is 0 unless a split coordinate or |w| of
+    u leaves the double range, and the copy is then scaled into it."""
     try:
         w, vp = _to_split(u)
-        r = math.hypot(w.real, w.imag)
-    except Overflow:
-        r = math.inf
-    if r == math.inf:
-        v, e = _pow2_scaled(u)
-        w, vp = _to_split(v)
-        r = math.hypot(w.real, w.imag)
+        abs(w)  # a complex modulus beyond the double range raises OverflowError
+        return w, vp, 0
+    except (Overflow, OverflowError):
+        pass
+    v, e = _pow2_scaled(u)
+    w, vp = _to_split(v)
+    return w, vp, e
+
+
+def _azimuth(w: complex) -> float | None:
+    """arg w in [0, 2*pi), the azimuthal angle phi; None on the
+    trisector line, where w = 0."""
     # math.atan2, not cmath.phase, which raises once the angle underflows
-    phi = None if w == 0 else normalize_phi(math.atan2(w.imag, w.real))
-    return r, phi, vp, e
+    return None if w == 0 else normalize_phi(math.atan2(w.imag, w.real))
 
 
 @dataclass(frozen=True)
@@ -191,14 +189,14 @@ def polar(u: Tricomplex) -> PolarForm:
     d = abs(u)
     if not math.isfinite(d):
         raise Overflow(f"a polar descriptor of {u} exceeds the double range")
-    r, phi, vp, e = _scaled_split(u)
-    s, D = vp / _SQRT3, r * _TRANSVERSE_NORM
+    w, vp, e = _scaled_split(u)
+    s, D = vp / _SQRT3, math.hypot(w.real, w.imag) * _TRANSVERSE_NORM
     if e:
         # d, s and D are degree-1 homogeneous, the angles scale-free
         what = f"a polar descriptor of {u}"
         s, D = _times_pow2(s, e, what), _times_pow2(D, e, what)
     theta = None if d == 0.0 else math.atan2(D, s)
-    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=phi)
+    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=_azimuth(w))
 
 
 def normalize_phi(phi: float) -> float:
@@ -211,7 +209,13 @@ def normalize_phi(phi: float) -> float:
 
 def transverse_longitudinal(rho: float, theta: float) -> tuple[float, float]:
     """Transverse magnitude and longitudinal component of a point with
-    amplitude ``rho`` and polar angle ``theta`` in (0, pi/2)."""
+    amplitude ``rho`` > 0 and polar angle ``theta`` in (0, pi/2)."""
+    if not rho > 0.0:
+        raise DomainError("amplitude must be > 0", REASON_ANGLE_RANGE)
+    if not 0.0 < theta < 0.5 * math.pi:
+        raise DomainError(
+            "polar angle must lie strictly between 0 and pi/2", REASON_ANGLE_RANGE
+        )
     t = math.tan(theta) / math.sqrt(2.0)
     delta = rho * t ** (1.0 / 3.0)
     sigma = rho * t ** (-2.0 / 3.0)
@@ -225,15 +229,9 @@ def from_exponential(rho: float, theta: float, phi: float) -> Tricomplex:
     Only the octant-side region is covered: rho > 0 and theta strictly
     between 0 and pi/2 (equivalently s > 0 and D > 0).
     """
-    if not rho > 0.0:
-        raise DomainError("amplitude must be > 0", REASON_ANGLE_RANGE)
-    if not 0.0 < theta < 0.5 * math.pi:
-        raise DomainError(
-            "polar angle must lie strictly between 0 and pi/2", REASON_ANGLE_RANGE
-        )
+    delta, sigma = transverse_longitudinal(rho, theta)
     if not (math.isfinite(rho) and math.isfinite(phi)):
         raise ValueError("amplitude and azimuthal angle must be finite")
-    delta, sigma = transverse_longitudinal(rho, theta)
     return _from_split(cmath.rect(delta, phi), sigma)
 
 
@@ -263,12 +261,14 @@ def projection_on_nodal_plane(u: Tricomplex) -> tuple[float, float]:
     plane, in the in-plane frame whose first axis points toward the
     meridian of the x axis: sqrt(2/3) times the transverse pair w.
 
-    w is taken on ``u`` scaled by a power of two, whose differences and
-    sum stay in the double range, so Overflow means that the projection
-    itself exceeds it.
+    w comes from ``_scaled_split``, which takes it on ``u`` scaled by a
+    power of two where a split coordinate leaves the double range, so
+    Overflow means that the projection itself exceeds it.
     """
-    v, e = _pow2_scaled(u)
-    w = _TRANSVERSE_NORM * _to_split(v)[0]
+    w, _, e = _scaled_split(u)
+    w *= _TRANSVERSE_NORM
+    if not e:
+        return w.real, w.imag
     what = f"the projection of {u} on the nodal plane"
     return _times_pow2(w.real, e, what), _times_pow2(w.imag, e, what)
 

@@ -32,7 +32,8 @@ def delta(u: Tricomplex) -> float:
     of the transverse pair w = v1 + i*v1t of ``u``, from
     ``geometry._scaled_split``, so that it stays finite wherever it is in
     the double range."""
-    r, _, _, e = _scaled_split(u)
+    w, _, e = _scaled_split(u)
+    r = math.hypot(w.real, w.imag)
     return _times_pow2(r, e, f"the transverse magnitude of {u}") if e else r
 
 

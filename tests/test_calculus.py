@@ -16,6 +16,7 @@ from tricomplex import (
     K,
     NonConvergent,
     ONE,
+    Overflow,
     POLE_LOOP_VALUE,
     Path3,
     PoleSpec,
@@ -91,6 +92,15 @@ def test_derivative_rejects_nodal_direction():
         derivative(lambda u: u, ZERO, direction=Tricomplex(1, 1, 1))
     with pytest.raises(ZeroDivisor):
         derivative(lambda u: u, ZERO, direction=Tricomplex(1, -1, 0))
+
+
+def test_derivative_step_must_be_finite_and_positive():
+    # check_analytic's rule, checked before f is called
+    f = Counted(texp)
+    for step in (math.nan, math.inf, 0.0, -1e-5):
+        with pytest.raises(ValueError, match="step must be finite"):
+            derivative(f, ONE, step=step)
+    assert f.calls == 0
 
 
 # -- analyticity --------------------------------------------------------------
@@ -181,6 +191,32 @@ def test_polyline_validation():
         Path3.polyline([ONE])
     with pytest.raises(ValueError):
         Path3.polyline([ZERO, ONE], closed=True)
+
+
+def test_closed_path_ends_must_meet():
+    # a path made directly is checked as parametric and polyline paths are
+    with pytest.raises(ValueError, match="endpoints do not match"):
+        Path3(point_at=lambda t: Tricomplex(t, 0.0, 0.0), samples=4, closed=True)
+
+
+def _large_ellipse():
+    return _ellipse(Tricomplex(1.0, 2.0, 3.0), 1e4, 0.7e4), Tricomplex(1.0, 2.0, 3.0)
+
+
+def _large_polygon():
+    # the last vertex is the point at angle 2*pi, 1.7e-10 from the first
+    c, r = Tricomplex(-2.0, 1.0, 0.5), 1e6
+    ang = [2.0 * math.pi * k / 16 for k in range(17)]
+    return Path3.polyline([c + XI1 * (r * math.cos(a)) + XI2 * (r * math.sin(a)) for a in ang], closed=True), c
+
+
+@pytest.mark.parametrize("make", (_large_ellipse, _large_polygon))
+def test_large_closed_loops_are_accepted(make):
+    # their ends meet to the rounding of their size, not to 1e-12
+    loop, center = make()
+    pole = center + Tricomplex(1.0, 1.0, 1.0)
+    assert winding_count(loop, pole) == 1
+    assert abs(loop_integral_pole(pole, loop) - POLE_LOOP_VALUE) < 1e-9
 
 
 # -- loop integrals around poles ----------------------------------------------
@@ -324,6 +360,10 @@ def test_circles_and_polylines_are_made_from_their_data():
         for name in ("point_at", "tangent_at"):
             with pytest.raises(ValueError):
                 dataclasses.replace(path, **{name: lambda t: ZERO})
+    # nor can a polyline's segment count or a circle's closedness
+    for path, name, value in ((square, "samples", 8), (UNIT_LOOP, "closed", False)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(path, **{name: value})
     moved = dataclasses.replace(UNIT_LOOP, center=UNIT_LOOP.center + ONE)
     assert tri_err(moved.point_at(0.3), UNIT_LOOP.point_at(0.3) + ONE) < 1e-15
     assert abs(loop_integral_pole(ONE, moved) - POLE_LOOP_VALUE) < 1e-14
@@ -333,7 +373,8 @@ def test_circles_and_polylines_are_made_from_their_data():
 
 
 def test_circle_start_does_not_depend_on_samples():
-    # the trapezoid rule starts from the turns; samples serve winding_count
+    # the trapezoid rule starts from the turns, and a circle's winding is
+    # closed form: neither reads samples
     few = dataclasses.replace(UNIT_LOOP, samples=4)
     assert abs(loop_integral_pole(ZERO, few) - POLE_LOOP_VALUE) < 1e-14
     with pytest.raises(ValueError):
@@ -437,10 +478,26 @@ def test_smooth_loop_integral_is_winding_times_pole_value(case):
 
 
 def test_overflowing_level_sum_is_singular_on_path():
-    # each f(u) du is finite, but their sum leaves the double range
+    # each f(u) du is finite, but their sum leaves the double range: on a
+    # panel, and on a circle level, whose 8 terms are all 0.79e308*i
     big = Tricomplex(1e308, 0.0, 0.0)
     with pytest.raises(SingularOnPath):
         path_integral(lambda u: big, Path3.polyline([ZERO, Tricomplex(1.9, 0.0, 0.0)]))
+    f = Counted(lambda u: inverse(u) * 1e308)
+    with pytest.raises(SingularOnPath):
+        path_integral(f, Path3.circle(Tricomplex(1.0, 1.0, 1.0), 4.0))
+    assert f.calls == 8
+
+
+def test_failing_integrand_is_singular_on_path():
+    for exc in (Overflow("f overflows"), ZeroDivisor("f divides by zero", None)):
+
+        def f(u, exc=exc):
+            raise exc
+
+        for path in (UNIT_LOOP, _square(ZERO)):
+            with pytest.raises(SingularOnPath):
+                path_integral(f, path)
 
 
 def test_large_integrands_settle_at_their_rounding():
@@ -480,6 +537,10 @@ def test_node_cap_is_checked_before_evaluating():
     f = Counted(inverse)
     with pytest.raises(NonConvergent):
         path_integral(f, Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=10**9))
+    # three starting panels of 8 nodes are over a cap of 16
+    _, triangle = _triangle()
+    with pytest.raises(NonConvergent):
+        path_integral(f, triangle, cap=16)
     assert f.calls == 0
 
 
@@ -609,10 +670,15 @@ def test_two_pole_sum_against_quadrature():
 
 
 def test_ambiguous_winding():
-    # pole whose projection lies on the projected loop
+    # pole whose projection lies on the projected loop: on the circle, and
+    # on the middle of a square's edge
     pole = PoleSpec(Tricomplex(1.0, 0.0, 0.0), ONE)
     with pytest.raises(AmbiguousWinding):
         residue_sum([pole], UNIT_LOOP)
+    square = _square(ZERO)
+    edge = PoleSpec((square.vertices[0] + square.vertices[1]) * 0.5 + Tricomplex(1.0, 1.0, 1.0), ONE)
+    with pytest.raises(AmbiguousWinding):
+        residue_sum([edge], square)
 
 
 def _triangle():
@@ -692,9 +758,17 @@ def test_winding_of_an_open_loop_is_rejected():
         ang = 1.5 * math.pi * t
         return XI1 * math.cos(ang) + XI2 * math.sin(ang)
 
+    pole = Tricomplex(1.0, 1.0, 1.0)
     for loop in (Path3.polyline([arc(k / 12) for k in range(13)]), Path3.parametric(arc)):
         with pytest.raises(ValueError, match="loop must be closed"):
             winding_count(loop, ZERO)
+        for integral in (
+            lambda: loop_integral_pole(pole, loop),
+            lambda: cauchy_value(texp, pole, loop),
+            lambda: residue_sum([PoleSpec(pole, ONE)], loop),
+        ):
+            with pytest.raises(ValueError, match="loop must be closed"):
+                integral()
 
 
 def test_winding_count_is_capped_before_sampling():
@@ -707,6 +781,12 @@ def test_winding_count_is_capped_before_sampling():
     with pytest.raises(NonConvergent):
         residue_sum([PoleSpec(ZERO, ONE)], loop)
     assert points.calls == 0
+
+
+def test_winding_of_a_point_beyond_the_range():
+    # the point's component sum leaves the double range, its w = 0 does not
+    big = sys.float_info.max
+    assert winding_count(Path3.circle(ZERO, 1.0), Tricomplex(big, big, big)) == 1
 
 
 def test_circle_winding_is_not_capped():

@@ -32,6 +32,7 @@ from tricomplex import (
     to_canonical,
 )
 from tricomplex.functions import _log_pieces
+from tricomplex.geometry import transverse_longitudinal
 from util import random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -155,6 +156,13 @@ def test_from_exponential_domain():
         from_exponential(1.0, math.pi / 2.0, 0.0)
     with pytest.raises(DomainError):
         from_exponential(1.0, 2.0, 0.0)
+
+
+def test_transverse_longitudinal_domain():
+    # the checks of from_exponential, on the descriptors themselves
+    for rho, theta in ((0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, math.pi / 2.0), (1.0, 2.0)):
+        with pytest.raises(DomainError):
+            transverse_longitudinal(rho, theta)
 
 
 def test_from_exponential_rejects_non_finite_input():
