@@ -1,9 +1,10 @@
 """Numerical calculus: derivatives, analyticity checks, loop integrals.
 
 Functions built from power series have direction-independent
-derivatives, which forces a web of equalities between the partial
-derivatives of the three components F, G, H of f = F + hG + kH.
-``check_analytic`` measures how badly a function violates them.
+derivatives: f_y = h f_x and f_z = k f_x, a web of equalities between
+the partial derivatives of the three components F, G, H of
+f = F + hG + kH.  ``check_analytic`` measures how badly a function
+violates them.
 
 Integrals of such functions are path independent away from the singular
 sets; around a simple pole at ``a`` the loop integral picks up the
@@ -39,15 +40,16 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     AlgebraClass,
+    H,
+    K,
     ONE,
     Tricomplex,
     ZERO,
-    _computed,
     _times_pow2,
     classify,
     default_tolerance,
@@ -148,8 +150,9 @@ class Path3:
     construction.  Circles and polylines are split into transverse pairs
     w and component sums v once, when made: ``point_at`` and
     ``tangent_at`` join that split, and the quadrature nodes and
-    ``winding_count`` read it.  A circle's trapezoid rule starts at 8
-    nodes per turn, whatever ``samples``.
+    ``winding_count`` read it.  Neither takes ``samples``: a polyline's
+    is its segment count, and a circle's is 64 per turn, which its
+    trapezoid rule (8 nodes per turn to start) does not read.
     """
 
     point_at: Callable[[float], Tricomplex]
@@ -185,7 +188,7 @@ class Path3:
         """Closed circle of given radius around the parallel to the
         trisector line through ``center``, lying in the plane through
         ``center`` parallel to the nodal plane."""
-        return _Circle(samples=64 * abs(turns), center=center, radius=radius, turns=turns)
+        return _Circle(center=center, radius=radius, turns=turns)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -240,6 +243,7 @@ class _Circle(_SplitPath):
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
     The trapezoid nodes and ``winding_count`` read them too."""
 
+    samples: int = field(init=False)
     closed: bool = field(default=True, init=False)
     center_w: complex = field(init=False, repr=False)
     center_v: float = field(init=False, repr=False)
@@ -253,6 +257,7 @@ class _Circle(_SplitPath):
             raise ValueError("radius must be finite and > 0")
         if self.turns == 0:
             raise ValueError("turns must be nonzero")
+        object.__setattr__(self, "samples", 64 * abs(self.turns))
         cw, cv = _to_split(self.center)
         object.__setattr__(self, "center_w", cw)
         object.__setattr__(self, "center_v", cv)
@@ -277,11 +282,10 @@ class PoleSpec:
 class RiemannReport:
     """Residual magnitudes of the component-derivative relations.
 
-    ``first_order``: the three groups of cross-equalities between first
-    partials (x/y pairs, x/z pairs, y/z pairs).  ``second_order``: per
-    component F, G, H, the defect of the pure second partial against the
-    complementary mixed one.  ``laplacian``: residual Laplacians of
-    F-G, F-H, G-H.
+    ``first_order``: the largest components of h f_x - f_y, k f_x - f_z
+    and h f_y - f_z.  ``second_order``: per component F, G, H, the
+    largest of f_xx - f_yz, f_yy - f_xz and f_zz - f_xy.  ``laplacian``:
+    the Laplacians of F-G, F-H, G-H.
     """
 
     first_order: tuple[float, float, float]
@@ -293,18 +297,10 @@ class RiemannReport:
         return max(*self.first_order, *self.second_order, *self.laplacian)
 
     def lines(self) -> list[str]:
-        names = (
-            ("first_order_xy", self.first_order[0]),
-            ("first_order_xz", self.first_order[1]),
-            ("first_order_yz", self.first_order[2]),
-            ("second_order_F", self.second_order[0]),
-            ("second_order_G", self.second_order[1]),
-            ("second_order_H", self.second_order[2]),
-            ("laplacian_FG", self.laplacian[0]),
-            ("laplacian_FH", self.laplacian[1]),
-            ("laplacian_GH", self.laplacian[2]),
-        )
-        return [f"{name}={value:.17g}" for name, value in names]
+        groups = ("first_order",) * 3 + ("second_order",) * 3 + ("laplacian",) * 3
+        tags = ("xy", "xz", "yz", "F", "G", "H", "FG", "FH", "GH")
+        values = (*self.first_order, *self.second_order, *self.laplacian)
+        return [f"{g}_{t}={v:.17g}" for g, t, v in zip(groups, tags, values)]
 
 
 def derivative(
@@ -334,87 +330,45 @@ def _checked_step(step: float) -> float:
     return step
 
 
-def _shift(u: Tricomplex, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> Tricomplex:
-    return _computed(u.x + dx, u.y + dy, u.z + dz)
-
-
 def check_analytic(
     f: TriFunction, u0: Tricomplex, step: float = DEFAULT_STENCIL_STEP
 ) -> RiemannReport:
     """Residuals of the component-derivative relations at ``u0``.
 
-    All partials are central differences on a stencil of size ``step``;
+    A function given by a power series has f_y = h f_x and f_z = k f_x,
+    so f_yz = f_xx, f_xz = f_yy, f_xy = f_zz, and f_xx + f_yy + f_zz is
+    (1 + h + k) f'', on the trisector line.  All partials are central
+    differences on a stencil of size ``step``, from 19 values of f;
     residuals are reported, never judged, so a caller chooses its own
     threshold.  A residual beyond the double range raises Overflow.
     """
     s = _checked_step(step)
-    axes = ((s, 0.0, 0.0), (0.0, s, 0.0), (0.0, 0.0, s))
-
+    ex, ey, ez = Tricomplex(s, 0.0, 0.0), Tricomplex(0.0, s, 0.0), Tricomplex(0.0, 0.0, s)
+    xp, yp, zp, xm, ym, zm = u0 + ex, u0 + ey, u0 + ez, u0 - ex, u0 - ey, u0 - ez
     f0 = f(u0)
-    plus = [f(_shift(u0, *d)) for d in axes]
-    minus = [f(_shift(u0, -d[0], -d[1], -d[2])) for d in axes]
-
-    def comps(v: Tricomplex) -> tuple[float, float, float]:
-        return (v.x, v.y, v.z)
-
-    # first[c][a]: d(component c)/d(axis a)
-    first = [
-        [(comps(plus[a])[c] - comps(minus[a])[c]) / (2.0 * s) for a in range(3)]
-        for c in range(3)
+    plus, minus = [f(xp), f(yp), f(zp)], [f(xm), f(ym), f(zm)]
+    corners = [
+        (f(p + e), f(p - e), f(m + e), f(m - e))
+        for p, m, e in ((yp, ym, ez), (xp, xm, ez), (xp, xm, ey))
     ]
-    F, G, H = first
-    group_xy = max(abs(F[0] - G[1]), abs(G[0] - H[1]), abs(H[0] - F[1]))
-    group_xz = max(abs(F[0] - H[2]), abs(G[0] - F[2]), abs(H[0] - G[2]))
-    group_yz = max(abs(G[1] - H[2]), abs(H[1] - F[2]), abs(F[1] - G[2]))
-
-    # pure[c][a]: d^2(component c)/d(axis a)^2
-    pure = [
-        [
-            (comps(plus[a])[c] - 2.0 * comps(f0)[c] + comps(minus[a])[c]) / (s * s)
-            for a in range(3)
-        ]
-        for c in range(3)
-    ]
-
-    def mixed(a: int, b: int) -> tuple[float, float, float]:
-        da, db = axes[a], axes[b]
-        pp = f(_shift(u0, da[0] + db[0], da[1] + db[1], da[2] + db[2]))
-        pm = f(_shift(u0, da[0] - db[0], da[1] - db[1], da[2] - db[2]))
-        mp = f(_shift(u0, -da[0] + db[0], -da[1] + db[1], -da[2] + db[2]))
-        mm = f(_shift(u0, -da[0] - db[0], -da[1] - db[1], -da[2] - db[2]))
-        return tuple(
-            (comps(pp)[c] - comps(pm)[c] - comps(mp)[c] + comps(mm)[c]) / (4.0 * s * s)
-            for c in range(3)
+    try:
+        # 2s times f_x, f_y, f_z; s^2 times f_xx, f_yy, f_zz and f_yz, f_xz, f_xy
+        dx, dy, dz = (p - m for p, m in zip(plus, minus))
+        pure = [p - f0 * 2.0 + m for p, m in zip(plus, minus)]
+        mixed = [(pp - pm - mp + mm) * 0.25 for pp, pm, mp, mm in corners]
+        first = (H * dx - dy, K * dx - dz, H * dy - dz)
+        second = [(d.x, d.y, d.z) for d in map(sub, pure, mixed)]
+        lap = pure[0] + pure[1] + pure[2]
+        report = RiemannReport(
+            tuple(d.max_abs_component() / (2.0 * s) for d in first),
+            tuple(max(map(abs, c)) / (s * s) for c in zip(*second)),
+            tuple(abs(a - b) / (s * s) for a, b in ((lap.x, lap.y), (lap.x, lap.z), (lap.y, lap.z))),
         )
-
-    m_yz = mixed(1, 2)
-    m_xz = mixed(0, 2)
-    m_xy = mixed(0, 1)
-
-    second = tuple(
-        max(
-            abs(pure[c][0] - m_yz[c]),
-            abs(pure[c][1] - m_xz[c]),
-            abs(pure[c][2] - m_xy[c]),
-        )
-        for c in range(3)
-    )
-
-    lap = [pure[c][0] + pure[c][1] + pure[c][2] for c in range(3)]
-    laplacian = (
-        abs(lap[0] - lap[1]),
-        abs(lap[0] - lap[2]),
-        abs(lap[1] - lap[2]),
-    )
-
-    first_order = (group_xy, group_xz, group_yz)
-    if not all(map(math.isfinite, (*first_order, *second, *laplacian))):
-        raise Overflow(f"derivative residuals at {u0} exceed the double range")
-    return RiemannReport(
-        first_order=first_order,
-        second_order=second,  # type: ignore[arg-type]
-        laplacian=laplacian,
-    )
+        if math.isfinite(report.max_residual):
+            return report
+    except Overflow:  # a difference of the values of f
+        pass
+    raise Overflow(f"derivative residuals at {u0} exceed the double range")
 
 
 #: A node in split coordinates: the node (w, v), its weighted step

@@ -245,6 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, metavar="(x,y,z)")
     p.set_defaults(handler=_cmd_series)
 
+    # argparse's own pattern takes a negative number such as -1e-3 or -inf for an option
+    negative = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative
     return parser
 
 

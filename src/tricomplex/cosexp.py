@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .algebra import Tricomplex
+from .algebra import H, Tricomplex
 from .functions import texp
 
 
@@ -64,11 +64,8 @@ def cosexp_series(kind: CosexpKind, y: float, terms: int = DEFAULT_TERMS) -> flo
 
 
 def cosexp_derivative(kind: CosexpKind, y: float) -> float:
-    """Derivative value; differentiation permutes the three functions
+    """Derivative value: component ``kind`` of h*exp(h*y), the derivative
+    of exp(h*y).  The product with h permutes the three functions
     cyclically (cx' = px, mx' = cx, px' = mx)."""
-    shifted = {
-        CosexpKind.CX: CosexpKind.PX,
-        CosexpKind.MX: CosexpKind.CX,
-        CosexpKind.PX: CosexpKind.MX,
-    }[kind]
-    return cosexp(shifted, y)
+    d = H * texp(Tricomplex(0.0, y, 0.0))
+    return (d.x, d.y, d.z)[kind.value]

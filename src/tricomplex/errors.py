@@ -57,12 +57,13 @@ class Overflow(TricomplexError):
 class NonConvergent(TricomplexError):
     """Raised when an iteration does not reach its tolerance.
 
-    Quadrature refinement raises it, before evaluating a level, when that
-    level's node count is over the node cap; the winding count (and so
-    the residue sum), before sampling, when the loop's sample count is
-    over the same cap; polynomial root iteration at its sweep cap, or
-    when the roots found do not rebuild the polynomial's coefficients
-    within their certified uncertainty.
+    Quadrature raises it before evaluating a circle level of more than
+    ``cap`` nodes, or a batch of panels that would take the evaluations
+    past ``cap``; the winding count (and so the residue sum), before
+    sampling, when the loop's sample count is over ``QUADRATURE_CAP``;
+    polynomial root iteration at its sweep cap, or when the roots found
+    do not rebuild the polynomial's coefficients within their certified
+    uncertainty.
     """
 
 

@@ -209,7 +209,8 @@ def normalize_phi(phi: float) -> float:
 
 def transverse_longitudinal(rho: float, theta: float) -> tuple[float, float]:
     """Transverse magnitude and longitudinal component of a point with
-    amplitude ``rho`` > 0 and polar angle ``theta`` in (0, pi/2)."""
+    amplitude ``rho`` > 0 and polar angle ``theta`` in (0, pi/2).
+    Raises Overflow when either leaves the double range."""
     if not rho > 0.0:
         raise DomainError("amplitude must be > 0", REASON_ANGLE_RANGE)
     if not 0.0 < theta < 0.5 * math.pi:
@@ -219,6 +220,9 @@ def transverse_longitudinal(rho: float, theta: float) -> tuple[float, float]:
     t = math.tan(theta) / math.sqrt(2.0)
     delta = rho * t ** (1.0 / 3.0)
     sigma = rho * t ** (-2.0 / 3.0)
+    for name, value in (("delta", delta), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise Overflow(f"{name} at rho={rho!r}, theta={theta!r} exceeds the double range")
     return delta, sigma
 
 
@@ -229,9 +233,9 @@ def from_exponential(rho: float, theta: float, phi: float) -> Tricomplex:
     Only the octant-side region is covered: rho > 0 and theta strictly
     between 0 and pi/2 (equivalently s > 0 and D > 0).
     """
-    delta, sigma = transverse_longitudinal(rho, theta)
     if not (math.isfinite(rho) and math.isfinite(phi)):
         raise ValueError("amplitude and azimuthal angle must be finite")
+    delta, sigma = transverse_longitudinal(rho, theta)
     return _from_split(cmath.rect(delta, phi), sigma)
 
 

@@ -374,9 +374,10 @@ def test_circles_and_polylines_are_made_from_their_data():
 
 def test_circle_start_does_not_depend_on_samples():
     # the trapezoid rule starts from the turns, and a circle's winding is
-    # closed form: neither reads samples
-    few = dataclasses.replace(UNIT_LOOP, samples=4)
-    assert abs(loop_integral_pole(ZERO, few) - POLE_LOOP_VALUE) < 1e-14
+    # closed form: neither reads samples, which follow from the turns
+    assert UNIT_LOOP.samples == 64
+    with pytest.raises(ValueError):
+        dataclasses.replace(UNIT_LOOP, samples=4)
     with pytest.raises(ValueError):
         dataclasses.replace(UNIT_LOOP, turns=0)
     with pytest.raises(ValueError):

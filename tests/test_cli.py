@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricomplex
-from tricomplex import Tricomplex, cx, mx, px, texp
+from tricomplex import Tricomplex, cx, mx, px, texp, tpow
 from tricomplex.cli import run
 
 
@@ -214,6 +214,8 @@ def test_parse_errors_exit_two(capout):
         (["cosexp-table", "--min", "700", "--max", "720", "--step", "10"], 1),
         (["eval", "--fn", "exp", "--at", "(inf,0,0)"], 2),
         (["eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "nan"], 2),
+        (["eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "-inf"], 2),
+        (["cosexp-table", "--min", "-Infinity", "--max", "0", "--step", "1"], 2),
         (["cosexp-table", "--min", "0", "--max", "inf", "--step", "1"], 2),
         (["cosexp-table", "--min", "nan", "--max", "1", "--step", "1"], 2),
         (["rho-table", "--min", "0.2", "--max", "1", "--step", "nan"], 2),
@@ -222,6 +224,12 @@ def test_parse_errors_exit_two(capout):
         (["rho-table", "--rho", "-1", "--min", "0.2", "--max", "0.3", "--step", "0.1"], 2),
         (["rho-table", "--rho", "0", "--min", "0.2", "--max", "0.3", "--step", "0.1"], 2),
         (["rho-table", "--rho", "1e308", "--min", "0.2", "--max", "0.3", "--step", "0.1"], 1),
+        # grids with no rows, or theta outside (0, pi/2)
+        (["cosexp-table", "--min", "0", "--max", "1", "--step", "0"], 2),
+        (["cosexp-table", "--min", "0", "--max", "1", "--step", "-0.5"], 2),
+        (["cosexp-table", "--min", "1", "--max", "0", "--step", "0.5"], 2),
+        (["rho-table", "--min", "0", "--max", "1", "--step", "0.5"], 2),
+        (["rho-table", "--min", "1", "--max", "2", "--step", "0.5"], 2),
         # row caps: rejected before any row is built
         (["cosexp-table", "--min", "0", "--max", "1", "--step", "1e-12"], 2),
         (["rho-table", "--min", "0.2", "--max", "1.3", "--step", "1e-9"], 2),
@@ -264,7 +272,7 @@ point_argv = st.one_of(
         whole_range_at,
     ),
     st.builds(
-        lambda at, m: ["eval", "--fn", "pow", "--at", at, f"--exponent={m!r}"],
+        lambda at, m: ["eval", "--fn", "pow", "--at", at, "--exponent", repr(m)],
         whole_range_at,
         st.sampled_from([3.0, -2.0, 0.5]) | whole_range,
     ),
@@ -288,6 +296,32 @@ def test_finite_points_never_exit_two(argv):
         code = run(argv)
     assert code in (0, 1), (argv, err.getvalue())
     assert "inf" not in out.getvalue() and "nan" not in out.getvalue(), argv
+
+
+def test_negative_floats_in_exponent_notation(capout):
+    # argparse's own pattern takes "-1e-3" for an option; the CLI prints
+    # such numbers itself, so it reads them back
+    code, out, err = capout("eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "-1e-3")
+    assert (code, err) == (0, "")
+    assert out == tpow(Tricomplex(1.0, 1.0, 0.0), -1e-3).literal() + "\n"
+    code, out, err = capout("cosexp-table", "--min", "-1e-1", "--max", "0", "--step", "0.1")
+    assert (code, err) == (0, "")
+    y = -0.1
+    assert out.splitlines()[1:] == [f"{y:.17g},{cx(y):.17g},{mx(y):.17g},{px(y):.17g}", "0,1,0,0"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["1,0\n", "1,0,0\n0,x,0\n", "\n\n"],
+    ids=["wrong-column-count", "non-numeric-entry", "no-data-rows"],
+)
+def test_malformed_csv_exits_two(capout, tmp_path, rows):
+    f = tmp_path / "rows.csv"
+    f.write_text(rows)
+    for argv in (["factor", "--poly", str(f)], ["series", "--coeffs", str(f), "--at", "(0,0,0)"]):
+        code, out, err = capout(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_pow_needs_exponent_and_works(capout):

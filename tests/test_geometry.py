@@ -165,6 +165,18 @@ def test_transverse_longitudinal_domain():
             transverse_longitudinal(rho, theta)
 
 
+def test_transverse_longitudinal_range():
+    # delta and sigma beyond the double range are named, not passed on
+    calls = (lambda: transverse_longitudinal(1e308, 1.5), lambda: from_exponential(1e308, 1.5, 0.3))
+    for call in calls:
+        with pytest.raises(Overflow) as info:
+            call()
+        message = str(info.value)
+        assert "delta" in message and "nan" not in message and "inf" not in message
+    with pytest.raises(Overflow, match="sigma"):
+        transverse_longitudinal(1e308, 0.3)
+
+
 def test_from_exponential_rejects_non_finite_input():
     # malformed input, not an overflow of a computed value
     with pytest.raises(ValueError):
