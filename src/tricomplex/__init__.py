@@ -6,198 +6,75 @@ divisors, geometric/exponential/trigonometric forms, cosexponential and
 elementary functions, power series with convergence regions, numerical
 analyticity checks, loop integrals with residues, and polynomial
 factorization, plus a deterministic CLI front end.
+
+``import tricomplex`` loads the algebra, geometry, elementary and
+cosexponential functions and the errors.  The calculus, poly and series
+modules load on first use of one of their names.
 """
 
-from .algebra import (
-    AlgebraClass,
-    H,
-    K,
-    ONE,
-    Tricomplex,
-    ZERO,
-    add,
-    amplitude,
-    classify,
-    component_sum,
-    default_tolerance,
-    determinant_form,
-    inverse,
-    irreducible_rep,
-    mul,
-    quadratic_form,
-    to_matrix,
-)
-from .calculus import (
-    POLE_LOOP_VALUE,
-    Path3,
-    PoleSpec,
-    RiemannReport,
-    cauchy_value,
-    check_analytic,
-    derivative,
-    loop_integral_pole,
-    path_integral,
-    residue_sum,
-    taylor_recenter,
-    winding_count,
-)
-from .cosexp import (
-    CosexpKind,
-    cosexp,
-    cosexp_derivative,
-    cosexp_series,
-    cx,
-    mx,
-    px,
-)
-from .errors import (
-    AmbiguousWinding,
-    ComplexLongitudinalRoot,
-    DomainError,
-    Indeterminate,
-    NonConvergent,
-    Overflow,
-    SingularOnPath,
-    TricomplexError,
-    UndefinedAngle,
-    ZeroDivisor,
-)
-from .functions import (
-    DIRECT,
-    ElementaryFn,
-    oracle_eval,
-    power_from_polar,
-    tcos,
-    tcosh,
-    texp,
-    tlog,
-    tpow,
-    tsin,
-    tsinh,
-)
-from .geometry import (
-    CanonicalForm,
-    E1,
-    E1T,
-    EP,
-    PolarForm,
-    basis_constants,
-    canonical_mul,
-    from_canonical,
-    from_exponential,
-    invariant_circle_point,
-    normalize_phi,
-    polar,
-    projection_on_nodal_plane,
-    to_canonical,
-)
-from .poly import (
-    DecomposedPoly,
-    RootSet,
-    TriPolynomial,
-    decompose,
-    enumerate_root_sets,
-    factor,
-)
-from .series import (
-    ConvergenceRegion,
-    TriSeries,
-    delta,
-    eval_series,
-    exp_series,
-    modulus,
-    radius_cylindrical,
-    radius_spherical,
-    sigma,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraClass",
-    "AmbiguousWinding",
-    "CanonicalForm",
-    "ComplexLongitudinalRoot",
-    "ConvergenceRegion",
-    "CosexpKind",
-    "DecomposedPoly",
-    "DIRECT",
-    "DomainError",
-    "E1",
-    "E1T",
-    "EP",
-    "ElementaryFn",
-    "H",
-    "Indeterminate",
-    "K",
-    "NonConvergent",
-    "ONE",
-    "Overflow",
-    "POLE_LOOP_VALUE",
-    "Path3",
-    "PolarForm",
-    "PoleSpec",
-    "RiemannReport",
-    "RootSet",
-    "SingularOnPath",
-    "TriPolynomial",
-    "TriSeries",
-    "Tricomplex",
-    "TricomplexError",
-    "UndefinedAngle",
-    "ZERO",
-    "ZeroDivisor",
-    "add",
-    "amplitude",
-    "basis_constants",
-    "canonical_mul",
-    "cauchy_value",
-    "check_analytic",
-    "classify",
-    "component_sum",
-    "cosexp",
-    "cosexp_derivative",
-    "cosexp_series",
-    "cx",
-    "decompose",
-    "default_tolerance",
-    "delta",
-    "derivative",
-    "determinant_form",
-    "enumerate_root_sets",
-    "eval_series",
-    "exp_series",
-    "factor",
-    "from_canonical",
-    "from_exponential",
-    "invariant_circle_point",
-    "inverse",
-    "irreducible_rep",
-    "loop_integral_pole",
-    "modulus",
-    "mul",
-    "mx",
-    "normalize_phi",
-    "oracle_eval",
-    "path_integral",
-    "polar",
-    "power_from_polar",
-    "projection_on_nodal_plane",
-    "px",
-    "quadratic_form",
-    "radius_cylindrical",
-    "radius_spherical",
-    "residue_sum",
-    "sigma",
-    "taylor_recenter",
-    "tcos",
-    "tcosh",
-    "texp",
-    "tlog",
-    "to_canonical",
-    "to_matrix",
-    "tpow",
-    "tsin",
-    "tsinh",
-    "winding_count",
-]
+#: The public names, by the submodule that defines them.
+_PUBLIC = {
+    "errors": (
+        "AmbiguousWinding", "ComplexLongitudinalRoot", "DomainError", "Indeterminate",
+        "NonConvergent", "Overflow", "SingularOnPath", "TricomplexError", "UndefinedAngle",
+        "ZeroDivisor",
+    ),
+    "algebra": (
+        "AlgebraClass", "H", "K", "ONE", "Tricomplex", "ZERO", "add", "amplitude", "classify",
+        "component_sum", "default_tolerance", "determinant_form", "inverse", "irreducible_rep",
+        "mul", "quadratic_form", "to_matrix",
+    ),
+    "geometry": (
+        "CanonicalForm", "E1", "E1T", "EP", "PolarForm", "basis_constants", "canonical_mul",
+        "from_canonical", "from_exponential", "invariant_circle_point", "normalize_phi", "polar",
+        "projection_on_nodal_plane", "to_canonical",
+    ),
+    "functions": (
+        "DIRECT", "ElementaryFn", "oracle_eval", "power_from_polar", "tcos", "tcosh", "texp",
+        "tlog", "tpow", "tsin", "tsinh",
+    ),
+    "cosexp": ("CosexpKind", "cosexp", "cosexp_derivative", "cosexp_series", "cx", "mx", "px"),
+    # loaded on first use
+    "calculus": (
+        "POLE_LOOP_VALUE", "Path3", "PoleSpec", "RiemannReport", "cauchy_value",
+        "check_analytic", "derivative", "loop_integral_pole", "path_integral", "residue_sum",
+        "taylor_recenter", "winding_count",
+    ),
+    "poly": (
+        "DecomposedPoly", "RootSet", "TriPolynomial", "decompose", "enumerate_root_sets",
+        "factor",
+    ),
+    "series": (
+        "ConvergenceRegion", "TriSeries", "delta", "eval_series", "exp_series", "modulus",
+        "radius_cylindrical", "radius_spherical", "sigma",
+    ),
+}
+_LAZY = ("calculus", "poly", "series")
+_HOME = {name: module for module in _LAZY for name in _PUBLIC[module]}
+
+__all__ = [name for names in _PUBLIC.values() for name in names]
+
+# the names are bound after their module is imported, which binds the
+# module itself: so ``cosexp`` ends as the function, not the submodule
+for _module, _names in _PUBLIC.items():
+    if _module not in _LAZY:
+        _m = _import_module(f".{_module}", __name__)
+        globals().update((name, getattr(_m, name)) for name in _names)
+del _module, _names, _m
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LAZY))

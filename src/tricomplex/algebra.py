@@ -12,7 +12,6 @@ import enum
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import Overflow, ZeroDivisor
@@ -43,7 +42,6 @@ class AlgebraClass(enum.Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
 class Tricomplex:
     """Immutable value x + h*y + k*z with real components.
 
@@ -56,16 +54,39 @@ class Tricomplex:
     ``**``.
     """
 
+    __slots__ = ("x", "y", "z")
     x: float
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
+    def __init__(self, x: float, y: float, z: float) -> None:
+        x, y, z = float(x), float(y), float(z)
+        for name, v in (("x", x), ("y", y), ("z", z)):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite component {name}={v!r}")
-            object.__setattr__(self, name, v)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Tricomplex, (self.x, self.y, self.z)
+
+    def __eq__(self, other):
+        if other.__class__ is not Tricomplex:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.z == other.z
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self) -> str:
+        return f"Tricomplex(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     # -- construction / formatting ------------------------------------
 
@@ -135,15 +156,20 @@ class Tricomplex:
         return max(abs(self.x), abs(self.y), abs(self.z))
 
 
+#: The slots' own setters, which ``Tricomplex.__setattr__`` refuses.
+_set_x, _set_y, _set_z = (getattr(Tricomplex, name).__set__ for name in Tricomplex.__slots__)
+
+
 def _computed(x: float, y: float, z: float) -> Tricomplex:
     """A value the library computed from floats: Overflow, not the
     constructor's ValueError, when a component left the double range.
-    The floats go into the instance dict without a second check."""
+    The floats go into the slots without a second check."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise Overflow(f"result ({x!r},{y!r},{z!r}) leaves the double range")
     u = object.__new__(Tricomplex)
-    fields = u.__dict__
-    fields["x"], fields["y"], fields["z"] = x, y, z
+    _set_x(u, x)
+    _set_y(u, y)
+    _set_z(u, z)
     return u
 
 

@@ -40,6 +40,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -573,10 +574,14 @@ def _quadrature(
         raise ValueError("loop must be closed")
     g = _integrand(f, pole)
     if isinstance(path, _Circle):
-        n, evaluations, previous = _ORDER * abs(path.turns), 0, None
+        # the n nodes of k = |turns| turns repeat every n/k: each level
+        # evaluates one turn's nodes and counts them k times
+        k = abs(path.turns)
+        n, evaluations, previous = _ORDER * k, 0, None
         while n <= cap:
-            sw, sv = _exact_sum(*_terms(g, _circle_nodes(path, n)))
-            evaluations += n
+            sw, sv = _exact_sum(*_terms(g, islice(_circle_nodes(path, n), n // k)))
+            sw, sv = sw * k, sv * k
+            evaluations += n // k
             if previous is not None:
                 error = _norm(sw - previous[0], sv - previous[1])
                 if error < tol:

@@ -10,19 +10,16 @@ re-parses to the same double.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import re
 import sys
 from typing import Callable, Sequence
 
 from .algebra import Tricomplex
-from .calculus import Path3, check_analytic, loop_integral_pole
 from .errors import Overflow, TricomplexError
-from .functions import DIRECT, ElementaryFn, texp, tpow
-from .geometry import polar, to_canonical
-from .poly import TriPolynomial, enumerate_root_sets, factor
-from .series import TriSeries, eval_series
+
+# Each handler imports the modules it runs, so a command pays for no
+# other: eval and the tables never load calculus, poly or series.
 
 #: Cap on the rows of a table subcommand, checked before any row is built.
 _MAX_ROWS = 100_000
@@ -37,6 +34,8 @@ def _fmt(v: float) -> str:
 
 
 def _read_rows(path: str) -> list[tuple[float, float, float]]:
+    import csv
+
     rows = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -53,7 +52,9 @@ def _read_rows(path: str) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _parse_loop(spec: str) -> Path3:
+def _parse_loop(spec: str):
+    from .calculus import Path3
+
     m = _CIRCLE_RE.match(spec)
     if m:
         center = Tricomplex.parse(m.group(1))
@@ -65,6 +66,8 @@ def _parse_loop(spec: str) -> Path3:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .functions import DIRECT, ElementaryFn, tpow
+
     at = Tricomplex.parse(args.at)
     if args.fn == "pow":
         if args.exponent is None:
@@ -77,6 +80,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .geometry import polar, to_canonical
+
     at = Tricomplex.parse(args.at)
     # lines first, so that an overflow leaves stdout empty
     c = to_canonical(at)
@@ -86,6 +91,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
+    from .poly import TriPolynomial, enumerate_root_sets, factor
+
     poly = TriPolynomial.from_components(_read_rows(args.poly))
     if args.all:
         sets = enumerate_root_sets(poly, cap=args.cap)
@@ -98,6 +105,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
+    from .calculus import loop_integral_pole
+
     pole = Tricomplex.parse(args.pole)
     loop = _parse_loop(args.loop)
     print(loop_integral_pole(pole, loop).literal())
@@ -105,6 +114,9 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_analytic(args: argparse.Namespace) -> int:
+    from .calculus import check_analytic
+    from .functions import DIRECT, ElementaryFn
+
     at = Tricomplex.parse(args.at)
     f = DIRECT[ElementaryFn(args.fn)]
     report = check_analytic(f, at, step=args.step)
@@ -134,6 +146,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _cmd_cosexp_table(args: argparse.Namespace) -> int:
+    from .functions import texp
+
     # cx, mx, px are the components of exp(h*y); rows first, so that an
     # overflow leaves stdout empty
     rows = []
@@ -168,6 +182,8 @@ def _cmd_rho_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from .series import TriSeries, eval_series
+
     s = TriSeries.from_components(_read_rows(args.coeffs))
     at = Tricomplex.parse(args.at)
     print(eval_series(s, at).literal())

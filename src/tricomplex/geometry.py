@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     Tricomplex,
@@ -51,8 +51,7 @@ def basis_constants() -> tuple[Tricomplex, Tricomplex, Tricomplex]:
     return E1, E1T, EP
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Coordinates in the canonical basis: u = v1*e1 + v1t*e1t + vp*ep."""
 
     v1: float
@@ -128,8 +127,7 @@ def _azimuth(w: complex) -> float | None:
     return None if w == 0 else normalize_phi(math.atan2(w.imag, w.real))
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(NamedTuple):
     """Geometric descriptors of a point.
 
     ``theta`` is undefined at the origin and ``phi`` is undefined on the

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -265,6 +267,32 @@ def test_computed_values_are_plain_values():
     got = u * H + ONE
     assert got == Tricomplex(1.0 + 2.0, 1.5, -0.25)
     assert hash(got) == hash(Tricomplex(3.0, 1.5, -0.25))
+
+
+def test_value_contract():
+    u = Tricomplex(1, "-2.5", 0.0)
+    assert repr(u) == "Tricomplex(x=1.0, y=-2.5, z=0.0)"
+    assert hash(u) == hash((1.0, -2.5, 0.0))
+    assert Tricomplex("1.5", 0, 0).x == 1.5
+    assert (Tricomplex(1, 0, 0) == 1.0) is False
+    assert Tricomplex(1, 0, 0) != (1.0, 0.0, 0.0)
+    for name in ("x", "y", "z", "w"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, 3.0)
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+    assert (u.x, u.y, u.z) == (1.0, -2.5, 0.0)
+    for copied in (pickle.loads(pickle.dumps(u)), copy.copy(u), copy.deepcopy(u), copy.deepcopy([u])[0]):
+        assert type(copied) is Tricomplex
+        assert copied == u and hash(copied) == hash(u)
+    for args, message in (
+        ((float("inf"), 0, 0), "non-finite component x=inf"),
+        ((0, float("nan"), 0), "non-finite component y=nan"),
+        ((0, 0, "-inf"), "non-finite component z=-inf"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Tricomplex(*args)
+        assert str(info.value) == message
 
 
 def test_modulus_above_the_square_root_of_the_double_range():

@@ -391,6 +391,18 @@ def test_quadrature_report():
     assert error < QUADRATURE_TOL
 
 
+@pytest.mark.parametrize("turns", [1, 2, 3, -2])
+def test_multi_turn_circles_evaluate_each_node_once(turns):
+    # the nodes of k turns repeat every turn: the README circle costs its
+    # 24 evaluations at any number of turns
+    f = Counted(inverse)
+    loop = dataclasses.replace(UNIT_LOOP, turns=turns)
+    value, evaluations, error = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP)
+    assert evaluations == f.calls == 24
+    assert tri_err(value, POLE_LOOP_VALUE * float(turns)) < 1e-14
+    assert error < QUADRATURE_TOL
+
+
 def _square(center):
     xi1 = Tricomplex(2.0, -1.0, -1.0) * (1.0 / math.sqrt(6.0))
     xi2 = Tricomplex(0.0, 1.0, -1.0) * (1.0 / math.sqrt(2.0))
@@ -593,6 +605,49 @@ def test_import_and_cli_eval_do_not_load_numpy():
     )
     src = os.path.dirname(os.path.dirname(tricomplex.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+#: What the algebra, geometry and elementary functions never need.
+HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "dataclasses", "numpy")
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        ([], HEAVY),
+        (["eval", "--fn", "exp", "--at", "(0.1,0.2,0.3)"], HEAVY),
+        (["decompose", "--at", "(1,2,3)"], HEAVY),
+        (["cosexp-table", "--min", "0", "--max", "1", "--step", "0.5"], HEAVY),
+        (["rho-table", "--min", "0.2", "--max", "0.4", "--step", "0.1"], HEAVY),
+        (
+            ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1"],
+            ("tricomplex.poly",),
+        ),
+        (["factor", "--poly", "{poly}", "--all"], ("tricomplex.calculus",)),
+    ],
+    ids=["import", "eval", "decompose", "cosexp-table", "rho-table", "integrate", "factor"],
+)
+def test_commands_load_only_what_they_run(tmp_path, argv, unloaded):
+    # each CLI command imports the modules it runs, in a fresh interpreter
+    poly = tmp_path / "u2m1.csv"
+    poly.write_text("1,0,0\n0,0,0\n-1,0,0\n")
+    argv = [arg.format(poly=poly) for arg in argv]
+    code = (
+        "import runpy, sys\n"
+        "import tricomplex\n"
+        f"if {argv!r}:\n"
+        f"    sys.argv = ['tricomplex', *{argv!r}]\n"
+        "    try:\n"
+        "        runpy.run_module('tricomplex', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        assert not exc.code, exc.code\n"
+        f"loaded = sorted(set({unloaded!r}) & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(tricomplex.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 # -- Cauchy-style values --------------------------------------------------------

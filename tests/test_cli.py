@@ -299,6 +299,68 @@ def test_finite_points_never_exit_two(argv):
     assert "inf" not in out.getvalue() and "nan" not in out.getvalue(), argv
 
 
+# any float, or text that is not one
+option_value = st.floats().map(repr) | st.floats(-3.0, 3.0).map(repr)
+option_value |= st.sampled_from(["", "x", "1e999", "(1,2)"])
+any_at = whole_range_at | st.sampled_from(["(1,2)", "(a,b,c)", "(inf,0,0)", ""])
+csv_row = st.tuples(whole_range, whole_range, whole_range).map(lambda r: ",".join(map(repr, r)))
+small_row = st.tuples(*[st.floats(-3.0, 3.0)] * 3).map(lambda r: ",".join(map(repr, r)))
+csv_rows = st.lists(csv_row | small_row | st.sampled_from(["1,0", "1,x,0", ""]), max_size=4)
+monic_rows = csv_rows.map(lambda rows: ["1,0,0", *rows]) | csv_rows
+circle = st.builds(
+    lambda at, r, turns: f"circle:center={at},radius={r}" + ("" if turns is None else f",turns={turns}"),
+    any_at,
+    option_value,
+    st.none() | st.integers(-3, 3),
+)
+# drawn values, or a well-formed range inside (0, pi/2)
+table_range = st.tuples(option_value, option_value, option_value) | st.tuples(
+    st.floats(0.01, 0.8), st.floats(0.8, 1.5), st.floats(0.05, 1.0)
+).map(lambda r: tuple(map(repr, r)))
+# argv of each command; "{rows}" is the path of a CSV file of drawn rows
+command_argv = {
+    "factor": st.builds(
+        lambda flags: ["factor", "--poly", "{rows}", *flags],
+        st.sampled_from([[], ["--all"], ["--all", "--cap", "3"], ["--all", "--cap", "0"]]),
+    ),
+    "integrate": st.builds(
+        lambda pole, loop: ["integrate", "--pole", pole, "--loop", loop],
+        any_at,
+        circle | st.just("{rows}"),
+    ),
+    "cosexp-table": st.builds(
+        lambda r: ["cosexp-table", "--min", r[0], "--max", r[1], "--step", r[2]], table_range
+    ),
+    "rho-table": st.builds(
+        lambda rho, r: ["rho-table", "--rho", rho, "--min", r[0], "--max", r[1], "--step", r[2]],
+        whole_range.map(repr) | option_value,
+        table_range,
+    ),
+    "series": st.builds(lambda at: ["series", "--coeffs", "{rows}", "--at", at], any_at),
+}
+
+
+@pytest.mark.parametrize("command", sorted(command_argv))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_command_exits_0_1_or_2(tmp_path_factory, command, data):
+    # each command imports what it runs, so each gets random argv of its
+    # own: any outcome is an exit code, never an exception out of run(),
+    # and a result is finite
+    rows = data.draw(monic_rows if command == "factor" else csv_rows)
+    f = tmp_path_factory.getbasetemp() / "rows.csv"
+    f.write_text("\n".join(rows) + "\n")
+    argv = [arg.replace("{rows}", str(f)) for arg in data.draw(command_argv[command])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert "inf" not in out.getvalue() and "nan" not in out.getvalue(), argv
+    if code:
+        assert out.getvalue() == "", argv
+
+
 def test_negative_floats_in_exponent_notation(capout):
     # argparse's own pattern takes "-1e-3" for an option; the CLI prints
     # such numbers itself, so it reads them back

@@ -93,6 +93,30 @@ def test_polar_lines_and_csv():
     assert "undefined" in polar(Tricomplex(2, 2, 2)).lines()[4]
 
 
+def test_descriptor_records_keep_their_fields_and_lines():
+    p = polar(Tricomplex(1, 2, 3))
+    assert p.lines() == [
+        "d=3.7416573867739413",
+        "s=3.4641016151377548",
+        "D=1.4142135623730949",
+        "theta=0.3875966866551806",
+        "phi=3.6651914291880918",
+        "rho=2.6207413942088964",
+    ]
+    assert repr(p) == (
+        "PolarForm(d=3.7416573867739413, s=3.464101615137755, D=1.414213562373095,"
+        " rho=2.6207413942088964, theta_or_none=0.3875966866551806, phi_or_none=3.665191429188092)"
+    )
+    assert polar(ZERO).lines() == ["d=0", "s=0", "D=0", "theta=undefined", "phi=undefined", "rho=0"]
+    assert polar(ZERO).csv_row() == "0,0,0,undefined,undefined,0"
+    c = to_canonical(Tricomplex(1, 2, 3))
+    assert repr(c) == "CanonicalForm(v1=-1.5, v1t=-0.8660254037844386, vp=6.0)"
+    assert hash(c) == hash(to_canonical(Tricomplex(1, 2, 3)))
+    for record, field in ((p, "d"), (c, "v1")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+
+
 def test_canonical_examples_and_round_trip():
     c = to_canonical(ONE)
     assert (c.v1, c.v1t, c.vp) == (1.0, 0.0, 1.0)
