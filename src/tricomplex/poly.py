@@ -107,8 +107,10 @@ def _residual(coeffs: Sequence[complex], sizes: Sequence[float], w: complex) -> 
     return value, (len(coeffs) - 1) * _EPS * bound
 
 
-def _derivative(coeffs: Sequence, j: int) -> list:
-    """Coefficients of the j-th derivative."""
+def _derivative(coeffs: Sequence, j: int) -> Sequence:
+    """Coefficients of the j-th derivative (the coefficients themselves for j = 0)."""
+    if j == 0:
+        return coeffs
     n = len(coeffs) - 1
     return [c * math.perm(n - i, j) for i, c in enumerate(coeffs[: n + 1 - j])]
 
@@ -121,19 +123,25 @@ def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
     bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
     roots = [bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
     done = [False] * m
+    tol = m * _EPS
     for _ in range(MAX_ITERATIONS):
         for i, w in enumerate(roots):
             if done[i]:
                 continue
-            value, rounding = _residual(coeffs, sizes, w)
-            if abs(value) <= rounding:
+            # _residual inline: p(w) and its rounding level in one Horner pass
+            value, level, r = complex(0.0), 0.0, abs(w)
+            for c, s in zip(coeffs, sizes):
+                value, level = value * w + c, level * r + s
+            if abs(value) <= tol * level:
                 done[i] = True
                 continue
-            den = math.prod(w - wj for j, wj in enumerate(roots) if j != i)
+            den = 1  # the int 1, as in math.prod: 1 * z can flip the sign of a zero part
+            for v in roots[:i] + roots[i + 1 :]:
+                den *= w - v
             # an exact collision with another root is nudged apart
-            step = value / den if den else math.sqrt(_EPS) * (1.0 + abs(w))
+            step = value / den if den else math.sqrt(_EPS) * (1.0 + r)
             roots[i] = w - step
-            done[i] = abs(step) <= _EPS * abs(w)
+            done[i] = abs(step) <= _EPS * r
         if all(done):
             return roots
     raise NonConvergent(f"root iteration did not converge in {MAX_ITERATIONS} sweeps")
@@ -177,7 +185,7 @@ def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
     radii = []
     for i, w in enumerate(found):
         value, rounding = _residual(head, heads, w)
-        den = abs(math.prod(w - v for j, v in enumerate(found) if j != i))
+        den = abs(math.prod(w - v for v in found[:i] + found[i + 1 :]))
         # coinciding roots (den 0) join one component through their zero distance
         radii.append((n - 1) * (abs(value) + rounding) / den if den else 0.0)
     roots: list[complex] = []

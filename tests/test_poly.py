@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -228,6 +229,97 @@ def test_misplaced_root_is_reported(monkeypatch, scale):
     monkeypatch.setattr(poly, "_polish", misplace)
     with pytest.raises(NonConvergent):
         factor(TriPolynomial.from_roots(_split_roots(parts)))
+
+
+def _separated_parts(rng, m):
+    """m roots whose longitudinal parts lie each in its own slot of
+    [-2, 2] and whose transverse parts lie each in its own cell of a 4x4
+    grid on [-2, 2]^2."""
+    longi = [-2.0 + 4.0 / m * (k + rng.uniform(0.2, 0.8)) for k in rng.permutation(m)]
+    cells = rng.choice(16, size=m, replace=False)
+    trans = [complex(c % 4 - 2 + rng.uniform(0.2, 0.8), c // 4 - 2 + rng.uniform(0.2, 0.8)) for c in cells]
+    return list(zip(trans, longi))
+
+
+def _reference_sweep(coeffs, sizes):
+    """The Weierstrass sweep through ``_residual`` and ``math.prod``,
+    step for step what ``poly._sweep`` computes inline."""
+    m = len(coeffs) - 1
+    bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
+    roots = [bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
+    done = [False] * m
+    for _ in range(poly.MAX_ITERATIONS):
+        for i, w in enumerate(roots):
+            if done[i]:
+                continue
+            value, rounding = poly._residual(coeffs, sizes, w)
+            if abs(value) <= rounding:
+                done[i] = True
+                continue
+            den = math.prod(w - v for j, v in enumerate(roots) if j != i)
+            step = value / den if den else math.sqrt(poly._EPS) * (1.0 + abs(w))
+            roots[i] = w - step
+            done[i] = abs(step) <= poly._EPS * abs(w)
+        if all(done):
+            return roots
+    raise NonConvergent("reference sweep did not converge")
+
+
+def _bits(roots):
+    return [(w.real.hex(), w.imag.hex()) for w in roots]
+
+
+def test_sweep_matches_the_residual_form():
+    # same roots to the last bit, signed zeros included, on small integer
+    # coefficients (with -0.0) and on separated roots up to degree 10
+    rng = np.random.default_rng(211)
+    values = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]
+    polys = [
+        TriPolynomial.from_components([(1, 0, 0)] + [tuple(rng.choice(values, 3)) for _ in range(degree)])
+        for degree in (2, 3) for _ in range(200)
+    ]
+    polys += [TriPolynomial.from_roots(_split_roots(_separated_parts(rng, m))) for m in range(2, 11)]
+    compared = 0
+    for p in polys:
+        parts = decompose(p)
+        sizes = [abs(a.x) + abs(a.y) + abs(a.z) for a in p.coeffs]
+        for coeffs in (parts.transverse, [complex(c) for c in parts.longitudinal]):
+            if coeffs[-1] != 0:
+                assert _bits(poly._sweep(coeffs, sizes)) == _bits(_reference_sweep(coeffs, sizes))
+                compared += 1
+    assert compared > 500
+
+
+def test_sweep_cap_raises_nonconvergent(monkeypatch):
+    # one sweep cannot settle three roots started on Fujiwara's circle
+    monkeypatch.setattr(poly, "MAX_ITERATIONS", 1)
+    p = TriPolynomial.from_roots(_split_roots(WIDE_PARTS[:3]))
+    with pytest.raises(NonConvergent, match="root iteration did not converge"):
+        factor(p)
+
+
+def test_polish_stops_at_a_zero_slope():
+    # w^2 - 1 has slope 0 at 0, where Newton has no step to take
+    assert poly._polish([1.0, 0.0, -1.0], 0j, 1) == 0
+
+
+@pytest.mark.parametrize("degree", range(5, 11))
+def test_separated_roots_factor_at_high_degree(degree):
+    rng = np.random.default_rng(1000 + degree)
+    for _ in range(4):
+        p = TriPolynomial.from_roots(_split_roots(_separated_parts(rng, degree)))
+        _assert_rebuilds(p, factor(p))
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_separated_roots_enumerate_up_to_the_cap(degree):
+    # degree! distinct pairings, more than the default cap of 24
+    rng = np.random.default_rng(1100 + degree)
+    p = TriPolynomial.from_roots(_split_roots(_separated_parts(rng, degree)))
+    sets = enumerate_root_sets(p)
+    assert len(sets) == 24
+    for rs in sets:
+        _assert_rebuilds(p, rs)
 
 
 def test_clustered_roots_are_accurate_or_reported():
