@@ -134,6 +134,9 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError("range end must be >= range start")
     if (hi - lo) / step >= _MAX_ROWS:
         raise ValueError(f"range holds more than {_MAX_ROWS} rows")
+    # a finer step leaves lo + i*step where it is, and the rows never reach hi
+    if step < math.ulp(max(abs(lo), abs(hi))):
+        raise ValueError("step is finer than the double spacing at the range bounds")
     out = []
     i = 0
     while True:

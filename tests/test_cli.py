@@ -249,6 +249,10 @@ def test_parse_errors_exit_two(capout):
         (["cosexp-table", "--min", "1", "--max", "0", "--step", "0.5"], 2),
         (["rho-table", "--min", "0", "--max", "1", "--step", "0.5"], 2),
         (["rho-table", "--min", "1", "--max", "2", "--step", "0.5"], 2),
+        # a step below the double spacing at the bounds never moves the grid
+        (["cosexp-table", "--min", "1", "--max", "1", "--step", "1e-300"], 2),
+        (["rho-table", "--rho", "1", "--min", "1e300", "--max", "1e300", "--step", "1"], 2),
+        (["rho-table", "--min", "1", "--max", "1", "--step", "1e-17"], 2),
     ],
 )
 def test_error_exit_codes(capout, argv, code):
