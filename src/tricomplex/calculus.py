@@ -45,14 +45,12 @@ from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
-    AlgebraClass,
     H,
     K,
     ONE,
     Tricomplex,
     ZERO,
     _times_pow2,
-    classify,
     default_tolerance,
     inverse,
 )
@@ -162,8 +160,8 @@ class Path3:
     tangent_at: Callable[[float], Tricomplex] | None = None
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError("samples must be an integer >= 1")
         # a circle's ends differ by its angle's rounding, 4.7e-8 at 10**9 turns
         if self.closed and not isinstance(self, _Circle):
             a, b = self.point_at(0.0), self.point_at(1.0)
@@ -256,8 +254,8 @@ class _Circle(_SplitPath):
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError("radius must be finite and > 0")
-        if self.turns == 0:
-            raise ValueError("turns must be nonzero")
+        if not isinstance(self.turns, int) or self.turns == 0:
+            raise ValueError("turns must be a nonzero integer")
         object.__setattr__(self, "samples", 64 * abs(self.turns))
         cw, cv = _to_split(self.center)
         object.__setattr__(self, "center_w", cw)
@@ -313,16 +311,15 @@ def derivative(
     """Central difference quotient of ``f`` at ``u0``.
 
     The increment runs along ``direction`` (default: the real axis),
-    which must be invertible; a direction on a nodal set cannot be
-    divided by and raises ZeroDivisor.  ``step`` must be finite and > 0.
+    which must be invertible (off the nodal sets), else ZeroDivisor is
+    raised.  ``step`` must be finite, > 0 and large enough to move ``u0``.
     """
-    cls = classify(direction)
-    if cls is not AlgebraClass.REGULAR:
-        raise ZeroDivisor(
-            f"increment direction {direction} lies on a nodal set ({cls.value})", cls
-        )
-    du = direction * _checked_step(step)
-    return (f(u0 + du) - f(u0 - du)) * inverse(du * 2.0)
+    scale = inverse(direction) * (0.5 / _checked_step(step))
+    du = direction * step
+    hi, lo = u0 + du, u0 - du
+    if hi == lo:
+        raise ValueError("step is finer than the double spacing at u0")
+    return (f(hi) - f(lo)) * scale
 
 
 def _checked_step(step: float) -> float:
@@ -512,14 +509,14 @@ def _exact_sum(tw: list[complex], tv: list[float]) -> tuple[complex, float]:
 
 def _panel(
     g: SplitFunction, nodes: Callable[[float, float], list[Node]], a: float, h: float
-) -> tuple[complex, float, list[complex], list[float]]:
-    """The sum and the terms of g on the panel [a, a + h].  A sum beyond
-    the double range raises SingularOnPath."""
+) -> tuple[float, float, complex, float, list[complex], list[float]]:
+    """The panel [a, a + h] evaluated: (a, h), the sum of g on it and its
+    terms.  A sum beyond the double range raises SingularOnPath."""
     tw, tv = _terms(g, nodes(a, h))
     sw, sv = sum(tw), sum(tv)
     if not (cmath.isfinite(sw) and math.isfinite(sv)):
         raise SingularOnPath(f"the integral over a panel of {len(tv)} nodes leaves the double range")
-    return sw, sv, tw, tv
+    return a, h, sw, sv, tw, tv
 
 
 def _coefficient_size(row: tuple[float, ...], tw: list[complex], tv: list[float]) -> float:
@@ -591,39 +588,36 @@ def _quadrature(
         raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
     nodes = _panel_nodes(path)
     scale = tol / path.samples  # the tolerance of a panel one sample wide
-    tw_all, tv_all, estimate, evaluations = [], [], 0.0, 0
-    # (start, width, value): a panel, or when its value is known, its halves
-    batch: list[tuple[float, float, tuple[complex, float] | None]]
-    batch = [(float(p), 1.0, None) for p in range(path.samples)]
-    while batch:
-        evaluations += _ORDER * sum(1 if whole is None else 2 for _, _, whole in batch)
+    # (start, width, sw, sv, tw, tv): an evaluated panel; the starting ones
+    # are evaluated as they are judged, after the first round's cap check
+    panels = (_panel(g, nodes, float(p), 1.0) for p in range(path.samples))
+    tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, 0, []
+    count = path.samples  # the panels this round evaluates
+    while count:
+        evaluations += _ORDER * count
         if evaluations > cap:
             raise NonConvergent(f"quadrature did not settle below {tol} within {cap} evaluations")
-        failed = []
-        for a, h, whole in batch:
-            if whole is None:
-                panels = [(a, h, *_panel(g, nodes, a, h))]
-            else:
-                h /= 2.0
-                left, right = _panel(g, nodes, a, h), _panel(g, nodes, a + h, h)
-                error = _norm(whole[0] - left[0] - right[0], whole[1] - left[1] - right[1])
-                if error <= 2.0 * h * scale or error <= _rounding(left[2] + right[2], left[3] + right[3]):
-                    tw_all += left[2]
-                    tw_all += right[2]
-                    tv_all += left[3]
-                    tv_all += right[3]
-                    estimate += error
-                    continue
-                panels = [(a, h, *left), (a + h, h, *right)]
-            for b, h, sw, sv, tw, tv in panels:
-                error = _tail_estimate(tw, tv, h * scale)
-                if error <= h * scale or error <= _rounding(tw, tv):
+        for a, h, sw, sv in failed:
+            h /= 2.0
+            left, right = _panel(g, nodes, a, h), _panel(g, nodes, a + h, h)
+            error = _norm(sw - left[2] - right[2], sv - left[3] - right[3])
+            if error <= 2.0 * h * scale or error <= _rounding(left[4] + right[4], left[5] + right[5]):
+                for *_, tw, tv in (left, right):
                     tw_all += tw
                     tv_all += tv
-                    estimate += error
-                else:
-                    failed.append((b, h, (sw, sv)))
-        batch = failed
+                estimate += error
+            else:
+                panels += left, right
+        failed = []
+        for a, h, sw, sv, tw, tv in panels:
+            error = _tail_estimate(tw, tv, h * scale)
+            if error <= h * scale or error <= _rounding(tw, tv):
+                tw_all += tw
+                tv_all += tv
+                estimate += error
+            else:
+                failed.append((a, h, sw, sv))
+        panels, count = [], 2 * len(failed)
     return _from_split(*_exact_sum(tw_all, tv_all)), evaluations, estimate
 
 

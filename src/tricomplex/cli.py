@@ -13,7 +13,7 @@ import argparse
 import math
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import Tricomplex
 from .errors import Overflow, TricomplexError
@@ -65,32 +65,26 @@ def _parse_loop(spec: str):
     return Path3.polyline(vertices, closed=True)
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> list[str]:
     from .functions import DIRECT, ElementaryFn, tpow
 
     at = Tricomplex.parse(args.at)
     if args.fn == "pow":
         if args.exponent is None:
             raise ValueError("--exponent is required with --fn pow")
-        result = tpow(at, args.exponent)
-    else:
-        result = DIRECT[ElementaryFn(args.fn)](at)
-    print(result.literal())
-    return 0
+        return [tpow(at, args.exponent).literal()]
+    return [DIRECT[ElementaryFn(args.fn)](at).literal()]
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> list[str]:
     from .geometry import polar, to_canonical
 
     at = Tricomplex.parse(args.at)
-    # lines first, so that an overflow leaves stdout empty
     c = to_canonical(at)
-    lines = polar(at).lines() + [f"v1={_fmt(c.v1)}", f"v1t={_fmt(c.v1t)}", f"vp={_fmt(c.vp)}"]
-    print("\n".join(lines))
-    return 0
+    return polar(at).lines() + [f"v1={_fmt(c.v1)}", f"v1t={_fmt(c.v1t)}", f"vp={_fmt(c.vp)}"]
 
 
-def _cmd_factor(args: argparse.Namespace) -> int:
+def _cmd_factor(args: argparse.Namespace) -> list[str]:
     from .poly import TriPolynomial, enumerate_root_sets, factor
 
     poly = TriPolynomial.from_components(_read_rows(args.poly))
@@ -98,31 +92,25 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         sets = enumerate_root_sets(poly, cap=args.cap)
     else:
         sets = [factor(poly)]
-    for i, rs in enumerate(sets, start=1):
-        roots = " ".join(r.literal() for r in rs.roots)
-        print(f"root_set {i}: {roots}")
-    return 0
+    roots = (" ".join(r.literal() for r in rs.roots) for rs in sets)
+    return [f"root_set {i}: {line}" for i, line in enumerate(roots, start=1)]
 
 
-def _cmd_integrate(args: argparse.Namespace) -> int:
+def _cmd_integrate(args: argparse.Namespace) -> list[str]:
     from .calculus import loop_integral_pole
 
     pole = Tricomplex.parse(args.pole)
     loop = _parse_loop(args.loop)
-    print(loop_integral_pole(pole, loop).literal())
-    return 0
+    return [loop_integral_pole(pole, loop).literal()]
 
 
-def _cmd_check_analytic(args: argparse.Namespace) -> int:
+def _cmd_check_analytic(args: argparse.Namespace) -> list[str]:
     from .calculus import check_analytic
     from .functions import DIRECT, ElementaryFn
 
     at = Tricomplex.parse(args.at)
     f = DIRECT[ElementaryFn(args.fn)]
-    report = check_analytic(f, at, step=args.step)
-    for line in report.lines():
-        print(line)
-    return 0
+    return check_analytic(f, at, step=args.step).lines()
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -148,22 +136,18 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return out
 
 
-def _cmd_cosexp_table(args: argparse.Namespace) -> int:
+def _cmd_cosexp_table(args: argparse.Namespace) -> list[str]:
     from .functions import texp
 
-    # cx, mx, px are the components of exp(h*y); rows first, so that an
-    # overflow leaves stdout empty
-    rows = []
+    # cx, mx, px are the components of exp(h*y)
+    lines = ["y,cx,mx,px"]
     for y in _grid(args.min, args.max, args.step):
         e = texp(Tricomplex(0.0, y, 0.0))
-        rows.append(f"{_fmt(y)},{_fmt(e.x)},{_fmt(e.y)},{_fmt(e.z)}")
-    print("y,cx,mx,px")
-    for row in rows:
-        print(row)
-    return 0
+        lines.append(f"{_fmt(y)},{_fmt(e.x)},{_fmt(e.y)},{_fmt(e.z)}")
+    return lines
 
 
-def _cmd_rho_table(args: argparse.Namespace) -> int:
+def _cmd_rho_table(args: argparse.Namespace) -> list[str]:
     # distance from origin at fixed amplitude: invert
     # rho = sqrt(3)/cbrt(2) * d * sin(theta)^(2/3) * cos(theta)^(1/3)
     if not (math.isfinite(args.rho) and args.rho > 0.0):
@@ -172,25 +156,21 @@ def _cmd_rho_table(args: argparse.Namespace) -> int:
     if not all(0.0 < theta < 0.5 * math.pi for theta in grid):
         raise ValueError("theta grid must stay strictly inside (0, pi/2)")
     scale = args.rho * 2.0 ** (1.0 / 3.0) / math.sqrt(3.0)
-    rows = []
+    lines = ["theta,d"]
     for theta in grid:
         d = scale / (math.sin(theta) ** (2.0 / 3.0) * math.cos(theta) ** (1.0 / 3.0))
         if not math.isfinite(d):
             raise Overflow(f"distance at theta={_fmt(theta)} exceeds the double range")
-        rows.append(f"{_fmt(theta)},{_fmt(d)}")
-    print("theta,d")
-    for row in rows:
-        print(row)
-    return 0
+        lines.append(f"{_fmt(theta)},{_fmt(d)}")
+    return lines
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> list[str]:
     from .series import TriSeries, eval_series
 
     s = TriSeries.from_components(_read_rows(args.coeffs))
     at = Tricomplex.parse(args.at)
-    print(eval_series(s, at).literal())
-    return 0
+    return [eval_series(s, at).literal()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,15 +258,17 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler: Callable[[argparse.Namespace], int] = args.handler
     try:
-        return handler(args)
+        lines = args.handler(args)
     except TricomplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # printed only once the handler returns, so an error leaves stdout empty
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return 0
 
 
 def main() -> None:

@@ -17,6 +17,7 @@ import enum
 import math
 
 from .algebra import H, Tricomplex
+from .errors import Overflow
 from .functions import texp
 
 
@@ -52,14 +53,22 @@ def px(y: float) -> float:
 
 
 def cosexp_series(kind: CosexpKind, y: float, terms: int = DEFAULT_TERMS) -> float:
-    """Partial sum of the defining series with ``terms`` nonzero terms."""
+    """Partial sum of the defining series with ``terms`` nonzero terms.
+    A term whose y**p or p! leaves the double range is stepped from the
+    previous one, so only a term beyond that range raises Overflow."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
     offset = kind.value
-    total = 0.0
+    total, term = 0.0, 1.0  # term: the previous one, or y**0/0! before the first
     for n in range(terms):
         p = 3 * n + offset
-        total += y**p / math.factorial(p)
+        try:
+            term = y**p / math.factorial(p)
+        except OverflowError:
+            term *= math.prod(y / j for j in range(max(p - 2, 1), p + 1))
+            if math.isinf(term):
+                raise Overflow(f"term y**{p}/{p}! at y={y!r} exceeds the double range") from None
+        total += term
     return total
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_derivative_step_must_be_finite_and_positive():
     for step in (math.nan, math.inf, 0.0, -1e-5):
         with pytest.raises(ValueError, match="step must be finite"):
             derivative(f, ONE, step=step)
+    assert f.calls == 0
+
+
+def test_derivative_takes_small_steps_and_directions_near_the_trisector():
+    # 2*step*direction lies within the trisector line's tolerance here,
+    # though the direction itself is invertible
+    want = texp(ONE)
+    assert tri_err(derivative(texp, ONE, step=1e-7), want) < 1e-9
+    assert tri_err(derivative(texp, ONE, direction=Tricomplex(1, 1.01, 1)), want) < 1e-8
+
+
+def test_derivative_refuses_a_step_that_does_not_move_u0():
+    # u0 +- 1e-17 is u0: the quotient would be zero whatever f is
+    f = Counted(texp)
+    with pytest.raises(ValueError, match="finer than the double spacing"):
+        derivative(f, ONE, step=1e-17)
     assert f.calls == 0
 
 
@@ -557,10 +574,34 @@ def test_node_cap_is_checked_before_evaluating():
     assert f.calls == 0
 
 
+def test_panel_cap_is_checked_before_the_panels_are_made():
+    # a million starting panels are over the cap: refused before any point
+    # is taken, and before a list of a million panels is built
+    points = Counted(UNIT_LOOP.point_at)
+    path = Path3.parametric(points, samples=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergent):
+            path_integral(texp, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert points.calls == 0
+    assert peak < 2**20
+
+
 def test_path_needs_a_sample():
     # a path without panels would leave the refinement loop nothing to refine
     with pytest.raises(ValueError):
         Path3(point_at=lambda t: ZERO, samples=0, closed=False)
+
+
+def test_path_counts_must_be_integers():
+    # 2.5 turns leave the circle open; 2.5 samples make no whole panels
+    with pytest.raises(ValueError, match="turns must be a nonzero integer"):
+        Path3.circle(Tricomplex(1, 1, 1), 1.0, turns=2.5)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        Path3.parametric(UNIT_LOOP.point_at, samples=2.5)
 
 
 def test_open_parametric_arc():

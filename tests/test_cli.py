@@ -10,7 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tricomplex
-from tricomplex import Tricomplex, cx, mx, px, texp, tpow
+from tricomplex import (
+    ONE,
+    ZERO,
+    Path3,
+    TriPolynomial,
+    TriSeries,
+    Tricomplex,
+    check_analytic,
+    cx,
+    enumerate_root_sets,
+    eval_series,
+    from_exponential,
+    loop_integral_pole,
+    mx,
+    polar,
+    px,
+    texp,
+    to_canonical,
+    tpow,
+)
 from tricomplex.cli import run
 
 
@@ -395,6 +414,75 @@ def test_pow_needs_exponent_and_works(capout):
     code, out, _ = capout("eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "2")
     assert code == 0
     assert out == "(1,2,1)\n"
+
+
+def test_readme_commands_print_the_library_lines(capout, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    u2m1 = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]
+    coeffs = [(1.0 / math.factorial(n), 0.0, 0.0) for n in range(24)]
+    # a square around the trisector line, one unit below the origin's component sum
+    e1 = [v / math.sqrt(6.0) for v in (2.0, -1.0, -1.0)]
+    e2 = [v / math.sqrt(2.0) for v in (0.0, 1.0, -1.0)]
+    square = [
+        tuple(-1.0 / 3.0 + xi1 * a + xi2 * b for a, b in zip(e1, e2))
+        for xi1, xi2 in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)]
+    ]
+    for name, rows in (("u2m1.csv", u2m1), ("exp.csv", coeffs), ("loop.csv", square)):
+        (tmp_path / name).write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    c = to_canonical(ONE)
+    sets = enumerate_root_sets(TriPolynomial.from_components(u2m1))
+    circle = Path3.circle(Tricomplex(1, 1, 1), 1.0, 1)
+    cases = [
+        (["eval", "--fn", "exp", "--at", "(0,0,0)"], [texp(ZERO).literal()]),
+        (
+            ["eval", "--fn", "pow", "--at", "(1,1,0)", "--exponent", "2"],
+            [tpow(Tricomplex(1, 1, 0), 2.0).literal()],
+        ),
+        (
+            ["decompose", "--at", "(1,0,0)"],
+            polar(ONE).lines() + [f"v1={c.v1:.17g}", f"v1t={c.v1t:.17g}", f"vp={c.vp:.17g}"],
+        ),
+        (
+            ["factor", "--poly", "u2m1.csv", "--all"],
+            [
+                f"root_set {i}: " + " ".join(r.literal() for r in rs.roots)
+                for i, rs in enumerate(sets, start=1)
+            ],
+        ),
+        (
+            ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1,turns=1"],
+            [loop_integral_pole(ZERO, circle).literal()],
+        ),
+        (
+            ["integrate", "--pole", "(0,0,0)", "--loop", "loop.csv"],
+            [loop_integral_pole(ZERO, Path3.polyline([Tricomplex(*v) for v in square], closed=True)).literal()],
+        ),
+        (
+            ["check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)"],
+            check_analytic(texp, Tricomplex(0.1, 0.2, 0.3), step=1e-4).lines(),
+        ),
+        (
+            ["cosexp-table", "--min", "0", "--max", "5", "--step", "0.1"],
+            ["y,cx,mx,px"]
+            + [f"{y:.17g},{cx(y):.17g},{mx(y):.17g},{px(y):.17g}" for y in (i * 0.1 for i in range(51))],
+        ),
+        (
+            ["series", "--coeffs", "exp.csv", "--at", "(0.2,0.1,-0.1)"],
+            [eval_series(TriSeries.from_components(coeffs), Tricomplex(0.2, 0.1, -0.1)).literal()],
+        ),
+    ]
+    for argv, lines in cases:
+        assert capout(*argv) == (0, "".join(line + "\n" for line in lines), "")
+    # the library has no rho table: each row's d is the length of the point
+    # at amplitude 1 and polar angle theta
+    code, out, err = capout("rho-table", "--rho", "1", "--min", "0.2", "--max", "1.3", "--step", "0.1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "theta,d"
+    assert [line.split(",")[0] for line in lines[1:]] == [f"{0.2 + i * 0.1:.17g}" for i in range(12)]
+    for line in lines[1:]:
+        theta, d = map(float, line.split(","))
+        assert abs(from_exponential(1.0, theta, 0.0)) == pytest.approx(d, rel=1e-15)
 
 
 def test_round_trip_of_printed_values(capout):

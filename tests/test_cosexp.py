@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tricomplex import CosexpKind, cosexp, cosexp_derivative, cosexp_series, cx, mx, px
+from tricomplex import CosexpKind, Overflow, cosexp, cosexp_derivative, cosexp_series, cx, mx, px
 
 GRID = np.linspace(-5.0, 5.0, 101)
 
@@ -32,6 +32,19 @@ def test_series_partial_sums():
                 )
     with pytest.raises(ValueError):
         cosexp_series(CosexpKind.CX, 1.0, 0)
+
+
+def test_series_past_the_double_range_of_its_factorials():
+    # p! leaves the double range past p = 170, where the terms at y = 1 are
+    # below the sum's last digit
+    for kind in CosexpKind:
+        want = cosexp_series(kind, 1.0, 57)
+        assert cosexp_series(kind, 1.0, 58) == want
+        assert cosexp_series(kind, 1.0, 60) == want
+        # y**p leaves it from p = 155 at y = 100, the terms y**p/p! do not
+        assert cosexp_series(kind, 100.0, 150) == pytest.approx(cosexp(kind, 100.0), rel=1e-13)
+    with pytest.raises(Overflow):
+        cosexp_series(CosexpKind.PX, 1e200, 1)
 
 
 def test_closed_form_agrees_with_series():
