@@ -25,13 +25,13 @@ _PUBLIC = {
     ),
     "algebra": (
         "AlgebraClass", "H", "K", "ONE", "Tricomplex", "ZERO", "add", "amplitude", "classify",
-        "component_sum", "default_tolerance", "determinant_form", "inverse", "irreducible_rep",
-        "mul", "quadratic_form", "to_matrix",
+        "component_sum", "default_tolerance", "determinant_form", "inverse", "mul",
+        "quadratic_form", "to_matrix",
     ),
     "geometry": (
         "CanonicalForm", "E1", "E1T", "EP", "PolarForm", "basis_constants", "canonical_mul",
-        "from_canonical", "from_exponential", "invariant_circle_point", "normalize_phi", "polar",
-        "projection_on_nodal_plane", "to_canonical",
+        "from_canonical", "from_exponential", "invariant_circle_point", "irreducible_rep",
+        "normalize_phi", "polar", "projection_on_nodal_plane", "to_canonical",
     ),
     "functions": (
         "DIRECT", "ElementaryFn", "oracle_eval", "power_from_polar", "tcos", "tcosh", "texp",
@@ -42,7 +42,7 @@ _PUBLIC = {
     "calculus": (
         "POLE_LOOP_VALUE", "Path3", "PoleSpec", "RiemannReport", "cauchy_value",
         "check_analytic", "derivative", "loop_integral_pole", "path_integral", "residue_sum",
-        "taylor_recenter", "winding_count",
+        "winding_count",
     ),
     "poly": (
         "DecomposedPoly", "RootSet", "TriPolynomial", "decompose", "enumerate_root_sets",
@@ -50,7 +50,7 @@ _PUBLIC = {
     ),
     "series": (
         "ConvergenceRegion", "TriSeries", "delta", "eval_series", "exp_series", "modulus",
-        "radius_cylindrical", "radius_spherical", "sigma",
+        "radius_cylindrical", "radius_spherical", "sigma", "taylor_recenter",
     ),
 }
 _LAZY = ("calculus", "poly", "series")

@@ -19,6 +19,7 @@ from .errors import Overflow, ZeroDivisor
 if TYPE_CHECKING:
     import numpy as np
 
+_SQRT3 = math.sqrt(3.0)
 _LITERAL_RE = re.compile(
     r"^\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)$"
 )
@@ -250,8 +251,8 @@ def default_tolerance(u: Tricomplex) -> float:
 def classify(u: Tricomplex, tol: float | None = None) -> AlgebraClass:
     """Classify a number against the nodal sets.
 
-    Both defining forms (the component sum and the quadratic form) are
-    compared to an absolute tolerance; ``tol`` defaults to
+    Two lengths, the distance to the trisector line and the component
+    sum, are compared to an absolute tolerance; ``tol`` defaults to
     1e-12 * max(1, max-abs-component).
     """
     if tol is None:
@@ -260,7 +261,7 @@ def classify(u: Tricomplex, tol: float | None = None) -> AlgebraClass:
         raise ValueError("tolerance must be >= 0")
     if u.max_abs_component() <= tol:
         return AlgebraClass.ZERO
-    if quadratic_form(u) <= tol:
+    if math.hypot(u.x - u.y, u.x - u.z, u.y - u.z) / _SQRT3 <= tol:
         return AlgebraClass.ON_TRISECTOR_LINE
     if abs(component_sum(u)) <= tol:
         return AlgebraClass.ON_NODAL_PLANE
@@ -308,20 +309,3 @@ def to_matrix(u: Tricomplex) -> np.ndarray:
         ]
     )
 
-
-def irreducible_rep(u: Tricomplex) -> np.ndarray:
-    """Block-diagonal real representation: a 2x2 rotation-scaling block
-    acting on the plane transverse to the trisector line, plus the 1x1
-    component sum along it."""
-    import numpy as np
-
-    from .geometry import _to_split
-
-    w, vp = _to_split(u)
-    return np.array(
-        [
-            [w.real, w.imag, 0.0],
-            [-w.imag, w.real, 0.0],
-            [0.0, 0.0, vp],
-        ]
-    )

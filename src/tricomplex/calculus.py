@@ -62,7 +62,6 @@ from .errors import (
     ZeroDivisor,
 )
 from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _scaled_split, _to_split
-from .series import TriSeries
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
 #: An integrand in split coordinates: the pair (f_w, f_v) of f(u) from a
@@ -712,7 +711,7 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     samples raises NonConvergent before any point is taken."""
     if not loop.closed:
         raise ValueError("loop must be closed")
-    aw, _, e = _scaled_split(point)
+    aw, _, _, e = _scaled_split(point)
     if e:
         what = f"the transverse pair of {point}"
         aw = complex(_times_pow2(aw.real, e, what), _times_pow2(aw.imag, e, what))
@@ -745,15 +744,3 @@ def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
             acc = acc + pole.residue * float(w)
     return POLE_LOOP_VALUE * acc
 
-
-def taylor_recenter(s: TriSeries, a: Tricomplex) -> TriSeries:
-    """Re-expand sum(a_l u^l) around ``a``: coefficients of the series in
-    powers of (u - a), obtained by repeated synthetic division (the
-    Horner form of the Taylor shift).  It forms no binomial weights, so
-    a result in the double range is returned even where those weights
-    are not; a result beyond it raises Overflow."""
-    b = list(s.coeffs)
-    for i in range(len(b) - 1):
-        for j in range(len(b) - 2, i - 1, -1):
-            b[j] = b[j] + a * b[j + 1]
-    return TriSeries(tuple(b))

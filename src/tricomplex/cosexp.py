@@ -58,6 +58,8 @@ def cosexp_series(kind: CosexpKind, y: float, terms: int = DEFAULT_TERMS) -> flo
     previous one, so only a term beyond that range raises Overflow."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
+    if not math.isfinite(y):
+        raise ValueError(f"non-finite argument y={y!r}")
     offset = kind.value
     total, term = 0.0, 1.0  # term: the previous one, or y**0/0! before the first
     for n in range(terms):

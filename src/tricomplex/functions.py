@@ -94,7 +94,7 @@ def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float
     ``purpose`` names a real logarithm or fractional power, component
     sum > 0.  The checks run on the scaled copy, whose sums stay in the
     double range."""
-    w, sigma, e = _scaled_split(u)
+    w, r, sigma, e = _scaled_split(u)
     phi = _azimuth(w)
     if phi is None:
         raise DomainError(
@@ -106,7 +106,7 @@ def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float
             f"component sum x+y+z must be > 0 for {purpose}",
             REASON_NODAL_PLANE_SIDE,
         )
-    return math.hypot(w.real, w.imag), phi, sigma, e
+    return r, phi, sigma, e
 
 
 def tlog(u: Tricomplex) -> Tricomplex:

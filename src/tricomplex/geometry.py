@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
+    _SQRT3,
     Tricomplex,
     _computed,
     _pow2_scaled,
@@ -32,7 +33,9 @@ from .errors import (
     UndefinedAngle,
 )
 
-_SQRT3 = math.sqrt(3.0)
+if TYPE_CHECKING:
+    import numpy as np
+
 _TWO_PI = 2.0 * math.pi
 #: Euclidean length of a unit of the transverse pair: |u| is
 #: sqrt((2/3)|w|^2 + v^2/3), as e1, e1t and ep are orthogonal.
@@ -77,6 +80,22 @@ def _to_split(u: Tricomplex) -> tuple[complex, float]:
     return complex(v1, v1t), vp
 
 
+def irreducible_rep(u: Tricomplex) -> np.ndarray:
+    """Block-diagonal real representation: a 2x2 rotation-scaling block
+    acting on the plane transverse to the trisector line, plus the 1x1
+    component sum along it."""
+    import numpy as np
+
+    w, vp = _to_split(u)
+    return np.array(
+        [
+            [w.real, w.imag, 0.0],
+            [-w.imag, w.real, 0.0],
+            [0.0, 0.0, vp],
+        ]
+    )
+
+
 def _from_split(fw: complex, fp: float) -> Tricomplex:
     """The number with transverse pair ``fw`` and component sum ``fp``.
 
@@ -106,18 +125,19 @@ def from_canonical(c: CanonicalForm) -> Tricomplex:
     return _from_split(complex(c.v1, c.v1t), c.vp)
 
 
-def _scaled_split(u: Tricomplex) -> tuple[complex, float, int]:
-    """(w, vp, e) of u / 2**e: e is 0 unless a split coordinate or |w| of
-    u leaves the double range, and the copy is then scaled into it."""
+def _scaled_split(u: Tricomplex) -> tuple[complex, float, float, int]:
+    """(w, |w|, vp, e) of u / 2**e: e is 0 unless a split coordinate or |w|
+    of u leaves the double range, and the copy is then scaled into it."""
     try:
         w, vp = _to_split(u)
-        abs(w)  # a complex modulus beyond the double range raises OverflowError
-        return w, vp, 0
-    except (Overflow, OverflowError):
+        r = math.hypot(w.real, w.imag)
+        if math.isfinite(r):
+            return w, r, vp, 0
+    except Overflow:
         pass
     v, e = _pow2_scaled(u)
     w, vp = _to_split(v)
-    return w, vp, e
+    return w, math.hypot(w.real, w.imag), vp, e
 
 
 def _azimuth(w: complex) -> float | None:
@@ -187,8 +207,8 @@ def polar(u: Tricomplex) -> PolarForm:
     d = abs(u)
     if not math.isfinite(d):
         raise Overflow(f"a polar descriptor of {u} exceeds the double range")
-    w, vp, e = _scaled_split(u)
-    s, D = vp / _SQRT3, math.hypot(w.real, w.imag) * _TRANSVERSE_NORM
+    w, r, vp, e = _scaled_split(u)
+    s, D = vp / _SQRT3, r * _TRANSVERSE_NORM
     if e:
         # d, s and D are degree-1 homogeneous, the angles scale-free
         what = f"a polar descriptor of {u}"
@@ -267,28 +287,10 @@ def projection_on_nodal_plane(u: Tricomplex) -> tuple[float, float]:
     power of two where a split coordinate leaves the double range, so
     Overflow means that the projection itself exceeds it.
     """
-    w, _, e = _scaled_split(u)
+    w, _, _, e = _scaled_split(u)
     w *= _TRANSVERSE_NORM
     if not e:
         return w.real, w.imag
     what = f"the projection of {u} on the nodal plane"
     return _times_pow2(w.real, e, what), _times_pow2(w.imag, e, what)
 
-
-__all__ = [
-    "CanonicalForm",
-    "PolarForm",
-    "E1",
-    "E1T",
-    "EP",
-    "basis_constants",
-    "canonical_mul",
-    "from_canonical",
-    "from_exponential",
-    "invariant_circle_point",
-    "normalize_phi",
-    "polar",
-    "projection_on_nodal_plane",
-    "to_canonical",
-    "transverse_longitudinal",
-]

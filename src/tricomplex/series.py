@@ -32,8 +32,7 @@ def delta(u: Tricomplex) -> float:
     of the transverse pair w = v1 + i*v1t of ``u``, from
     ``geometry._scaled_split``, so that it stays finite wherever it is in
     the double range."""
-    w, _, e = _scaled_split(u)
-    r = math.hypot(w.real, w.imag)
+    _, r, _, e = _scaled_split(u)
     return _times_pow2(r, e, f"the transverse magnitude of {u}") if e else r
 
 
@@ -92,6 +91,19 @@ def eval_series(s: TriSeries, u: Tricomplex) -> Tricomplex:
     for a in reversed(s.coeffs[:-1]):
         acc = acc * u + a
     return acc
+
+
+def taylor_recenter(s: TriSeries, a: Tricomplex) -> TriSeries:
+    """Re-expand sum(a_l u^l) around ``a``: coefficients of the series in
+    powers of (u - a), obtained by repeated synthetic division (the
+    Horner form of the Taylor shift).  It forms no binomial weights, so
+    a result in the double range is returned even where those weights
+    are not; a result beyond it raises Overflow."""
+    b = list(s.coeffs)
+    for i in range(len(b) - 1):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] = b[j] + a * b[j + 1]
+    return TriSeries(tuple(b))
 
 
 def _tail_ratios(size: Callable[[Tricomplex], float], coeffs: Sequence[Tricomplex]) -> list[float]:

@@ -141,6 +141,15 @@ def test_classify_examples():
         classify(ONE, tol=-1.0)
 
 
+def test_classify_compares_the_distance_to_the_trisector_line():
+    # the distance, a length like the tolerance, not its square
+    got = inverse(Tricomplex(1e-7, 0.0, 0.0))
+    assert got.x == pytest.approx(1e7, rel=1e-15) and got.y == 0.0 and got.z == 0.0
+    assert classify(Tricomplex(1.0, 1.0, 1.0 + 1e-9)) is AlgebraClass.REGULAR
+    # the distance does not overflow at the top of the double range
+    top = Tricomplex(1e300, 1e300, 1e300 * (1.0 + 1e-14))
+    assert classify(top) is AlgebraClass.ON_TRISECTOR_LINE
+
 def test_zero_product_structure():
     rng = np.random.default_rng(13)
     for _ in range(100):

@@ -665,8 +665,19 @@ HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "datacla
             ("tricomplex.poly",),
         ),
         (["factor", "--poly", "{poly}", "--all"], ("tricomplex.calculus",)),
+        (
+            ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1"],
+            ("tricomplex.poly", "tricomplex.series"),
+        ),
+        (
+            ["check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)"],
+            ("tricomplex.poly", "tricomplex.series"),
+        ),
     ],
-    ids=["import", "eval", "decompose", "cosexp-table", "rho-table", "integrate", "factor"],
+    ids=[
+        "import", "eval", "decompose", "cosexp-table", "rho-table", "integrate", "factor",
+        "integrate-without-series", "check-analytic",
+    ],
 )
 def test_commands_load_only_what_they_run(tmp_path, argv, unloaded):
     # each CLI command imports the modules it runs, in a fresh interpreter

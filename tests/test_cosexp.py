@@ -47,6 +47,12 @@ def test_series_past_the_double_range_of_its_factorials():
         cosexp_series(CosexpKind.PX, 1e200, 1)
 
 
+@pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
+def test_series_refuses_a_non_finite_argument(y):
+    for terms in (1, 57, 58):
+        with pytest.raises(ValueError, match="non-finite"):
+            cosexp_series(CosexpKind.CX, y, terms)
+
 def test_closed_form_agrees_with_series():
     for y in GRID:
         assert abs(cx(y) - series_oracle(0, y, 30)) < 1e-12
