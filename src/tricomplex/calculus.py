@@ -449,7 +449,11 @@ def _integrand(
     def reciprocal(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
         nonlocal side
         dw, dv = w - aw, v - av
-        mw, mv = abs(dw), abs(dv)
+        try:
+            mw = abs(dw)
+        except OverflowError:  # |dw| leaves the double range; its larger part does not
+            mw = max(abs(dw.real), abs(dw.imag))
+        mv = abs(dv)
         near = guard + guard * (mw if mw > mv else mv)
         if side * dv <= near:
             if mv <= near:
@@ -717,7 +721,8 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
         aw = complex(_times_pow2(aw.real, e, what), _times_pow2(aw.imag, e, what))
     if isinstance(loop, _Circle):
         cw, r = loop.center_w, loop.radius_w
-        d, scale = abs(aw - cw), max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
+        d = math.hypot(aw.real - cw.real, aw.imag - cw.imag)
+        scale = max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
         if abs(d - r) <= guard * (1.0 + scale):
             raise AmbiguousWinding(_ON_LOOP)
         return loop.turns if d < r else 0

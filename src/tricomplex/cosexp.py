@@ -55,7 +55,8 @@ def px(y: float) -> float:
 def cosexp_series(kind: CosexpKind, y: float, terms: int = DEFAULT_TERMS) -> float:
     """Partial sum of the defining series with ``terms`` nonzero terms.
     A term whose y**p or p! leaves the double range is stepped from the
-    previous one, so only a term beyond that range raises Overflow."""
+    previous one, so only a term beyond that range raises Overflow.  Past
+    the peak (p > |y|), a term of 0.0 ends the sum, as every later one is 0.0."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
     if not math.isfinite(y):
@@ -65,12 +66,15 @@ def cosexp_series(kind: CosexpKind, y: float, terms: int = DEFAULT_TERMS) -> flo
     for n in range(terms):
         p = 3 * n + offset
         try:
-            term = y**p / math.factorial(p)
+            # p! leaves the double range from p = 171 on; 171! raises as it would
+            term = y**p / math.factorial(min(p, 171))
         except OverflowError:
             term *= math.prod(y / j for j in range(max(p - 2, 1), p + 1))
             if math.isinf(term):
                 raise Overflow(f"term y**{p}/{p}! at y={y!r} exceeds the double range") from None
         total += term
+        if term == 0.0 and p > abs(y):
+            break
     return total
 
 

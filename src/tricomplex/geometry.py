@@ -37,6 +37,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+#: The largest azimuthal angle, the double just below 2*pi.
+_BELOW_TWO_PI = math.nextafter(_TWO_PI, 0.0)
 #: Euclidean length of a unit of the transverse pair: |u| is
 #: sqrt((2/3)|w|^2 + v^2/3), as e1, e1t and ep are orthogonal.
 _TRANSVERSE_NORM = math.sqrt(2.0 / 3.0)
@@ -143,8 +145,12 @@ def _scaled_split(u: Tricomplex) -> tuple[complex, float, float, int]:
 def _azimuth(w: complex) -> float | None:
     """arg w in [0, 2*pi), the azimuthal angle phi; None on the
     trisector line, where w = 0."""
-    # math.atan2, not cmath.phase, which raises once the angle underflows
-    return None if w == 0 else normalize_phi(math.atan2(w.imag, w.real))
+    if w == 0:
+        return None
+    # math.atan2, not cmath.phase, which raises once the angle underflows;
+    # below the cut, an angle that underflows to -0.0 is just below 2*pi
+    phi = math.atan2(w.imag, w.real)
+    return _BELOW_TWO_PI if phi == 0.0 and w.imag < 0.0 else normalize_phi(phi)
 
 
 class PolarForm(NamedTuple):
@@ -218,11 +224,12 @@ def polar(u: Tricomplex) -> PolarForm:
 
 
 def normalize_phi(phi: float) -> float:
-    """Reduce an azimuthal angle to [0, 2*pi)."""
+    """Reduce an azimuthal angle to [0, 2*pi); an angle just below 0
+    whose sum with 2*pi rounds to 2*pi gives the double below it."""
     phi = math.fmod(phi, _TWO_PI)
     if phi < 0.0:
         phi += _TWO_PI
-    return phi if phi < _TWO_PI else 0.0
+    return phi if phi < _TWO_PI else _BELOW_TWO_PI
 
 
 def transverse_longitudinal(rho: float, theta: float) -> tuple[float, float]:

@@ -199,7 +199,7 @@ def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
         k = len(component)
         c = _polish(head, sum(found[i] for i in component) / k, k)
         tests = (_residual(_derivative(head, j), _derivative(heads, j), c) for j in range(k))
-        if all(abs(value) <= rounding for value, rounding in tests):
+        if all(math.hypot(value.real, value.imag) <= rounding for value, rounding in tests):
             roots += [c] * k
         else:
             roots += [_polish(head, found[i], 1) for i in component]

@@ -5,18 +5,20 @@ a factor sqrt(3), so the naive ratio test gives a spherical convergence
 bound with that factor built in.  Splitting coefficients and variable
 into transverse/longitudinal parts tightens the region to a cylinder
 around the trisector line: the transverse pair converges like a complex
-series, the longitudinal part like a real one.
+series, the longitudinal part like a real one.  So a series is held
+split, and evaluated, re-centered and estimated on that split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from itertools import islice, pairwise
+from typing import Iterable, Sequence
 
-from .algebra import ONE, Tricomplex, _times_pow2, component_sum
-from .errors import Indeterminate
-from .geometry import _SQRT3, _TRANSVERSE_NORM, _scaled_split
+from .algebra import ONE, ZERO, Tricomplex, _times_pow2, component_sum
+from .errors import Indeterminate, Overflow
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _from_split, _scaled_split, _to_split
 
 #: Number of trailing coefficient ratios averaged by the radius estimators.
 TAIL_RATIOS = 8
@@ -44,14 +46,29 @@ def sigma(u: Tricomplex) -> float:
 @dataclass(frozen=True)
 class TriSeries:
     """Truncated power series sum(a_l * u^l) with coefficients in
-    ascending order of the power."""
+    ascending order of the power, split once when made: ``_ws`` holds the
+    transverse pairs and ``_vs`` the component sums of the a_l, or of the
+    a_l / 4 (``_quarter``) where a split coordinate or a |w_l| leaves the
+    double range: a quarter of the split of a double is within it."""
 
     coeffs: tuple[Tricomplex, ...]
+    _ws: tuple[complex, ...] = field(init=False, repr=False, compare=False)
+    _vs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _quarter: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if not self.coeffs:
+        coeffs = tuple(self.coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least one coefficient")
+        quarter = False
+        try:
+            ws, vs = zip(*map(_to_split, coeffs))
+            max(map(abs, ws))  # abs raises OverflowError where a |w_l| leaves the range
+        except (Overflow, OverflowError):
+            ws, vs = zip(*(_to_split(a * 0.25) for a in coeffs))
+            quarter = True
+        for name, value in (("coeffs", coeffs), ("_ws", ws), ("_vs", vs), ("_quarter", quarter)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_components(cls, rows: Sequence[Sequence[float]]) -> "TriSeries":
@@ -85,68 +102,82 @@ class ConvergenceRegion:
         return abs(sigma(u)) < self.cplus and delta(u) < self.c1
 
 
+def _shift(cs: Sequence, x, m: int, k: float = 1.0) -> list:
+    """The first ``m`` coefficients of sum(c_l t^l) in powers of (t - k x),
+    complex or real, by ``m`` passes of synthetic division (Horner's)."""
+    b = list(cs)
+    for i in range(m):
+        acc = b[-1]
+        for j in range(len(b) - 2, i - 1, -1):
+            acc = b[j] = b[j] + (acc * x if k == 1.0 else acc * x * k)
+    return b[:m]
+
+
+def _taylor(s: TriSeries, u: Tricomplex, m: int) -> list[Tricomplex]:
+    """The first ``m`` Taylor coefficients of ``s`` at ``u``: complex and
+    real shifts of the held split, joined.  Where a split or a join leaves
+    the double range, they run on a_l / 4 at 4 (u / 4) and the joins are
+    scaled by 4, the exact prescale of ``geometry._from_split``."""
+    if not s._quarter:
+        try:
+            w, v = _to_split(u)
+            return list(map(_from_split, _shift(s._ws, w, m), _shift(s._vs, v, m)))
+        except Overflow:
+            pass
+    q, (w, v) = (1.0 if s._quarter else 0.25), _to_split(u * 0.25)
+    fws, fvs = _shift([a * q for a in s._ws], w, m, 4.0), _shift([a * q for a in s._vs], v, m, 4.0)
+    try:
+        return [_from_split(fw, fv) * 4.0 for fw, fv in zip(fws, fvs)]
+    except Overflow:  # an infinite split joins to a nan, which the message would show
+        raise Overflow(f"the expansion of the series at {u} leaves the double range") from None
+
+
 def eval_series(s: TriSeries, u: Tricomplex) -> Tricomplex:
-    """Horner evaluation of the truncated series at ``u``."""
-    acc = s.coeffs[-1]
-    for a in reversed(s.coeffs[:-1]):
-        acc = acc * u + a
-    return acc
+    """The truncated series at ``u``: one complex and one real Horner
+    pass, joined once.  A single coefficient is returned as it is."""
+    return s.coeffs[0] if len(s.coeffs) == 1 else _taylor(s, u, 1)[0]
 
 
 def taylor_recenter(s: TriSeries, a: Tricomplex) -> TriSeries:
     """Re-expand sum(a_l u^l) around ``a``: coefficients of the series in
-    powers of (u - a), obtained by repeated synthetic division (the
-    Horner form of the Taylor shift).  It forms no binomial weights, so
-    a result in the double range is returned even where those weights
-    are not; a result beyond it raises Overflow."""
-    b = list(s.coeffs)
-    for i in range(len(b) - 1):
-        for j in range(len(b) - 2, i - 1, -1):
-            b[j] = b[j] + a * b[j + 1]
-    return TriSeries(tuple(b))
+    powers of (u - a), by repeated synthetic division (the Horner form of
+    the Taylor shift), which forms no binomial weights and keeps the top
+    coefficient; only a result beyond the double range raises Overflow."""
+    return TriSeries(tuple(_taylor(s, a, len(s.coeffs) - 1)) + s.coeffs[-1:])
 
 
-def _tail_ratios(size: Callable[[Tricomplex], float], coeffs: Sequence[Tricomplex]) -> list[float]:
-    """The last ``TAIL_RATIOS`` ratios size(a_l) / size(a_{l+1}) over
-    consecutive coefficients of nonzero size, in ascending order of l.
-    Only they enter an estimate, so sizes are taken from the last
-    coefficient down, as far as those ratios reach."""
-    tail: list[float] = []
-    after = size(coeffs[-1])
-    for a in reversed(coeffs[:-1]):
-        here = size(a)
-        if here > 0.0 and after > 0.0:
-            tail.append(here / after)
-            if len(tail) == TAIL_RATIOS:
-                break
-        after = here
-    tail.reverse()
-    return tail
+def _tail_ratios(sizes: Iterable[float]) -> list[float]:
+    """The last ``TAIL_RATIOS`` ratios s_l / s_{l+1} over consecutive
+    nonzero sizes, in ascending order of l.  ``sizes`` runs from the last
+    coefficient down and is read only as far as those ratios reach."""
+    ratios = (here / after for after, here in pairwise(sizes) if here > 0.0 and after > 0.0)
+    return list(islice(ratios, TAIL_RATIOS))[::-1]
 
 
 def radius_spherical(s: TriSeries) -> float:
     """Estimate of the spherical convergence bound from the tail of the
-    coefficient-modulus ratios |a_l| / (sqrt(3) |a_{l+1}|).
+    ratios |a_l| / (sqrt(3) |a_{l+1}|), |a|^2 being (2/3)|w|^2 + v^2/3.
 
     The underlying bound is a limit; this averages the last few usable
     ratios and is therefore only an estimate.
     """
-    tail = _tail_ratios(modulus, s.coeffs)
-    if not tail or modulus(s.coeffs[-1]) == 0.0:
+    split = zip(s._ws[::-1], s._vs[::-1])
+    tail = _tail_ratios(math.hypot(_TRANSVERSE_NORM * abs(w), v / _SQRT3) for w, v in split)
+    if not tail or s.coeffs[-1] == ZERO:
         raise Indeterminate("trailing coefficients vanish; no usable ratios")
     return sum(tail) / (_SQRT3 * len(tail))
 
 
 def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
     """Estimate of the cylindrical convergence region from tail ratios of
-    the split coefficients: transverse magnitudes for c1, absolute
-    longitudinal components for cplus.
+    the held split: transverse magnitudes |w_l| for c1, absolute
+    component sums |v_l| for cplus.
 
     The spherical bound is filled in as well; the ball of radius c0 is
     contained in the cylinder.
     """
-    trans = _tail_ratios(delta, s.coeffs)
-    longi = _tail_ratios(lambda a: abs(sigma(a)), s.coeffs)
+    trans = _tail_ratios(map(abs, s._ws[::-1]))
+    longi = _tail_ratios(map(abs, s._vs[::-1]))
     if not trans or not longi:
         raise Indeterminate("split coefficients vanish; no usable ratios")
     return ConvergenceRegion(
@@ -159,6 +190,6 @@ def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
 def exp_series(terms: int = 30) -> TriSeries:
     """Coefficients 1/l! of the exponential, handy as a test series.
 
-    Integer true division rounds 1/l! correctly and gives 0.0 once it
-    underflows; converting l! to a float first overflows from l = 171."""
-    return TriSeries(tuple(ONE * (1 / math.factorial(l)) for l in range(terms)))
+    Integer true division rounds 1/l! correctly, where converting l! to a
+    float first overflows from l = 171; it underflows to 0.0 from l = 178."""
+    return TriSeries(tuple(ONE * (1 / math.factorial(l)) if l < 178 else ZERO for l in range(terms)))

@@ -673,10 +673,14 @@ HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "datacla
             ["check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)"],
             ("tricomplex.poly", "tricomplex.series"),
         ),
+        (
+            ["series", "--coeffs", "{poly}", "--at", "(0.2,0.1,-0.1)"],
+            ("tricomplex.calculus", "tricomplex.poly"),
+        ),
     ],
     ids=[
         "import", "eval", "decompose", "cosexp-table", "rho-table", "integrate", "factor",
-        "integrate-without-series", "check-analytic",
+        "integrate-without-series", "check-analytic", "series",
     ],
 )
 def test_commands_load_only_what_they_run(tmp_path, argv, unloaded):
@@ -895,6 +899,13 @@ def test_winding_of_a_point_beyond_the_range():
     # the point's component sum leaves the double range, its w = 0 does not
     big = sys.float_info.max
     assert winding_count(Path3.circle(ZERO, 1.0), Tricomplex(big, big, big)) == 1
+
+
+def test_winding_of_a_point_whose_distance_leaves_the_range():
+    # |a_w - center_w| is beyond the double range, so the point is outside
+    loop = Path3.circle(Tricomplex(1 / 3, 1 / 3, 1 / 3), (2 / 3) ** 0.5)
+    point = Tricomplex(-1.6331933213688767e308, 4.7775212384674212e307, -8.8538835930355432e307)
+    assert winding_count(loop, point) == 0
 
 
 def test_circle_winding_is_not_capped():

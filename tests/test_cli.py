@@ -272,13 +272,35 @@ def test_parse_errors_exit_two(capout):
         (["cosexp-table", "--min", "1", "--max", "1", "--step", "1e-300"], 2),
         (["rho-table", "--rho", "1", "--min", "1e300", "--max", "1e300", "--step", "1"], 2),
         (["rho-table", "--min", "1", "--max", "1", "--step", "1e-17"], 2),
+        # finite input where a complex modulus leaves the double range
+        (["factor", "--poly", "{wide}"], 1),
+        (
+            [
+                "integrate",
+                "--pole",
+                "(-6.1159378166962194e-85,-3678.5349280246373,1.7976931348623157e+308)",
+                "--loop",
+                "circle:center=(4.2988776853591313e+52,2.5794426973296476e-225,"
+                "2.8799716986218142e+143),radius=2.2611955799201146e+301,turns=1",
+            ],
+            0,
+        ),
     ],
 )
-def test_error_exit_codes(capout, argv, code):
+def test_error_exit_codes(capout, tmp_path, argv, code):
     # overflow is exit 1, non-finite or malformed input exit 2; either way
-    # nothing on stdout and one diagnostic line on stderr
-    got, out, err = capout(*argv)
+    # nothing on stdout and one diagnostic line on stderr.  Exit 0 prints
+    # the result and nothing on stderr.
+    wide = tmp_path / "wide.csv"
+    wide.write_text(
+        "1,0,0\n2.1163776026983703,1e154,-6.438402814347291e16\n"
+        "-3.040101193706536,1.7976931348623157e308,-0.0\n"
+    )
+    got, out, err = capout(*(arg.format(wide=wide) for arg in argv))
     assert got == code
+    if code == 0:
+        assert err == "" and len(out.splitlines()) == 1
+        return
     assert out == ""
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1

@@ -47,6 +47,24 @@ def test_series_past_the_double_range_of_its_factorials():
         cosexp_series(CosexpKind.PX, 1e200, 1)
 
 
+def test_series_terms_up_to_170_are_the_direct_quotients(monkeypatch):
+    # each term up to p = 170 is y**p / p! as written, so every partial
+    # sum is too; past the peak a zero term ends the sum, and no factorial
+    # beyond 171! is formed
+    for kind in CosexpKind:
+        for y in (-7.5, -1.0, 0.3, 2.0, 40.0):
+            total = 0.0
+            for n in range(57):
+                total += y ** (3 * n + kind.value) / math.factorial(3 * n + kind.value)
+                assert cosexp_series(kind, y, n + 1) == total
+    want = cosexp_series(CosexpKind.CX, 1.0, 57)
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+    assert cosexp_series(CosexpKind.CX, 1.0, 8000) == want
+    assert len(calls) < 64 and max(calls) == 171
+
+
 @pytest.mark.parametrize("y", [math.inf, -math.inf, math.nan])
 def test_series_refuses_a_non_finite_argument(y):
     for terms in (1, 57, 58):

@@ -304,6 +304,23 @@ def test_log_domain_errors():
         tlog(Tricomplex(1.0, -1.0, 0.0))  # component sum zero
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        # phi + 2*pi rounds to 2*pi
+        Tricomplex(0.13016245722351147, 2.2707336261967548e-154, 2.42332734273592e-142),
+        # atan2 underflows to -0.0 below the cut
+        Tricomplex(9.748203361851255e47, -2.6995583738471487e-284, 3.832577276108936e-280),
+    ],
+)
+def test_log_just_below_the_branch_cut(u):
+    # the azimuthal angle is just below 2*pi, not 0: a full turn of the
+    # transverse pair is 2*pi/sqrt(3) in y and -z
+    got = tlog(u)
+    assert abs(got.y - 2.0 * math.pi / SQRT3) < 1e-14
+    assert got.z == -got.y
+
+
 def test_log_of_product_winding():
     # log(uv) - log u - log v is an integer multiple of 2*pi*(h-k)/sqrt(3)
     rng = np.random.default_rng(73)

@@ -160,6 +160,14 @@ def test_basis_multiplication_table():
     assert abs(abs(ep) - math.sqrt(1.0 / 3.0)) < 1e-15
 
 
+def test_normalize_phi_stays_below_two_pi():
+    below = math.nextafter(2.0 * math.pi, 0.0)
+    assert normalize_phi(-1e-300) == below
+    assert normalize_phi(-0.0) == 0.0 and normalize_phi(2.0 * math.pi) == 0.0
+    # a point whose transverse pair is just below the cut, its angle underflowing
+    assert polar(Tricomplex(1e300, -1e-20, 0.0)).phi == below
+
+
 def test_from_exponential_round_trips():
     for u in [Tricomplex(1, 2, 3), Tricomplex(1, 1, 0), Tricomplex(0.3, 0.1, 0.05)]:
         p = polar(u)

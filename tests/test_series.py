@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tricomplex import (
-    CanonicalForm,
     H,
     Indeterminate,
     ONE,
@@ -16,14 +15,13 @@ from tricomplex import (
     delta,
     eval_series,
     exp_series,
-    from_canonical,
     inverse,
     modulus,
     radius_cylindrical,
     radius_spherical,
     sigma,
+    taylor_recenter,
     texp,
-    to_canonical,
 )
 from util import random_triples, tri_err
 
@@ -60,21 +58,16 @@ def test_geometric_series_sums_to_inverse():
 
 
 def test_eval_series_canonical_split():
-    # evaluating the split series (complex transverse + real longitudinal)
-    # must agree with the direct evaluation
+    # the series is evaluated on the split (a complex series on the
+    # transverse pair, a real one on the component sum); it must agree
+    # with Horner's rule in the algebra's own products
     rng = np.random.default_rng(113)
     coeffs = tuple(Tricomplex(*rng.uniform(-1, 1, 3)) for _ in range(12))
     s = TriSeries(coeffs)
     for u in random_triples(rng, 50, lo=-0.8, hi=0.8):
-        cu = to_canonical(u)
-        w = complex(cu.v1, cu.v1t)
-        acc_w = complex(0.0)
-        acc_p = 0.0
-        for a in reversed(coeffs):
-            ca = to_canonical(a)
-            acc_w = acc_w * w + complex(ca.v1, ca.v1t)
-            acc_p = acc_p * cu.vp + ca.vp
-        want = from_canonical(CanonicalForm(acc_w.real, acc_w.imag, acc_p))
+        want = coeffs[-1]
+        for a in reversed(coeffs[:-1]):
+            want = want * u + a
         assert tri_err(eval_series(s, u), want) < 1e-12
 
 
@@ -90,6 +83,53 @@ def test_exp_series_past_the_float_factorials():
     assert s.coeffs[170] == Tricomplex(1.0 / math.factorial(170), 0.0, 0.0)
     assert s.coeffs[199] == ZERO
     assert tri_err(eval_series(s, Tricomplex(0.3, -0.2, 0.1)), texp(Tricomplex(0.3, -0.2, 0.1))) < 1e-14
+
+
+def test_exp_series_terms_are_the_rounded_reciprocals():
+    # every term is 1/l! rounded once, 0.0 from l = 178 on, where it underflows
+    s = exp_series(400)
+    assert 1 / math.factorial(177) > 0.0 == 1 / math.factorial(178)
+    assert all(c == Tricomplex(1 / math.factorial(l), 0.0, 0.0) for l, c in enumerate(s.coeffs))
+
+
+def test_exp_series_cost_is_linear_in_the_terms(monkeypatch):
+    # no factorial is formed once the terms are 0.0
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+    assert len(exp_series(4000).coeffs) == 4000
+    assert max(calls) == 177
+
+
+def test_series_splits_beyond_the_double_range():
+    # a split coordinate of a coefficient, of the argument or of the value
+    # may leave the double range where the components do not; the moduli
+    # of such values do too, so they are compared componentwise
+    def err(got, want):
+        d = got - want
+        return d.max_abs_component() / max(1.0, want.max_abs_component())
+
+    big = Tricomplex(1.7e308, 1.7e308, 0.0)  # component sum 3.4e308
+    u = Tricomplex(0.5, 0.1, -0.2)
+    eps = sys.float_info.epsilon
+    assert err(eval_series(TriSeries((big, ONE)), u), big + u) < 4 * eps
+    assert err(eval_series(TriSeries((ZERO, ONE)), big), big) < 4 * eps
+    tiny = TriSeries((ZERO, ONE * 1e-300))
+    assert err(eval_series(tiny, Tricomplex(1e308, 1e308, 0.0)), Tricomplex(1e8, 1e8, 0.0)) < 4 * eps
+    half = Tricomplex(*(0.5 * sys.float_info.max,) * 3)
+    assert err(eval_series(TriSeries((ZERO, ONE)), half), half) < 4 * eps
+    # a single coefficient is returned as it is, split or not
+    wide = Tricomplex(sys.float_info.max, -sys.float_info.max, 0.0)
+    assert eval_series(TriSeries((wide,)), Tricomplex(9, 9, 9)) == wide
+    # re-centering moves the big head by the value of the rest at u
+    rest = exp_series(6)
+    shifted = taylor_recenter(TriSeries((big,) + rest.coeffs[1:]), u)
+    plain = taylor_recenter(rest, u)
+    assert err(shifted.coeffs[0], big + eval_series(rest, u) - ONE) < 4 * eps
+    for got, want in zip(shifted.coeffs[1:], plain.coeffs[1:]):
+        assert err(got, want) < 4 * eps
+    with pytest.raises(Overflow, match=r"^the expansion of the series at \(1e\+100,0,0\)"):
+        taylor_recenter(rest, Tricomplex(1e100, 0.0, 0.0))
 
 
 def test_modulus_near_the_top_of_the_range():
