@@ -40,9 +40,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     H,
@@ -61,7 +60,7 @@ from .errors import (
     SingularOnPath,
     ZeroDivisor,
 )
-from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _scaled_split, _to_split
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _scaled_split, _split_norm, _to_split
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
 #: An integrand in split coordinates: the pair (f_w, f_v) of f(u) from a
@@ -79,6 +78,7 @@ QUADRATURE_CAP = 2**20
 #: A panel's rounding, as a share of the moduli of its terms summed: the
 #: 50 epsilon of QUADPACK's rules (Piessens et al. 1983).
 _ROUNDING = 50.0 * sys.float_info.epsilon
+_GUARD = 1e-10  # the integrand's relative distance guard at the pole's singular sets
 
 #: Nodes per Gauss-Legendre panel, and the trapezoid rule's first node
 #: count per circle turn.
@@ -170,10 +170,7 @@ class Path3:
 
     @classmethod
     def polyline(cls, vertices: Sequence[Tricomplex], closed: bool = False) -> "Path3":
-        pts = tuple(vertices)
-        if len(pts) < 2:
-            raise ValueError("a polyline needs at least two vertices")
-        return _Polyline(closed=closed, vertices=pts)
+        return _Polyline(closed=closed, vertices=tuple(vertices))
 
     @classmethod
     def parametric(
@@ -216,6 +213,8 @@ class _Polyline(_SplitPath):
     vertices: tuple[Tricomplex, ...]
 
     def __post_init__(self) -> None:
+        if len(self.vertices) < 2:
+            raise ValueError("a polyline needs at least two vertices")
         ends = tuple(map(_to_split, self.vertices))
         edges = tuple((w0, v0, w1 - w0, v1 - v0) for (w0, v0), (w1, v1) in zip(ends, ends[1:]))
         object.__setattr__(self, "samples", len(edges))
@@ -223,11 +222,13 @@ class _Polyline(_SplitPath):
         super().__post_init__()
 
     def _split(self, t: float) -> tuple[complex, float, complex, float]:
-        n = self.samples
-        s = min(max(t, 0.0), 1.0) * n
-        i = min(int(s), n - 1)
+        return self._at(min(max(t, 0.0), 1.0) * self.samples, self.samples)
+
+    def _at(self, a: float, h: float) -> tuple[complex, float, complex, float]:
+        """The point ``a`` samples in and the step over ``h`` samples."""
+        i = min(int(a), self.samples - 1)
         w0, v0, ew, ev = self.edges[i]
-        return w0 + ew * (s - i), v0 + ev * (s - i), ew * n, ev * n
+        return w0 + ew * (a - i), v0 + ev * (a - i), ew * h, ev * h
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -239,7 +240,8 @@ class _Circle(_SplitPath):
     w = center_w + radius_w*exp(2*pi*i*turns*t) with v = center_v fixed:
     (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
-    The trapezoid nodes and ``winding_count`` read them too."""
+    ``_split(i/n, n)`` divides the step by n: node i of the n-node
+    trapezoid rule; ``winding_count`` reads the split too."""
 
     samples: int = field(init=False)
     closed: bool = field(default=True, init=False)
@@ -262,10 +264,10 @@ class _Circle(_SplitPath):
         object.__setattr__(self, "radius_w", self.radius / _TRANSVERSE_NORM)
         super().__post_init__()
 
-    def _split(self, t: float) -> tuple[complex, float, complex, float]:
+    def _split(self, t: float, n: int = 1) -> tuple[complex, float, complex, float]:
         omega = _TWO_PI * self.turns
         e = cmath.rect(self.radius_w, omega * t)
-        return self.center_w + e, self.center_v, e * complex(0.0, omega), 0.0
+        return self.center_w + e, self.center_v, e * complex(0.0, omega / n), 0.0
 
 
 @dataclass(frozen=True)
@@ -374,14 +376,6 @@ def check_analytic(
 Node = tuple[complex, float, complex, float, Tricomplex | None]
 
 
-def _circle_nodes(path: _Circle, n: int) -> Iterator[Node]:
-    """The n nodes of the trapezoid rule on a circle."""
-    cw, cv, omega = path.center_w, path.center_v, _TWO_PI * path.turns
-    for i in range(n):
-        e = cmath.rect(path.radius_w, omega * (i / n))
-        yield cw + e, cv, e * complex(0.0, omega / n), 0.0, None
-
-
 def _panel_nodes(path: Path3) -> Callable[[float, float], list[Node]]:
     """The maker of the 8 nodes of a Gauss-Legendre panel [a, a + h],
     measured in samples (t = s/samples), so halving is exact and a
@@ -390,10 +384,7 @@ def _panel_nodes(path: Path3) -> Callable[[float, float], list[Node]]:
     if isinstance(path, _Polyline):
 
         def polyline(a: float, h: float) -> list[Node]:
-            i = int(a)
-            w0, v0, ew, ev = path.edges[i]
-            a -= i
-            w, v, dw, dv = w0 + ew * a, v0 + ev * a, ew * h, ev * h
+            w, v, dw, dv = path._at(a, h)
             return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
 
         return polyline
@@ -416,17 +407,15 @@ def _panel_nodes(path: Path3) -> Callable[[float, float], list[Node]]:
     return parametric
 
 
-def _integrand(
-    f: TriFunction | None, pole: Tricomplex | None, guard: float = 1e-10
-) -> SplitFunction:
+def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
     """f(u), times 1/(u - pole) when a pole is given, in split
     coordinates; f None stands for 1.
 
     f takes the path point, or the node joined to a Tricomplex where
     the path gave none; an f that fails or overflows there is reported
     as SingularOnPath.  1/(u - pole) is (1/(w - a_w), 1/(v - a_v)), with
-    an explicit distance guard against the singular plane (v = a_v) and
-    line (w = a_w) through the pole; |w - a_w| is
+    an explicit distance guard, ``_GUARD``, against the singular plane
+    (v = a_v) and line (w = a_w) through the pole; |w - a_w| is
     sqrt(quadratic_form(u - pole)).  Nodes on both sides of that plane
     raise SingularOnPath too: there dv/(v - a_v) is not integrable.
     """
@@ -454,7 +443,7 @@ def _integrand(
         except OverflowError:  # |dw| leaves the double range; its larger part does not
             mw = max(abs(dw.real), abs(dw.imag))
         mv = abs(dv)
-        near = guard + guard * (mw if mw > mv else mv)
+        near = _GUARD + _GUARD * (mw if mw > mv else mv)
         if side * dv <= near:
             if mv <= near:
                 raise SingularOnPath(
@@ -480,11 +469,6 @@ def _integrand(
         return fw * pw, fv * pv
 
     return product
-
-
-def _norm(dw: complex, dv: float) -> float:
-    """Euclidean modulus of the value whose split pair is (dw, dv)."""
-    return math.hypot(_TRANSVERSE_NORM * abs(dw), dv / _SQRT3)
 
 
 def _terms(g: SplitFunction, nodes: Iterable[Node]) -> tuple[list[complex], list[float]]:
@@ -525,7 +509,7 @@ def _panel(
 def _coefficient_size(row: tuple[float, ...], tw: list[complex], tv: list[float]) -> float:
     """Modulus of the Legendre coefficient that a row of ``_GL_TAILS``
     takes from a panel's terms."""
-    return _norm(sum(map(mul, row, tw)), sum(map(mul, row, tv)))
+    return _split_norm(sum(map(mul, row, tw)), sum(map(mul, row, tv)))
 
 
 def _rounding(tw: list[complex], tv: list[float]) -> float:
@@ -579,11 +563,11 @@ def _quadrature(
         k = abs(path.turns)
         n, evaluations, previous = _ORDER * k, 0, None
         while n <= cap:
-            sw, sv = _exact_sum(*_terms(g, islice(_circle_nodes(path, n), n // k)))
+            sw, sv = _exact_sum(*_terms(g, ((*path._split(i / n, n), None) for i in range(n // k))))
             sw, sv = sw * k, sv * k
             evaluations += n // k
             if previous is not None:
-                error = _norm(sw - previous[0], sv - previous[1])
+                error = _split_norm(sw - previous[0], sv - previous[1])
                 if error < tol:
                     return _from_split(sw, sv), evaluations, error
             previous = sw, sv
@@ -603,7 +587,7 @@ def _quadrature(
         for a, h, sw, sv in failed:
             h /= 2.0
             left, right = _panel(g, nodes, a, h), _panel(g, nodes, a + h, h)
-            error = _norm(sw - left[2] - right[2], sv - left[3] - right[3])
+            error = _split_norm(sw - left[2] - right[2], sv - left[3] - right[3])
             if error <= 2.0 * h * scale or error <= _rounding(left[4] + right[4], left[5] + right[5]):
                 for *_, tw, tv in (left, right):
                     tw_all += tw
@@ -686,7 +670,11 @@ def _winding_number(ws: list[complex], aw: complex, guard: float) -> int:
     ``aw``: the sum of the angles its edges subtend.  A point within
     guard*(1 + the largest coordinate) of an edge raises
     AmbiguousWinding."""
-    scale = guard * (1.0 + max(max(abs(w.real), abs(w.imag)) for w in (aw, *ws)))
+    top = max(max(abs(w.real), abs(w.imag)) for w in (aw, *ws))
+    scale = guard * (1.0 + top)
+    if top > 2.0**500:  # scaled exactly, so that no product of differences overflows
+        k = 2.0 ** -math.frexp(top)[1]
+        ws, aw, scale = [w * k for w in ws], aw * k, scale * k
     total = 0.0
     for w0, w1 in zip(ws, ws[1:]):
         d0, d1, e = w0 - aw, w1 - aw, w1 - w0

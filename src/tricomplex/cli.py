@@ -148,17 +148,16 @@ def _cmd_cosexp_table(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_rho_table(args: argparse.Namespace) -> list[str]:
-    # distance from origin at fixed amplitude: invert
-    # rho = sqrt(3)/cbrt(2) * d * sin(theta)^(2/3) * cos(theta)^(1/3)
+    from .geometry import from_exponential
+
     if not (math.isfinite(args.rho) and args.rho > 0.0):
         raise ValueError("rho must be finite and > 0")
     grid = _grid(args.min, args.max, args.step)
     if not all(0.0 < theta < 0.5 * math.pi for theta in grid):
         raise ValueError("theta grid must stay strictly inside (0, pi/2)")
-    scale = args.rho * 2.0 ** (1.0 / 3.0) / math.sqrt(3.0)
     lines = ["theta,d"]
     for theta in grid:
-        d = scale / (math.sin(theta) ** (2.0 / 3.0) * math.cos(theta) ** (1.0 / 3.0))
+        d = abs(from_exponential(args.rho, theta, 0.0))
         if not math.isfinite(d):
             raise Overflow(f"distance at theta={_fmt(theta)} exceeds the double range")
         lines.append(f"{_fmt(theta)},{_fmt(d)}")

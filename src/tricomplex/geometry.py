@@ -82,6 +82,11 @@ def _to_split(u: Tricomplex) -> tuple[complex, float]:
     return complex(v1, v1t), vp
 
 
+def _split_norm(w: complex, v: float) -> float:
+    """Euclidean modulus of the value whose split pair is (w, v)."""
+    return math.hypot(_TRANSVERSE_NORM * abs(w), v / _SQRT3)
+
+
 def irreducible_rep(u: Tricomplex) -> np.ndarray:
     """Block-diagonal real representation: a 2x2 rotation-scaling block
     acting on the plane transverse to the trisector line, plus the 1x1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import ONE, Tricomplex
-from .errors import ComplexLongitudinalRoot, NonConvergent
+from .errors import ComplexLongitudinalRoot, NonConvergent, Overflow
 from .geometry import _from_split, _to_split
 
 _EPS = sys.float_info.epsilon
@@ -120,7 +120,12 @@ def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
     or residual is at rounding level, a k-fold root scattered by eps^(1/k)."""
     m = len(coeffs) - 1
     # Fujiwara's root bound: a start far outside costs many linear sweeps
-    bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
+    try:
+        bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
+    except OverflowError:  # a coefficient's modulus leaves the double range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise Overflow(f"the root bound of a degree-{m} part leaves the double range")
     roots = [bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
     done = [False] * m
     tol = m * _EPS
@@ -188,6 +193,8 @@ def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
         den = abs(math.prod(w - v for v in found[:i] + found[i + 1 :]))
         # coinciding roots (den 0) join one component through their zero distance
         radii.append((n - 1) * (abs(value) + rounding) / den if den else 0.0)
+        if not math.isfinite(radii[-1]):
+            raise Overflow(f"the residual at root {w} or its disc radius leaves the double range")
     roots: list[complex] = []
     todo = set(range(len(found)))
     while todo:
@@ -220,9 +227,13 @@ def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
     # |x|+|y|+|z| bounds both split parts of a coefficient and their rounding
     parts = decompose(p)
     sizes = [abs(a.x) + abs(a.y) + abs(a.z) for a in p.coeffs]
-    trans = sorted(_roots(parts.transverse, sizes), key=lambda w: (w.real, w.imag))
+    try:
+        trans = sorted(_roots(parts.transverse, sizes), key=lambda w: (w.real, w.imag))
+        found = _roots([complex(c) for c in parts.longitudinal], sizes)
+    except OverflowError:  # abs() of an iterate or a residual beyond the double range
+        raise Overflow("a modulus in the root iteration leaves the double range") from None
     longi: list[float] = []
-    for w in _roots([complex(c) for c in parts.longitudinal], sizes):
+    for w in found:
         if abs(w.imag) >= IMAG_SNAP * (1.0 + abs(w)):
             raise ComplexLongitudinalRoot(
                 f"longitudinal root {w} is complex; no all-real linear factorization exists"

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice, pairwise
+from itertools import islice, pairwise, starmap
 from typing import Iterable, Sequence
 
 from .algebra import ONE, ZERO, Tricomplex, _times_pow2, component_sum
 from .errors import Indeterminate, Overflow
-from .geometry import _SQRT3, _TRANSVERSE_NORM, _from_split, _scaled_split, _to_split
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _from_split, _scaled_split, _split_norm, _to_split
 
 #: Number of trailing coefficient ratios averaged by the radius estimators.
 TAIL_RATIOS = 8
@@ -109,7 +109,7 @@ def _shift(cs: Sequence, x, m: int, k: float = 1.0) -> list:
     for i in range(m):
         acc = b[-1]
         for j in range(len(b) - 2, i - 1, -1):
-            acc = b[j] = b[j] + (acc * x if k == 1.0 else acc * x * k)
+            acc = b[j] = b[j] + acc * x * k
     return b[:m]
 
 
@@ -161,8 +161,7 @@ def radius_spherical(s: TriSeries) -> float:
     The underlying bound is a limit; this averages the last few usable
     ratios and is therefore only an estimate.
     """
-    split = zip(s._ws[::-1], s._vs[::-1])
-    tail = _tail_ratios(math.hypot(_TRANSVERSE_NORM * abs(w), v / _SQRT3) for w, v in split)
+    tail = _tail_ratios(starmap(_split_norm, zip(s._ws[::-1], s._vs[::-1])))
     if not tail or s.coeffs[-1] == ZERO:
         raise Indeterminate("trailing coefficients vanish; no usable ratios")
     return sum(tail) / (_SQRT3 * len(tail))

@@ -23,6 +23,7 @@ from tricomplex import (
     PoleSpec,
     SingularOnPath,
     Tricomplex,
+    TricomplexError,
     TriSeries,
     ZERO,
     ZeroDivisor,
@@ -46,7 +47,6 @@ from tricomplex.calculus import (
     QUADRATURE_TOL,
     _GL_NODES,
     _GL_WEIGHTS,
-    _circle_nodes,
     _panel_nodes,
     _quadrature,
     _winding_number,
@@ -208,6 +208,14 @@ def test_polyline_validation():
         Path3.polyline([ONE])
     with pytest.raises(ValueError):
         Path3.polyline([ZERO, ONE], closed=True)
+
+
+def test_replaced_polyline_needs_two_vertices():
+    # the vertex count is checked where the polyline is made, so a replaced
+    # one is refused for what it lacks
+    line = Path3.polyline([ZERO, ONE])
+    with pytest.raises(ValueError, match="needs at least two vertices"):
+        dataclasses.replace(line, vertices=(ONE,))
 
 
 def test_closed_path_ends_must_meet():
@@ -549,8 +557,8 @@ def test_split_nodes_are_the_path_points_and_steps():
     c = Tricomplex(0.3, -0.2, 0.5)
     circle = Path3.circle(c, 1.3, turns=-2)
     n = 32
-    for i, (w, v, dw, dv, u) in enumerate(_circle_nodes(circle, n)):
-        assert u is None
+    for i in range(n):
+        w, v, dw, dv = circle._split(i / n, n)
         assert tri_err(_from_split(w, v), circle.point_at(i / n)) < 1e-15
         assert tri_err(_from_split(dw, dv), circle.tangent_at(i / n) * (1.0 / n)) < 1e-15
     for path in (_square(c), Path3(_square(c).point_at, 4, True, _square(c).tangent_at)):
@@ -906,6 +914,30 @@ def test_winding_of_a_point_whose_distance_leaves_the_range():
     loop = Path3.circle(Tricomplex(1 / 3, 1 / 3, 1 / 3), (2 / 3) ** 0.5)
     point = Tricomplex(-1.6331933213688767e308, 4.7775212384674212e307, -8.8538835930355432e307)
     assert winding_count(loop, point) == 0
+
+
+def test_winding_of_a_polyline_whose_edge_distance_leaves_the_range():
+    # the distance from the point to the first edge leaves the double range
+    big = sys.float_info.max
+    vertices = [Tricomplex(0, 0, -big), Tricomplex(-3.0, 0, -1e38), Tricomplex(0, 0, -big)]
+    loop = Path3.polyline(vertices, closed=True)
+    pole = Tricomplex(-0.05, -5e293, -4.1)
+    for call in (lambda: winding_count(loop, pole), lambda: residue_sum([PoleSpec(pole, ONE)], loop)):
+        try:
+            got = call()
+        except TricomplexError:
+            continue
+        assert isinstance(got, (int, Tricomplex))
+
+
+def test_winding_is_scale_free_up_to_the_top_of_the_range():
+    # a triangle around the trisector line and its copy scaled by 2**1000,
+    # whose differences multiply beyond the double range
+    tri = [Tricomplex(3, 0, 0), Tricomplex(0, 3, 0), Tricomplex(0, 0, 3), Tricomplex(3, 0, 0)]
+    for point, want in ((ZERO, 1), (Tricomplex(-3, 0, 0), 0)):
+        for scale in (1.0, 2.0**1000):
+            loop = Path3.polyline([v * scale for v in tri], closed=True)
+            assert winding_count(loop, point * scale) == want
 
 
 def test_circle_winding_is_not_capped():

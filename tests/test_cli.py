@@ -285,6 +285,9 @@ def test_parse_errors_exit_two(capout):
             ],
             0,
         ),
+        # a coefficient modulus beyond the double range, and one whose root bound (twice it) is
+        (["factor", "--poly", "{bound}"], 1),
+        (["factor", "--poly", "{double}"], 1),
     ],
 )
 def test_error_exit_codes(capout, tmp_path, argv, code):
@@ -296,7 +299,10 @@ def test_error_exit_codes(capout, tmp_path, argv, code):
         "1,0,0\n2.1163776026983703,1e154,-6.438402814347291e16\n"
         "-3.040101193706536,1.7976931348623157e308,-0.0\n"
     )
-    got, out, err = capout(*(arg.format(wide=wide) for arg in argv))
+    bound, double = tmp_path / "bound.csv", tmp_path / "double.csv"
+    bound.write_text("1,0,0\n1.3e308,0.75e308,-0.75e308\n")
+    double.write_text("1,0,0\n1e308,0,0\n")
+    got, out, err = capout(*(arg.format(wide=wide, bound=bound, double=double) for arg in argv))
     assert got == code
     if code == 0:
         assert err == "" and len(out.splitlines()) == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricomplex import (
@@ -12,12 +12,19 @@ from tricomplex import (
     K,
     ONE,
     Overflow,
+    Path3,
+    PoleSpec,
+    TriPolynomial,
+    TriSeries,
     Tricomplex,
     TricomplexError,
     ZERO,
     amplitude,
     cx,
     delta,
+    enumerate_root_sets,
+    eval_series,
+    factor,
     inverse,
     mx,
     oracle_eval,
@@ -25,6 +32,8 @@ from tricomplex import (
     power_from_polar,
     projection_on_nodal_plane,
     px,
+    residue_sum,
+    taylor_recenter,
     tcos,
     tcosh,
     texp,
@@ -32,6 +41,7 @@ from tricomplex import (
     tpow,
     tsin,
     tsinh,
+    winding_count,
 )
 from tricomplex.errors import REASON_NODAL_PLANE_SIDE, REASON_TRISECTOR_LINE
 from util import random_triples, tri_err
@@ -154,6 +164,15 @@ def _polar_parts(u):
     return (p.d, p.s, p.D, p.rho, p.theta_or_none, p.phi_or_none)
 
 
+def _components(values):
+    return tuple(t for a in values for t in (a.x, a.y, a.z))
+
+
+def _triangle(u, v):
+    # a closed polyline through u and v
+    return Path3.polyline([u, v, -u, u], closed=True)
+
+
 # each takes (u, v) and returns a Tricomplex or a tuple of floats
 WHOLE_RANGE_OPERATIONS = {
     "exp": lambda u, v: texp(u),
@@ -172,10 +191,25 @@ WHOLE_RANGE_OPERATIONS = {
     "add": lambda u, v: u + v,
     "delta": lambda u, v: (delta(u),),
     "projection": lambda u, v: projection_on_nodal_plane(u),
+    "factor": lambda u, v: _components(factor(TriPolynomial((ONE, u, v))).roots),
+    "enumerate_root_sets": lambda u, v: _components(
+        r for rs in enumerate_root_sets(TriPolynomial((ONE, u, v))) for r in rs.roots
+    ),
+    "winding_count": lambda u, v: (float(winding_count(_triangle(u, v), -v)),),
+    "residue_sum": lambda u, v: residue_sum([PoleSpec(-v, ONE)], _triangle(u, v)),
+    "eval_series": lambda u, v: eval_series(TriSeries((ONE, u, v)), v),
+    "taylor_recenter": lambda u, v: _components(taylor_recenter(TriSeries((ONE, u, v)), v).coeffs),
 }
 
 
 @given(u=whole_range_triples, v=whole_range_triples)
+# a transverse coefficient whose modulus is beyond the double range
+@example(u=Tricomplex(1.3e308, 0.75e308, -0.75e308), v=ZERO)
+# the first iterate's residual has a modulus beyond the double range
+@example(
+    u=Tricomplex(6.662140998568333e16, 1.97959841424133e-107, -73.54866650054805),
+    v=Tricomplex(-8.468982973470195e58, -4.737443580491874e307, -406.9818898931609),
+)
 @settings(max_examples=300, deadline=None)
 def test_whole_range_results_are_finite_or_reported(u, v):
     # finite input anywhere in the double range gives a finite result or
@@ -496,6 +530,12 @@ def test_log_and_its_oracle_where_the_squares_underflow():
     for got in (tlog(u), oracle_eval(ElementaryFn.LOG, u)):
         assert abs(got - want) < 1e-15 * abs(want)
     assert amplitude(u) == 1e-200
+
+
+def test_oracle_exp_overflow():
+    # the oracle's product of exponentials leaves the double range
+    with pytest.raises(Overflow):
+        oracle_eval(ElementaryFn.EXP, Tricomplex(800.0, 0.0, 0.0))
 
 
 def test_oracle_domain_mirrors_log():

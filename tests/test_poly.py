@@ -10,6 +10,7 @@ from tricomplex import (
     EP,
     NonConvergent,
     ONE,
+    Overflow,
     RootSet,
     Tricomplex,
     TriPolynomial,
@@ -421,3 +422,34 @@ def test_degree_from_csv_style_rows():
     p = TriPolynomial.from_components([(1, 0, 0), (0, 0, 0), (-1, 0, 0)])
     assert p.degree == 2
     assert p.coeffs == U2M1.coeffs
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        # the transverse coefficient's modulus leaves the double range
+        (1.3e308, 0.75e308, -0.75e308),
+        # the modulus is in range, twice it is not
+        (1e308, 0.0, 0.0),
+    ],
+)
+def test_root_bound_beyond_the_range_is_overflow(row):
+    p = TriPolynomial.from_components([(1, 0, 0), row])
+    for route in (factor, enumerate_root_sets):
+        with pytest.raises(Overflow, match="root bound"):
+            route(p)
+
+
+def test_residual_beyond_the_range_is_overflow():
+    # p(w) overflows at transverse roots near 2.5e154, so a disc radius is
+    # inf; the rebuild guard would compare with inf * 0 = nan
+    p = TriPolynomial.from_components(
+        [
+            (1, 0, 0),
+            (2.1163776026983703, 1e154, -6.438402814347291e16),
+            (-3.040101193706536, 1.7976931348623157e308, -0.0),
+        ]
+    )
+    for route in (factor, enumerate_root_sets):
+        with pytest.raises(Overflow, match="residual"):
+            route(p)

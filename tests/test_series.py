@@ -172,6 +172,14 @@ def test_spherical_radius_indeterminate():
         radius_spherical(zeros)
 
 
+def test_cylindrical_radius_indeterminate_on_the_trisector_line():
+    # coefficients on the trisector line have no transverse pair, so no
+    # transverse ratio exists, though every longitudinal one does
+    line = TriSeries(tuple(Tricomplex(c, c, c) for c in (1.0, 0.5, 0.25, 0.125)))
+    with pytest.raises(Indeterminate, match="split coefficients vanish"):
+        radius_cylindrical(line)
+
+
 def test_cylindrical_region_examples():
     ones = TriSeries(tuple(ONE for _ in range(20)))
     region = radius_cylindrical(ones)
