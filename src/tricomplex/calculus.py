@@ -14,11 +14,12 @@ projection on the nodal plane around the projection of ``a``.
 Path integrals use spectral rules.  Circles take the periodic
 trapezoid rule with their exact tangent, which converges exponentially
 on a smooth closed loop (Trefethen & Weideman 2014, SIAM Review 56(3));
-each level doubles the node count and the loop stops when two levels
-agree.  Every other path takes a fixed 8-point Gauss-Legendre rule on
-panels, each with its own error estimate from its 8 nodes: the size of
-its top Legendre coefficients, or once halved, the change from its
-parent panel.  Only the panels that fail it are halved, so a smooth
+the levels are nested, each with twice the nodes of the one before, so
+each level evaluates only its new nodes, and the loop stops when two
+levels agree.  Every other path takes a fixed 8-point Gauss-Legendre
+rule on panels, each with its own error estimate from its 8 nodes: the
+size of its top Legendre coefficients, or once halved, the change from
+its parent panel.  Only the panels that fail it are halved, so a smooth
 loop settles on its starting panels and a panel near a pole is refined
 on its own.
 
@@ -79,6 +80,7 @@ QUADRATURE_CAP = 2**20
 #: 50 epsilon of QUADPACK's rules (Piessens et al. 1983).
 _ROUNDING = 50.0 * sys.float_info.epsilon
 _GUARD = 1e-10  # the integrand's relative distance guard at the pole's singular sets
+_WINDING_GUARD = 1e-9  # winding_count's default guard, which residue_sum takes
 
 #: Nodes per Gauss-Legendre panel, and the trapezoid rule's first node
 #: count per circle turn.
@@ -241,7 +243,8 @@ class _Circle(_SplitPath):
     (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
     ``_split(i/n, n)`` divides the step by n: node i of the n-node
-    trapezoid rule; ``winding_count`` reads the split too."""
+    trapezoid rule, of which a level evaluates only its new nodes, the
+    odd i; ``winding_count`` reads the split too."""
 
     samples: int = field(init=False)
     closed: bool = field(default=True, init=False)
@@ -494,6 +497,15 @@ def _exact_sum(tw: list[complex], tv: list[float]) -> tuple[complex, float]:
     return complex(sums[0], sums[1]), sums[2]
 
 
+def _halved_with(old: list, new: list) -> list:
+    """The terms of a circle level: the previous level's, halved, at the
+    even nodes and the new ones at the odd nodes."""
+    terms = old + new
+    terms[0::2] = [t * 0.5 for t in old]
+    terms[1::2] = new
+    return terms
+
+
 def _panel(
     g: SplitFunction, nodes: Callable[[float, float], list[Node]], a: float, h: float
 ) -> tuple[float, float, complex, float, list[complex], list[float]]:
@@ -543,7 +555,9 @@ def _quadrature(
     """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
-    estimate, for a circle the change between its last two levels.
+    estimate, for a circle the change between its last two levels.  A
+    circle level evaluates only its new nodes, so a circle's evaluations
+    are its last level's nodes per turn.
 
     A Gauss-Legendre panel is accepted once its estimate is at most
     ``tol`` times its share of [0, 1], and the others are halved, as in
@@ -559,17 +573,22 @@ def _quadrature(
     g = _integrand(f, pole)
     if isinstance(path, _Circle):
         # the n nodes of k = |turns| turns repeat every n/k: each level
-        # evaluates one turn's nodes and counts them k times
+        # evaluates one turn's nodes and counts them k times.  Node 2j of
+        # level n is node j of level n/2 with half its step, so its term is
+        # the previous term halved, exactly: past the first level only the
+        # odd nodes are evaluated, and the terms stay in node order
         k = abs(path.turns)
-        n, evaluations, previous = _ORDER * k, 0, None
+        n, tw, tv, previous = _ORDER * k, [], [], None
         while n <= cap:
-            sw, sv = _exact_sum(*_terms(g, ((*path._split(i / n, n), None) for i in range(n // k))))
+            new = range(1, n // k, 2) if tw else range(n // k)
+            nw, nv = _terms(g, ((*path._split(i / n, n), None) for i in new))
+            tw, tv = (_halved_with(tw, nw), _halved_with(tv, nv)) if tw else (nw, nv)
+            sw, sv = _exact_sum(tw, tv)
             sw, sv = sw * k, sv * k
-            evaluations += n // k
             if previous is not None:
                 error = _split_norm(sw - previous[0], sv - previous[1])
                 if error < tol:
-                    return _from_split(sw, sv), evaluations, error
+                    return _from_split(sw, sv), n // k, error
             previous = sw, sv
             n *= 2
         raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
@@ -617,8 +636,9 @@ def path_integral(
     """Integral of f(u) du along the path.
 
     A circle takes the periodic trapezoid rule with its exact tangent:
-    each level doubles the node count, and the sum is returned once it
-    differs from the previous level's by less than ``tol`` in modulus.
+    each level has twice the nodes of the one before and evaluates only
+    its new nodes, and the sum is returned once it differs from the
+    previous level's by less than ``tol`` in modulus.
     Every other path takes a fixed 8-point Gauss-Legendre rule, starting
     from ``path.samples`` equal panels; the tangent comes from a
     polyline's segments, from ``tangent_at`` or, when that is None, from
@@ -688,7 +708,43 @@ def _winding_number(ws: list[complex], aw: complex, guard: float) -> int:
     return round(total / _TWO_PI)
 
 
-def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
+def _transverse(point: Tricomplex) -> complex:
+    """The transverse pair a_w of a point whose winding is asked for."""
+    aw, _, _, e = _scaled_split(point)
+    if e:
+        what = f"the transverse pair of {point}"
+        aw = complex(_times_pow2(aw.real, e, what), _times_pow2(aw.imag, e, what))
+    return aw
+
+
+def _winding_of(loop: Path3) -> Callable[[complex, float], int]:
+    """The winding of a closed loop's transverse pairs around a point's a_w
+    with a guard: closed form for a circle, from its split edges for a
+    polyline, and for any other loop from max(samples, 256) points taken
+    here, once.  A sampled loop of more than ``QUADRATURE_CAP`` samples
+    raises NonConvergent before any point is taken."""
+    if isinstance(loop, _Circle):
+        cw, r = loop.center_w, loop.radius_w
+
+        def circle(aw: complex, guard: float) -> int:
+            d = math.hypot(aw.real - cw.real, aw.imag - cw.imag)
+            scale = max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
+            if abs(d - r) <= guard * (1.0 + scale):
+                raise AmbiguousWinding(_ON_LOOP)
+            return loop.turns if d < r else 0
+
+        return circle
+    if isinstance(loop, _Polyline):
+        ws = [w for w, _, _, _ in loop.edges + loop.edges[:1]]
+    else:
+        n = max(loop.samples, 256)
+        if n > QUADRATURE_CAP:
+            raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
+        ws = [_to_split(loop.point_at(i / n))[0] for i in range(n + 1)]
+    return lambda aw, guard: _winding_number(ws, aw, guard)
+
+
+def winding_count(loop: Path3, point: Tricomplex, guard: float = _WINDING_GUARD) -> int:
     """Winding of the loop's nodal-plane projection around the
     projection of ``point``, taken on their transverse pairs w (the
     projections scaled by sqrt(3/2)).  Loops winding more than once
@@ -703,37 +759,22 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = 1e-9) -> int:
     samples raises NonConvergent before any point is taken."""
     if not loop.closed:
         raise ValueError("loop must be closed")
-    aw, _, _, e = _scaled_split(point)
-    if e:
-        what = f"the transverse pair of {point}"
-        aw = complex(_times_pow2(aw.real, e, what), _times_pow2(aw.imag, e, what))
-    if isinstance(loop, _Circle):
-        cw, r = loop.center_w, loop.radius_w
-        d = math.hypot(aw.real - cw.real, aw.imag - cw.imag)
-        scale = max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
-        if abs(d - r) <= guard * (1.0 + scale):
-            raise AmbiguousWinding(_ON_LOOP)
-        return loop.turns if d < r else 0
-    if isinstance(loop, _Polyline):
-        ws = [w for w, _, _, _ in loop.edges + loop.edges[:1]]
-    else:
-        n = max(loop.samples, 256)
-        if n > QUADRATURE_CAP:
-            raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
-        ws = [_to_split(loop.point_at(i / n))[0] for i in range(n + 1)]
-    return _winding_number(ws, aw, guard)
+    aw = _transverse(point)
+    return _winding_of(loop)(aw, guard)
 
 
 def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
     """Residue-theorem value of a loop integral: POLE_LOOP_VALUE times
     the winding-weighted sum of the residues whose projected poles the
-    projected loop encloses."""
+    projected loop encloses.  Each winding is ``winding_count``'s; a
+    sampled loop is sampled once, when the first pole needs it."""
     if not loop.closed:
         raise ValueError("loop must be closed")
-    acc = ZERO
+    acc, winding = ZERO, None
     for pole in poles:
-        w = winding_count(loop, pole.location)
+        aw = _transverse(pole.location)
+        winding = winding or _winding_of(loop)
+        w = winding(aw, _WINDING_GUARD)
         if w != 0:
             acc = acc + pole.residue * float(w)
     return POLE_LOOP_VALUE * acc
-

@@ -154,17 +154,30 @@ def _tail_ratios(sizes: Iterable[float]) -> list[float]:
     return list(islice(ratios, TAIL_RATIOS))[::-1]
 
 
+def _estimate(tail: list[float], what: str, scale: float = 1.0) -> float:
+    """The mean of the tail ratios over ``scale``; a ratio or a mean
+    beyond the double range raises Overflow naming the estimate.  Where
+    only the sum leaves it, each ratio is divided by 8 (exactly) first."""
+    mean = sum(tail) / (scale * len(tail))
+    if mean == math.inf:
+        mean = sum(t * 0.125 for t in tail) / (scale * len(tail)) * 8.0
+    if not math.isfinite(mean):
+        raise Overflow(f"the {what} radius estimate leaves the double range")
+    return mean
+
+
 def radius_spherical(s: TriSeries) -> float:
     """Estimate of the spherical convergence bound from the tail of the
     ratios |a_l| / (sqrt(3) |a_{l+1}|), |a|^2 being (2/3)|w|^2 + v^2/3.
 
     The underlying bound is a limit; this averages the last few usable
-    ratios and is therefore only an estimate.
+    ratios and is therefore only an estimate.  A ratio or an average
+    beyond the double range raises Overflow.
     """
     tail = _tail_ratios(starmap(_split_norm, zip(s._ws[::-1], s._vs[::-1])))
     if not tail or s.coeffs[-1] == ZERO:
         raise Indeterminate("trailing coefficients vanish; no usable ratios")
-    return sum(tail) / (_SQRT3 * len(tail))
+    return _estimate(tail, "spherical", _SQRT3)
 
 
 def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
@@ -173,7 +186,8 @@ def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
     component sums |v_l| for cplus.
 
     The spherical bound is filled in as well; the ball of radius c0 is
-    contained in the cylinder.
+    contained in the cylinder.  A ratio or an average beyond the double
+    range raises Overflow.
     """
     trans = _tail_ratios(map(abs, s._ws[::-1]))
     longi = _tail_ratios(map(abs, s._vs[::-1]))
@@ -181,8 +195,8 @@ def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
         raise Indeterminate("split coefficients vanish; no usable ratios")
     return ConvergenceRegion(
         c0=radius_spherical(s),
-        c1=sum(trans) / len(trans),
-        cplus=sum(longi) / len(longi),
+        c1=_estimate(trans, "transverse"),
+        cplus=_estimate(longi, "longitudinal"),
     )
 
 

@@ -47,11 +47,15 @@ from tricomplex.calculus import (
     QUADRATURE_TOL,
     _GL_NODES,
     _GL_WEIGHTS,
+    _ORDER,
+    _exact_sum,
+    _integrand,
     _panel_nodes,
     _quadrature,
+    _terms,
     _winding_number,
 )
-from tricomplex.geometry import _from_split, _to_split
+from tricomplex.geometry import _from_split, _split_norm, _to_split
 from util import XI1, XI2, random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -412,20 +416,89 @@ def test_circle_start_does_not_depend_on_samples():
 def test_quadrature_report():
     value, evaluations, error = _quadrature(inverse, UNIT_LOOP, QUADRATURE_TOL, QUADRATURE_CAP)
     assert value == path_integral(inverse, UNIT_LOOP)
-    assert evaluations == 24
+    assert evaluations == 16
     assert error < QUADRATURE_TOL
 
 
 @pytest.mark.parametrize("turns", [1, 2, 3, -2])
 def test_multi_turn_circles_evaluate_each_node_once(turns):
-    # the nodes of k turns repeat every turn: the README circle costs its
-    # 24 evaluations at any number of turns
+    # the nodes of k turns repeat every turn, and a level evaluates only
+    # its new nodes: the README circle costs its 16 evaluations, its last
+    # level's nodes, at any number of turns
     f = Counted(inverse)
     loop = dataclasses.replace(UNIT_LOOP, turns=turns)
     value, evaluations, error = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP)
-    assert evaluations == f.calls == 24
+    assert evaluations == f.calls == 16
     assert tri_err(value, POLE_LOOP_VALUE * float(turns)) < 1e-14
     assert error < QUADRATURE_TOL
+
+
+def _reference_circle(f, path, tol, cap, pole=None):
+    """The circle branch of ``_quadrature`` with whole levels: each level
+    evaluates all of one turn's nodes.  Returns the value, the error
+    estimate and the last level's nodes per turn."""
+    g = _integrand(f, pole)
+    k = abs(path.turns)
+    n, previous = _ORDER * k, None
+    while n <= cap:
+        sw, sv = _exact_sum(*_terms(g, ((*path._split(i / n, n), None) for i in range(n // k))))
+        sw, sv = sw * k, sv * k
+        if previous is not None:
+            error = _split_norm(sw - previous[0], sv - previous[1])
+            if error < tol:
+                return _from_split(sw, sv), error, n // k
+        previous = sw, sv
+        n *= 2
+    raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
+
+
+def _seeded_circles():
+    """(loop, f, pole, tol, cap) on seeded circles: the pole inside, outside,
+    absent, or on the circle's w at node 1 of the second level; the last
+    tolerance is out of reach within the cap."""
+    rng = np.random.default_rng(18)
+    for turns in (1, 2, 3, -2):
+        for f in (None, texp, inverse):
+            for place in ("inside", "outside", "none", "node"):
+                if f is None and place == "none":
+                    continue
+                for tol, cap in ((QUADRATURE_TOL, QUADRATURE_CAP), (1e-13, QUADRATURE_CAP), (1e-16, 64 * abs(turns))):
+                    c = Tricomplex(*rng.uniform(-1.0, 1.0, 3))
+                    r = rng.uniform(0.5, 2.0)
+                    loop = Path3.circle(c, r, turns=turns)
+                    ang, lift = rng.uniform(0.0, 2 * math.pi), rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+                    q = r * (rng.uniform(0.0, 0.9) if place == "inside" else rng.uniform(1.1, 3.0))
+                    pole = c + XI1 * (q * math.cos(ang)) + XI2 * (q * math.sin(ang))
+                    if place == "node":
+                        pole = loop.point_at(1.0 / (2 * _ORDER * abs(turns)))
+                    pole = None if place == "none" else pole + Tricomplex(lift, lift, lift)
+                    yield loop, f, pole, tol, cap
+
+
+def _outcome(run):
+    try:
+        value, error, count = run()
+    except TricomplexError as exc:
+        return type(exc), str(exc)
+    return tuple(map(float.hex, (value.x, value.y, value.z))), error.hex(), count
+
+
+def test_circle_levels_match_whole_levels():
+    # a level keeps the previous level's terms, halved, and evaluates only
+    # its odd nodes: values, error estimates and exceptions are those of
+    # whole levels, and the evaluations are the last level's nodes per turn
+    def nested():
+        value, evaluations, error = _quadrature(counted, loop, tol, cap, pole)
+        assert counted is None or counted.calls == evaluations
+        return value, error, evaluations
+
+    kinds = set()
+    for loop, f, pole, tol, cap in _seeded_circles():
+        counted = None if f is None else Counted(f)
+        want = _outcome(lambda: _reference_circle(f, loop, tol, cap, pole))
+        assert _outcome(nested) == want
+        kinds.add(want[0] if isinstance(want[0], type) else "value")
+    assert kinds == {"value", NonConvergent, SingularOnPath}
 
 
 def _square(center):
@@ -901,6 +974,21 @@ def test_winding_count_is_capped_before_sampling():
     with pytest.raises(NonConvergent):
         residue_sum([PoleSpec(ZERO, ONE)], loop)
     assert points.calls == 0
+
+
+def test_residue_sum_samples_a_sampled_loop_once():
+    # the windings of all the poles are taken on one sample of 257 points
+    points = Counted(UNIT_LOOP.point_at)
+    loop = Path3.parametric(points, closed=True)
+    poles = [PoleSpec(ZERO, ONE), PoleSpec(Tricomplex(5.0, 0.0, 0.0), H), PoleSpec(Tricomplex(0.1, 0.0, 0.0), K)]
+    points.calls = 0  # the endpoint check when the loop is made
+    got = residue_sum(poles, loop)
+    assert points.calls == 257
+    assert tri_err(got, POLE_LOOP_VALUE * (ONE + K)) < 1e-15
+    assert got == residue_sum(poles, UNIT_LOOP)
+    points.calls = 0
+    assert [winding_count(loop, p.location) for p in poles] == [1, 0, 1]
+    assert points.calls == 3 * 257
 
 
 def test_winding_of_a_point_beyond_the_range():

@@ -172,6 +172,23 @@ def test_spherical_radius_indeterminate():
         radius_spherical(zeros)
 
 
+def test_radius_estimates_at_the_top_of_the_range():
+    # the tail ratio 1e300 / 1e-300 leaves the double range
+    s = TriSeries((Tricomplex(1e300, 0, 0), Tricomplex(1e-300, 0, 0)))
+    for estimator in (radius_cylindrical, radius_spherical):
+        with pytest.raises(Overflow, match="spherical radius estimate leaves the double range"):
+            estimator(s)
+    # |w_0| / |w_1| = 1e300 / 2e-16 leaves it, while the spherical ratio does not
+    s = TriSeries((Tricomplex(1e300, 0, 0), Tricomplex(1.0, 1.0, 1.0 + 2.0**-52)))
+    assert math.isfinite(radius_spherical(s))
+    with pytest.raises(Overflow, match="transverse radius estimate leaves the double range"):
+        radius_cylindrical(s)
+    # every ratio is 1e308 or 1e-308: their sum leaves the range, their mean does not
+    s = TriSeries(tuple(Tricomplex(1e300 if l % 2 == 0 else 1e-8, 0, 0) for l in range(10)))
+    assert radius_spherical(s) == pytest.approx(1e308 / (2 * SQRT3), rel=1e-15)
+    assert radius_cylindrical(s).c1 == pytest.approx(1e308 / 2, rel=1e-15)
+
+
 def test_cylindrical_radius_indeterminate_on_the_trisector_line():
     # coefficients on the trisector line have no transverse pair, so no
     # transverse ratio exists, though every longitudinal one does
