@@ -143,12 +143,13 @@ class Tricomplex:
             return inverse(self) ** (-m)
         result = ONE
         base = self
-        while m:
+        while True:
             if m & 1:
                 result = result * base
-            base = base * base
             m >>= 1
-        return result
+            if not m:  # a further square would never reach the result
+                return result
+            base = base * base
 
     def __abs__(self) -> float:
         return math.hypot(self.x, self.y, self.z)

@@ -2,9 +2,12 @@
 
 In the canonical basis a polynomial splits into an ordinary complex
 polynomial in the transverse variable and a real polynomial in the
-longitudinal variable.  Each part factors on its own; a full set of
-roots pairs each transverse root with a longitudinal root, and since the
-pairing is arbitrary the factorization is not unique.  ``factor`` fixes a
+longitudinal variable.  Each part factors on its own, by a sweep
+started about its roots' centroid; the longitudinal roots are real when
+their real parts rebuild the real polynomial within the guard that every
+root list must pass.  A full set of roots pairs each transverse root
+with a longitudinal root, and since the pairing is arbitrary the
+factorization is not unique.  ``factor`` fixes a
 canonical pairing (both lists sorted); ``enumerate_root_sets`` generates
 the distinct alternatives directly, a multiple root being equal copies.
 """
@@ -24,7 +27,6 @@ from .geometry import _from_split, _to_split
 
 _EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 200
-IMAG_SNAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -115,18 +117,34 @@ def _derivative(coeffs: Sequence, j: int) -> Sequence:
     return [c * math.perm(n - i, j) for i, c in enumerate(coeffs[: n + 1 - j])]
 
 
-def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
-    """Weierstrass iteration (nonzero constant term); a root stops once its step
-    or residual is at rounding level, a k-fold root scattered by eps^(1/k)."""
+def _start(coeffs: Sequence[complex]) -> list[complex]:
+    """m points on the circle about the roots' centroid c = -a1/m whose
+    radius |p(c)|^(1/m) is the geometric mean of the roots' distances from
+    c (Aberth 1973).  Twice Fujiwara's root bound is the radius where p(c)
+    is 0 or not finite; ``Overflow`` where the bound leaves the double range."""
     m = len(coeffs) - 1
-    # Fujiwara's root bound: a start far outside costs many linear sweeps
     try:
         bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
     except OverflowError:  # a coefficient's modulus leaves the double range
         bound = math.inf
     if not math.isfinite(bound):
         raise Overflow(f"the root bound of a degree-{m} part leaves the double range")
-    roots = [bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
+    c = -coeffs[1] / m
+    value = complex(0.0)
+    for a in coeffs:
+        value = value * c + a
+    radius = math.hypot(value.real, value.imag) ** (1.0 / m)
+    if not 0.0 < radius < math.inf:
+        radius = bound
+    return [c + radius * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
+
+
+def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
+    """Weierstrass iteration (nonzero constant term) from ``_start``'s circle;
+    a root stops once its step or residual is at rounding level, a k-fold
+    root scattered by eps^(1/k)."""
+    m = len(coeffs) - 1
+    roots = _start(coeffs)
     done = [False] * m
     tol = m * _EPS
     for _ in range(MAX_ITERATIONS):
@@ -168,7 +186,52 @@ def _polish(coeffs: Sequence[complex], w: complex, k: int) -> complex:
     return w
 
 
-def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
+def _multiple(
+    coeffs: Sequence[complex], sizes: Sequence[float], group: Sequence[complex]
+) -> complex | None:
+    """The group's polished centre if the first k = len(group) derivatives
+    vanish there to rounding (a k-fold root), else None."""
+    k = len(group)
+    c = _polish(coeffs, sum(group) / k, k)
+    tests = (_residual(_derivative(coeffs, j), _derivative(sizes, j), c) for j in range(k))
+    if all(math.hypot(value.real, value.imag) <= rounding for value, rounding in tests):
+        return c
+    return None
+
+
+def _group_roots(
+    coeffs: Sequence[complex], sizes: Sequence[float], found: Sequence[complex], group: list[int]
+) -> list[complex]:
+    """Roots from a group of overlapping discs: k copies of a k-fold root
+    if the whole group passes ``_multiple``, else the largest set of k >= 3
+    members nearest one member that passes it and stands apart from the
+    rest, with the rest grouped the same way; else k simple roots.  Pairs
+    are not split off: between two close simple roots p' vanishes where p
+    is at rounding, so they pass the double-root check."""
+    c = _multiple(coeffs, sizes, [found[i] for i in group])
+    if c is not None:
+        return [c] * len(group)
+    seen = set()
+    for k in range(len(group) - 1, 2, -1):
+        for i in group:
+            part = sorted(group, key=lambda j: abs(found[j] - found[i]))[:k]
+            if frozenset(part) in seen:
+                continue
+            seen.add(frozenset(part))
+            c = _multiple(coeffs, sizes, [found[j] for j in part])
+            if c is None:
+                continue
+            # apart: each other member lies more than 3 times as far from c
+            # as the farthest of the part, so farther from every member of
+            # the part than those can be from one another
+            near = max(abs(found[j] - c) for j in part)
+            rest = [j for j in group if j not in part]
+            if all(abs(found[j] - c) > 3.0 * near for j in rest):
+                return [c] * k + _group_roots(coeffs, sizes, found, rest)
+    return [_polish(coeffs, found[i], 1) for i in group]
+
+
+def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> tuple[list[complex], float]:
     """Roots of a monic polynomial whose coefficients are known to eps
     times ``sizes``, a k-fold root as k equal copies.
 
@@ -176,11 +239,11 @@ def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
     make the transverse part w^m, where the sweep is only linear).  A
     component of k overlapping discs |z - w_i| <= m|W_i|, W_i a sweep
     root's Weierstrass correction with rounding added, holds k roots
-    (Carstensen 1991).  It is k copies of its polished centre if the first
-    k derivatives vanish there to rounding (a k-fold root's centre is well
-    conditioned, Zeng 2005), else k polished simple roots.
-    ``NonConvergent`` if a rebuilt coefficient is off by more than its
-    rounding plus what moving each root within its disc explains.
+    (Carstensen 1991).  ``_group_roots`` makes it k copies of its polished
+    centre if the first k derivatives vanish there to rounding (a k-fold
+    root's centre is well conditioned, Zeng 2005), else splits its
+    multiple roots off or polishes k simple roots.  Returned with the sum
+    of the disc radii, the slack ``_misfit`` gives the rebuild.
     """
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0:
@@ -203,43 +266,54 @@ def _roots(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
             joined = {j for j in todo if abs(found[i] - found[j]) <= radii[i] + radii[j]}
             todo -= joined
             component += joined
-        k = len(component)
-        c = _polish(head, sum(found[i] for i in component) / k, k)
-        tests = (_residual(_derivative(head, j), _derivative(heads, j), c) for j in range(k))
-        if all(math.hypot(value.real, value.imag) <= rounding for value, rounding in tests):
-            roots += [c] * k
-        else:
-            roots += [_polish(head, found[i], 1) for i in component]
+        roots += _group_roots(head, heads, found, component)
     roots += [complex(0.0)] * (len(coeffs) - n)
+    return roots, sum(radii)
+
+
+def _misfit(
+    roots: Sequence[complex], coeffs: Sequence[complex], sizes: Sequence[float], slack: float
+) -> str | None:
+    """The first coefficient the roots rebuild off by more than its rounding
+    plus ``slack`` times the bound on the coefficient below it, or None."""
     rebuilt, bound = [complex(1.0)], [1.0]
     for r in roots:
         rebuilt = [a - r * b for a, b in zip(rebuilt + [0.0], [0.0] + rebuilt)]
         bound = [a + abs(r) * b for a, b in zip(bound + [0.0], [0.0] + bound)]
+    m = len(roots)
     # to first order, roots moved within their discs move coefficient i by sum(radii) * bound[i-1]
-    m, slack = len(roots), sum(radii)
     for i, (a, b, s, t, below) in enumerate(zip(rebuilt, coeffs, sizes, bound, [0.0] + bound)):
         if not abs(a - b) <= m * _EPS * (s + t) + slack * below:
-            raise NonConvergent(f"roots rebuild coefficient {i} only to {abs(a - b):.3g}")
-    return roots
+            return f"roots rebuild coefficient {i} only to {abs(a - b):.3g}"
+    return None
 
 
 def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
+    """The transverse roots and the real longitudinal roots, each list
+    sorted.  The longitudinal roots are real when their real parts pass
+    the rebuild guard (``_misfit``); ``ComplexLongitudinalRoot`` when
+    only the complex roots pass it, ``NonConvergent`` when neither does."""
     # |x|+|y|+|z| bounds both split parts of a coefficient and their rounding
     parts = decompose(p)
     sizes = [abs(a.x) + abs(a.y) + abs(a.z) for a in p.coeffs]
+    longi = [complex(c) for c in parts.longitudinal]
     try:
-        trans = sorted(_roots(parts.transverse, sizes), key=lambda w: (w.real, w.imag))
-        found = _roots([complex(c) for c in parts.longitudinal], sizes)
+        trans, slack = _roots(parts.transverse, sizes)
+        misfit = _misfit(trans, parts.transverse, sizes, slack)
+        if misfit:
+            raise NonConvergent(misfit)
+        found, slack = _roots(longi, sizes)
+        if _misfit([complex(w.real) for w in found], longi, sizes, slack):
+            misfit = _misfit(found, longi, sizes, slack)
+            if misfit:
+                raise NonConvergent(misfit)
+            worst = max(found, key=lambda w: abs(w.imag))
+            raise ComplexLongitudinalRoot(
+                f"longitudinal root {worst} is complex; no all-real linear factorization exists"
+            )
     except OverflowError:  # abs() of an iterate or a residual beyond the double range
         raise Overflow("a modulus in the root iteration leaves the double range") from None
-    longi: list[float] = []
-    for w in found:
-        if abs(w.imag) >= IMAG_SNAP * (1.0 + abs(w)):
-            raise ComplexLongitudinalRoot(
-                f"longitudinal root {w} is complex; no all-real linear factorization exists"
-            )
-        longi.append(w.real)
-    return trans, sorted(longi)
+    return sorted(trans, key=lambda w: (w.real, w.imag)), sorted(w.real for w in found)
 
 
 def _combine(trans: Sequence[complex], longi: Sequence[float], order: Sequence[int]) -> RootSet:

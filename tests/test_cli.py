@@ -444,6 +444,11 @@ def test_pow_needs_exponent_and_works(capout):
     assert out == "(1,2,1)\n"
 
 
+def test_pow_near_the_top_of_the_range(capout):
+    code, out, _ = capout("eval", "--fn", "pow", "--at", "(1e100,0,0)", "--exponent", "2")
+    assert (code, out) == (0, "(9.9999999999999997e+199,0,0)\n")
+
+
 def test_readme_commands_print_the_library_lines(capout, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     u2m1 = [(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]

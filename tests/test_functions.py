@@ -420,6 +420,20 @@ def test_pow_overflow():
         tpow(Tricomplex(10.0, 0.0, 1.0), 400.5)
 
 
+def test_integer_powers_in_range_do_not_overflow():
+    # the square after the top bit of the exponent never reaches the result
+    assert tpow(Tricomplex(1e100, 0.0, 0.0), 2) == Tricomplex(1e100 * 1e100, 0.0, 0.0)
+    assert tpow(Tricomplex(1e100, 0.0, 0.0), 3) == Tricomplex(1e100 * 1e100 * 1e100, 0.0, 0.0)
+    assert tpow(Tricomplex(1e200, 0.0, 0.0), 1) == Tricomplex(1e200, 0.0, 0.0)
+    u = Tricomplex(1.0, 1.0, -2.0 + 1e-11)
+    v = inverse(u)
+    want = ONE
+    for _ in range(16):
+        want = want * v
+    got = tpow(u, -16)
+    assert max(abs(a - b) for a, b in zip((got.x, got.y, got.z), (want.x, want.y, want.z))) <= 1e-12 * abs(want.x)
+
+
 def test_negative_integer_pow_of_zero_divisor():
     from tricomplex import ZeroDivisor
 

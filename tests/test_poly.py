@@ -159,6 +159,31 @@ def test_mixed_multiplicities_give_distinct_sets():
         _assert_rebuilds(p, rs)
 
 
+def test_multiple_root_splits_from_a_joined_simple_root():
+    # the scattered copies of the 8-fold transverse root 44 - 36i have
+    # discs wide enough to take in the simple root 28 - 47i, so the disc
+    # group of 9 fails the multiplicity check; its 8 nearest members pass
+    # it and stand apart from the ninth, and split off as one root
+    parts = [(44 - 36j, 19.0)] * 6 + [(15 - 50j, 19.0), (28 - 47j, 19.0)] + [(44 - 36j, -12.0)] * 2
+    p = TriPolynomial.from_roots(_split_roots(parts))
+    rs = factor(p)
+    _assert_rebuilds(p, rs)
+    trans = [complex(c.v1, c.v1t) for c in map(to_canonical, rs.roots)]
+    assert max(trans.count(t) for t in trans) == 8
+
+
+def test_simple_root_beside_multiple_roots_is_kept():
+    # 5-fold longitudinal roots 37 and 43 beside the simple root 34, which
+    # the coefficients resolve poorly: a group with the sweep root of 34 in
+    # it passes the 5-fold check at 37 but does not stand apart from the
+    # rest of its disc group, so it is not taken and 34 is not lost
+    parts = [(-39 - 22j, 43.0), (-43 - 49j, 37.0), (-3 + 16j, 34.0), (24 + 45j, 37.0)]
+    parts += [(-3 + 16j, 37.0), (-3 + 16j, 43.0), (24 + 45j, 43.0), (24 + 45j, 43.0)]
+    parts += [(-3 + 16j, 37.0), (9 - 44j, 37.0), (9 - 44j, 43.0)]
+    rs = factor(TriPolynomial.from_roots(_split_roots(parts)))
+    assert min(abs(to_canonical(r).vp - 34.0) for r in rs.roots) < 1e-3
+
+
 @pytest.mark.parametrize("degree", [7, 9])
 def test_trisector_roots_build_one_set(monkeypatch, degree):
     # all transverse parts are zero, so every pairing gives the same set;
@@ -232,6 +257,33 @@ def test_misplaced_root_is_reported(monkeypatch, scale):
         factor(TriPolynomial.from_roots(_split_roots(parts)))
 
 
+def test_misplaced_longitudinal_root_is_nonconvergent(monkeypatch):
+    # neither the real parts nor the complex roots rebuild the longitudinal
+    # coefficients, so the roots are wrong, not complex
+    target = WIDE_PARTS[2][1]
+    polish = poly._polish
+
+    def misplace(coeffs, w, k):
+        c = polish(coeffs, w, k)
+        return c * (1 + 1e-8) if abs(c - target) < 1e-6 else c
+
+    monkeypatch.setattr(poly, "_polish", misplace)
+    with pytest.raises(NonConvergent):
+        factor(TriPolynomial.from_roots(_split_roots(WIDE_PARTS)))
+
+
+def test_unresolved_real_roots_stay_real():
+    # the coefficients fix 1, 1 + 1e-6 and 1 + 2e-6 only to about eps^(1/3),
+    # so the sweep finds two of them complex; their real parts rebuild the
+    # coefficients within the guard, so five roots are returned, as close
+    # to the drawn ones as the coefficients tell
+    values = [-0.5, 1.0, 1.0 + 1e-6, 1.0 + 2e-6, 2.5]
+    p = TriPolynomial.from_roots([Tricomplex(v, 0, 0) for v in values])
+    got = sorted(factor(p).roots, key=lambda r: r.x)
+    assert max(tri_err(r, Tricomplex(v, 0, 0)) for r, v in zip(got, values)) < 3 * poly._EPS ** (1 / 3)
+    assert len(enumerate_root_sets(p, cap=200)) == math.factorial(len(values))
+
+
 def _separated_parts(rng, m):
     """m roots whose longitudinal parts lie each in its own slot of
     [-2, 2] and whose transverse parts lie each in its own cell of a 4x4
@@ -242,12 +294,26 @@ def _separated_parts(rng, m):
     return list(zip(trans, longi))
 
 
+def test_start_circle_about_the_centroid():
+    # roots 1, 2, 4: c = 7/3 and |p(c)| = 20/27
+    coeffs = [1.0, -7.0, 14.0, -8.0]
+    c, radius = 7 / 3, (20 / 27) ** (1 / 3)
+    want = [c + radius * cmath.exp(2j * math.pi * i / 3 + 0.4j) for i in range(3)]
+    assert poly._start(coeffs) == pytest.approx(want, rel=1e-15)
+
+
+def test_start_falls_back_to_the_root_bound():
+    # roots 1, 2, 3: p(c) = 0 at c = 2; twice Fujiwara's bound max(6, 11^(1/2), 6^(1/3)) is 12
+    coeffs = [1.0, -6.0, 11.0, -6.0]
+    want = [2 + 12 * cmath.exp(2j * math.pi * i / 3 + 0.4j) for i in range(3)]
+    assert poly._start(coeffs) == pytest.approx(want, rel=1e-15)
+
+
 def _reference_sweep(coeffs, sizes):
     """The Weierstrass sweep through ``_residual`` and ``math.prod``,
-    step for step what ``poly._sweep`` computes inline."""
+    step for step what ``poly._sweep`` computes inline, from the same start."""
     m = len(coeffs) - 1
-    bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
-    roots = [bound * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
+    roots = poly._start(coeffs)
     done = [False] * m
     for _ in range(poly.MAX_ITERATIONS):
         for i, w in enumerate(roots):
@@ -292,7 +358,7 @@ def test_sweep_matches_the_residual_form():
 
 
 def test_sweep_cap_raises_nonconvergent(monkeypatch):
-    # one sweep cannot settle three roots started on Fujiwara's circle
+    # one sweep cannot settle three roots started on the circle about their centroid
     monkeypatch.setattr(poly, "MAX_ITERATIONS", 1)
     p = TriPolynomial.from_roots(_split_roots(WIDE_PARTS[:3]))
     with pytest.raises(NonConvergent, match="root iteration did not converge"):
@@ -334,6 +400,20 @@ def test_clustered_roots_are_accurate_or_reported():
     except NonConvergent:
         return
     assert _parts_error(rs.roots, list(zip(trans, longi))) < 1e-3
+
+
+def test_close_pair_in_a_cluster_is_not_split_off():
+    # longitudinal parts -0.1702 and -0.1698 among eight within 0.22: p'
+    # vanishes between the two where p is at rounding, so the pair passes
+    # the double-root check, and taken for a double root it rebuilds the
+    # polynomial only to 3e-8
+    parts = [(1.6759 - 0.5653j, -0.2124), (-0.4561 + 0.3942j, -0.0648), (-1.4947 + 1.5863j, -0.1702)]
+    parts += [(0.2364 - 1.5901j, -0.1925), (-0.3295 - 1.5502j, -0.1698), (0.7481 + 1.4688j, -0.1609)]
+    parts += [(1.5917 - 1.4763j, -0.0001), (-0.3132 + 1.4124j, -0.0008)]
+    p = TriPolynomial.from_roots(_split_roots(parts))
+    rs = factor(p)
+    _assert_rebuilds(p, rs)
+    assert len({to_canonical(r).vp for r in rs.roots}) == len(parts)
 
 
 def test_cubic_with_distinct_roots_has_six_pairings():
