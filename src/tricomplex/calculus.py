@@ -80,7 +80,7 @@ QUADRATURE_CAP = 2**20
 #: 50 epsilon of QUADPACK's rules (Piessens et al. 1983).
 _ROUNDING = 50.0 * sys.float_info.epsilon
 _GUARD = 1e-10  # the integrand's relative distance guard at the pole's singular sets
-_WINDING_GUARD = 1e-9  # winding_count's default guard, which residue_sum takes
+_WINDING_GUARD = 1e-9  # the relative guard of winding_count and residue_sum
 
 #: Nodes per Gauss-Legendre panel, and the trapezoid rule's first node
 #: count per circle turn.
@@ -137,28 +137,34 @@ _GL_NODES, _GL_WEIGHTS, _GL_WEIGHTED_DIFF, _GL_TAILS = _gauss_legendre(_ORDER)
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
 
 
+#: A node in split coordinates: the node (w, v), its weighted step
+#: (dw, dv) and its path point u, None where the node is made in split
+#: coordinates.
+Node = tuple[complex, float, complex, float, Tricomplex | None]
+
+
 @dataclass(frozen=True)
 class Path3:
     """Curve in the component space, parameterized over t in [0, 1].
 
-    ``tangent_at`` is d ``point_at``/dt, or None when only points are
-    known.  ``samples`` is the count of starting Gauss-Legendre panels;
-    a panel whose error estimate fails is halved, so a kink at a
-    multiple of 1/samples stays on a panel edge (a polyline has one
-    panel per segment).  A closed path's ends must agree within 1e-12
-    times max(1, their largest component); circles are closed by
-    construction.  Circles and polylines are split into transverse pairs
-    w and component sums v once, when made: ``point_at`` and
-    ``tangent_at`` join that split, and the quadrature nodes and
-    ``winding_count`` read it.  Neither takes ``samples``: a polyline's
-    is its segment count, and a circle's is 64 per turn, which its
+    ``tangent_at`` is None: quadrature takes the derivative of each
+    panel's interpolating polynomial.  ``samples`` is the count of
+    starting Gauss-Legendre panels; a panel whose error estimate fails
+    is halved, so a kink at a multiple of 1/samples stays on a panel
+    edge.  A closed path's ends must agree within 1e-12 times max(1,
+    their largest component); circles are closed by construction.
+    Circles and polylines are split into transverse pairs w and
+    component sums v once, when made: ``point_at`` and ``tangent_at``
+    join that split, and their quadrature nodes and winding read it.
+    Neither takes ``samples``: a polyline's is its segment count (one
+    panel per segment), and a circle's is 64 per turn, which its
     trapezoid rule (8 nodes per turn to start) does not read.
     """
 
     point_at: Callable[[float], Tricomplex]
     samples: int
     closed: bool
-    tangent_at: Callable[[float], Tricomplex] | None = None
+    tangent_at = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.samples, int) or self.samples < 1:
@@ -186,6 +192,27 @@ class Path3:
         trisector line through ``center``, lying in the plane through
         ``center`` parallel to the nodal plane."""
         return _Circle(center=center, radius=radius, turns=turns)
+
+    def _nodes(self, a: float, h: float) -> list[Node]:
+        """The 8 nodes of the Gauss-Legendre panel [a, a + h], measured in
+        samples (t = s/samples), so halving is exact; the steps are the
+        derivative of the polynomial interpolating the panel's points."""
+        us = [self.point_at((a + c * h) / self.samples) for c in _GL_NODES]
+        ws, vs = zip(*map(_to_split, us))
+        return [
+            (w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u)
+            for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs)
+        ]
+
+    def _winding(self) -> Callable[[complex], int]:
+        """The winding of the loop's w around a point's a_w, from
+        max(samples, 256) points taken here, once; over ``QUADRATURE_CAP``
+        of them raise NonConvergent before any is taken."""
+        n = max(self.samples, 256)
+        if n > QUADRATURE_CAP:
+            raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
+        ws = [_to_split(self.point_at(i / n))[0] for i in range(n + 1)]
+        return lambda aw: _winding_number(ws, aw, _WINDING_GUARD)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -232,6 +259,14 @@ class _Polyline(_SplitPath):
         w0, v0, ew, ev = self.edges[i]
         return w0 + ew * (a - i), v0 + ev * (a - i), ew * h, ev * h
 
+    def _nodes(self, a: float, h: float) -> list[Node]:
+        w, v, dw, dv = self._at(a, h)
+        return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
+
+    def _winding(self) -> Callable[[complex], int]:
+        ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
+        return lambda aw: _winding_number(ws, aw, _WINDING_GUARD)
+
 
 @dataclass(frozen=True, kw_only=True)
 class _Circle(_SplitPath):
@@ -244,7 +279,7 @@ class _Circle(_SplitPath):
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
     ``_split(i/n, n)`` divides the step by n: node i of the n-node
     trapezoid rule, of which a level evaluates only its new nodes, the
-    odd i; ``winding_count`` reads the split too."""
+    odd i; its winding is closed form (see ``winding_count``)."""
 
     samples: int = field(init=False)
     closed: bool = field(default=True, init=False)
@@ -271,6 +306,18 @@ class _Circle(_SplitPath):
         omega = _TWO_PI * self.turns
         e = cmath.rect(self.radius_w, omega * t)
         return self.center_w + e, self.center_v, e * complex(0.0, omega / n), 0.0
+
+    def _winding(self) -> Callable[[complex], int]:
+        cw, r = self.center_w, self.radius_w
+
+        def winding(aw: complex) -> int:
+            d = math.hypot(aw.real - cw.real, aw.imag - cw.imag)
+            scale = max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
+            if abs(d - r) <= _WINDING_GUARD * (1.0 + scale):
+                raise AmbiguousWinding(_ON_LOOP)
+            return self.turns if d < r else 0
+
+        return winding
 
 
 @dataclass(frozen=True)
@@ -373,43 +420,6 @@ def check_analytic(
     raise Overflow(f"derivative residuals at {u0} exceed the double range")
 
 
-#: A node in split coordinates: the node (w, v), its weighted step
-#: (dw, dv) and its path point u, None where the node is made in split
-#: coordinates.
-Node = tuple[complex, float, complex, float, Tricomplex | None]
-
-
-def _panel_nodes(path: Path3) -> Callable[[float, float], list[Node]]:
-    """The maker of the 8 nodes of a Gauss-Legendre panel [a, a + h],
-    measured in samples (t = s/samples), so halving is exact and a
-    polyline's panel stays on its segment int(a)."""
-    n = path.samples
-    if isinstance(path, _Polyline):
-
-        def polyline(a: float, h: float) -> list[Node]:
-            w, v, dw, dv = path._at(a, h)
-            return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
-
-        return polyline
-
-    def parametric(a: float, h: float) -> list[Node]:
-        ts = [(a + c * h) / n for c in _GL_NODES]
-        us = [path.point_at(t) for t in ts]
-        ws, vs = zip(*map(_to_split, us))
-        if path.tangent_at is None:
-            return [
-                (w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u)
-                for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs)
-            ]
-        steps = [_to_split(path.tangent_at(t)) for t in ts]
-        return [
-            (w, v, dw * (wt * h / n), dv * (wt * h / n), u)
-            for wt, u, w, v, (dw, dv) in zip(_GL_WEIGHTS, us, ws, vs, steps)
-        ]
-
-    return parametric
-
-
 def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
     """f(u), times 1/(u - pole) when a pole is given, in split
     coordinates; f None stands for 1.
@@ -507,11 +517,11 @@ def _halved_with(old: list, new: list) -> list:
 
 
 def _panel(
-    g: SplitFunction, nodes: Callable[[float, float], list[Node]], a: float, h: float
+    g: SplitFunction, path: Path3, a: float, h: float
 ) -> tuple[float, float, complex, float, list[complex], list[float]]:
-    """The panel [a, a + h] evaluated: (a, h), the sum of g on it and its
-    terms.  A sum beyond the double range raises SingularOnPath."""
-    tw, tv = _terms(g, nodes(a, h))
+    """The panel [a, a + h] of the path evaluated: (a, h), the sum of g on
+    it and its terms.  A sum beyond the double range raises SingularOnPath."""
+    tw, tv = _terms(g, path._nodes(a, h))
     sw, sv = sum(tw), sum(tv)
     if not (cmath.isfinite(sw) and math.isfinite(sv)):
         raise SingularOnPath(f"the integral over a panel of {len(tv)} nodes leaves the double range")
@@ -592,11 +602,10 @@ def _quadrature(
             previous = sw, sv
             n *= 2
         raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
-    nodes = _panel_nodes(path)
     scale = tol / path.samples  # the tolerance of a panel one sample wide
     # (start, width, sw, sv, tw, tv): an evaluated panel; the starting ones
     # are evaluated as they are judged, after the first round's cap check
-    panels = (_panel(g, nodes, float(p), 1.0) for p in range(path.samples))
+    panels = (_panel(g, path, float(p), 1.0) for p in range(path.samples))
     tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, 0, []
     count = path.samples  # the panels this round evaluates
     while count:
@@ -605,7 +614,7 @@ def _quadrature(
             raise NonConvergent(f"quadrature did not settle below {tol} within {cap} evaluations")
         for a, h, sw, sv in failed:
             h /= 2.0
-            left, right = _panel(g, nodes, a, h), _panel(g, nodes, a + h, h)
+            left, right = _panel(g, path, a, h), _panel(g, path, a + h, h)
             error = _split_norm(sw - left[2] - right[2], sv - left[3] - right[3])
             if error <= 2.0 * h * scale or error <= _rounding(left[4] + right[4], left[5] + right[5]):
                 for *_, tw, tv in (left, right):
@@ -627,39 +636,34 @@ def _quadrature(
     return _from_split(*_exact_sum(tw_all, tv_all)), evaluations, estimate
 
 
-def path_integral(
-    f: TriFunction,
-    path: Path3,
-    tol: float = QUADRATURE_TOL,
-    cap: int = QUADRATURE_CAP,
-) -> Tricomplex:
+def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     """Integral of f(u) du along the path.
 
     A circle takes the periodic trapezoid rule with its exact tangent:
     each level has twice the nodes of the one before and evaluates only
     its new nodes, and the sum is returned once it differs from the
-    previous level's by less than ``tol`` in modulus.
+    previous level's by less than ``QUADRATURE_TOL`` in modulus.
     Every other path takes a fixed 8-point Gauss-Legendre rule, starting
     from ``path.samples`` equal panels; the tangent comes from a
-    polyline's segments, from ``tangent_at`` or, when that is None, from
-    the derivative of the polynomial that interpolates the path at each
-    panel's nodes.  Each panel estimates its own error, and only the
-    panels whose estimate exceeds ``tol`` times their share of the path's
+    polyline's segments or, for a parametric path, from the derivative
+    of the polynomial that interpolates the path at each panel's nodes.
+    Each panel estimates its own error, and only the panels whose
+    estimate exceeds ``QUADRATURE_TOL`` times their share of the path's
     parameter range are halved; the sum is returned once every panel
     passes.  NonConvergent is raised, before any evaluation, at a circle
-    level of more than ``cap`` nodes, or at a batch of panels that would
-    take the evaluations past ``cap``.
+    level of more than ``QUADRATURE_CAP`` nodes, or at a batch of panels
+    that would take the evaluations past it.
 
     The quadrature runs in split coordinates: f(u) du is summed as the
     pair (f_w dw, f_v dv) on the transverse pair and the component sum.
     Circle and polyline nodes are made there, and f sees them joined to
     a Tricomplex; other paths give f their own points.
     """
-    return _quadrature(f, path, tol, cap)[0]
+    return _quadrature(f, path, QUADRATURE_TOL, QUADRATURE_CAP)[0]
 
 
-def loop_integral_pole(a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL) -> Tricomplex:
-    """Loop integral of du/(u - a).
+def loop_integral_pole(a: Tricomplex, loop: Path3) -> Tricomplex:
+    """Loop integral of du/(u - a), by ``path_integral``'s rules.
 
     For a closed loop whose projection on the nodal plane winds n times
     around the projection of ``a``, the value is n times
@@ -667,19 +671,17 @@ def loop_integral_pole(a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL) 
     either way.  A loop that touches the singular plane or line through
     ``a``, or crosses that plane, raises SingularOnPath.
     """
-    return _quadrature(None, loop, tol, QUADRATURE_CAP, pole=a)[0]
+    return _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=a)[0]
 
 
-def cauchy_value(
-    f: TriFunction, a: Tricomplex, loop: Path3, tol: float = QUADRATURE_TOL
-) -> Tricomplex:
-    """Loop integral of f(u) du/(u - a).
+def cauchy_value(f: TriFunction, a: Tricomplex, loop: Path3) -> Tricomplex:
+    """Loop integral of f(u) du/(u - a), by ``path_integral``'s rules.
 
     For f analytic over a surface spanning the loop and a single
     positive turn, this equals POLE_LOOP_VALUE * f(a); componentwise it
     determines only the differences between f(a)'s components.
     """
-    return _quadrature(f, loop, tol, QUADRATURE_CAP, pole=a)[0]
+    return _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=a)[0]
 
 
 _ON_LOOP = "projected pole lies on (or too near) the projected loop"
@@ -717,34 +719,7 @@ def _transverse(point: Tricomplex) -> complex:
     return aw
 
 
-def _winding_of(loop: Path3) -> Callable[[complex, float], int]:
-    """The winding of a closed loop's transverse pairs around a point's a_w
-    with a guard: closed form for a circle, from its split edges for a
-    polyline, and for any other loop from max(samples, 256) points taken
-    here, once.  A sampled loop of more than ``QUADRATURE_CAP`` samples
-    raises NonConvergent before any point is taken."""
-    if isinstance(loop, _Circle):
-        cw, r = loop.center_w, loop.radius_w
-
-        def circle(aw: complex, guard: float) -> int:
-            d = math.hypot(aw.real - cw.real, aw.imag - cw.imag)
-            scale = max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
-            if abs(d - r) <= guard * (1.0 + scale):
-                raise AmbiguousWinding(_ON_LOOP)
-            return loop.turns if d < r else 0
-
-        return circle
-    if isinstance(loop, _Polyline):
-        ws = [w for w, _, _, _ in loop.edges + loop.edges[:1]]
-    else:
-        n = max(loop.samples, 256)
-        if n > QUADRATURE_CAP:
-            raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
-        ws = [_to_split(loop.point_at(i / n))[0] for i in range(n + 1)]
-    return lambda aw, guard: _winding_number(ws, aw, guard)
-
-
-def winding_count(loop: Path3, point: Tricomplex, guard: float = _WINDING_GUARD) -> int:
+def winding_count(loop: Path3, point: Tricomplex) -> int:
     """Winding of the loop's nodal-plane projection around the
     projection of ``point``, taken on their transverse pairs w (the
     projections scaled by sqrt(3/2)).  Loops winding more than once
@@ -754,13 +729,13 @@ def winding_count(loop: Path3, point: Tricomplex, guard: float = _WINDING_GUARD)
     lies inside the circle's w, |a_w - center_w| < radius_w, else 0.  A
     polyline's comes from its split edges, and any other loop's from
     max(samples, 256) points on it.  A point whose a_w lies within
-    guard*(1 + the largest coordinate) of the loop's w raises
+    1e-9*(1 + the largest coordinate) of the loop's w raises
     AmbiguousWinding.  A sampled loop of more than ``QUADRATURE_CAP``
     samples raises NonConvergent before any point is taken."""
     if not loop.closed:
         raise ValueError("loop must be closed")
     aw = _transverse(point)
-    return _winding_of(loop)(aw, guard)
+    return loop._winding()(aw)
 
 
 def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
@@ -773,8 +748,8 @@ def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
     acc, winding = ZERO, None
     for pole in poles:
         aw = _transverse(pole.location)
-        winding = winding or _winding_of(loop)
-        w = winding(aw, _WINDING_GUARD)
+        winding = winding or loop._winding()
+        w = winding(aw)
         if w != 0:
             acc = acc + pole.residue * float(w)
     return POLE_LOOP_VALUE * acc

@@ -202,13 +202,13 @@ def _multiple(
 def _group_roots(
     coeffs: Sequence[complex], sizes: Sequence[float], found: Sequence[complex], group: list[int]
 ) -> list[complex]:
-    """Roots from a group of overlapping discs: k copies of a k-fold root
-    if the whole group passes ``_multiple``, else the largest set of k >= 3
-    members nearest one member that passes it and stands apart from the
-    rest, with the rest grouped the same way; else k simple roots.  Pairs
-    are not split off: between two close simple roots p' vanishes where p
-    is at rounding, so they pass the double-root check."""
-    c = _multiple(coeffs, sizes, [found[i] for i in group])
+    """Roots from a group of overlapping discs: a lone root polished once,
+    k copies of a k-fold root if the whole group passes ``_multiple``, else
+    the largest set of k >= 3 members nearest one member that passes it and
+    stands apart from the rest, with the rest grouped the same way; else k
+    simple roots.  Pairs are not split off: between two close simple roots
+    p' vanishes where p is at rounding, so they pass the double-root check."""
+    c = _multiple(coeffs, sizes, [found[i] for i in group]) if len(group) > 1 else None
     if c is not None:
         return [c] * len(group)
     seen = set()

@@ -246,6 +246,20 @@ def test_pow_and_scalar_operators():
     assert -u == Tricomplex(-1.5, 0.25, -2.0)
 
 
+def test_operators_refuse_other_operand_types():
+    # * takes values and real scalars, ** integers; anything else gets
+    # NotImplemented, so Python raises TypeError
+    u = Tricomplex(1.5, -0.25, 2.0)
+    for other in ("a", None, 1j):
+        with pytest.raises(TypeError):
+            u * other
+    for exponent in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            u**exponent
+    assert 2 * u == Tricomplex(3.0, -0.5, 4.0)
+    assert u * True == u
+
+
 def test_literal_round_trip():
     u = Tricomplex(1.0, -0.5, 0.5)
     assert u.literal() == "(1,-0.5,0.5)"

@@ -50,7 +50,6 @@ from tricomplex.calculus import (
     _ORDER,
     _exact_sum,
     _integrand,
-    _panel_nodes,
     _quadrature,
     _terms,
     _winding_number,
@@ -634,14 +633,14 @@ def test_split_nodes_are_the_path_points_and_steps():
         w, v, dw, dv = circle._split(i / n, n)
         assert tri_err(_from_split(w, v), circle.point_at(i / n)) < 1e-15
         assert tri_err(_from_split(dw, dv), circle.tangent_at(i / n) * (1.0 / n)) < 1e-15
-    for path in (_square(c), Path3(_square(c).point_at, 4, True, _square(c).tangent_at)):
-        panels = 2 * path.samples
-        nodes = [node for p in range(panels) for node in _panel_nodes(path)(p / 2, 0.5)]
-        for k, (w, v, dw, dv, u) in enumerate(nodes):
-            t = (k // 8 + _GL_NODES[k % 8]) / panels
-            assert tri_err(_from_split(w, v), path.point_at(t)) < 1e-15
-            step = path.tangent_at(t) * (_GL_WEIGHTS[k % 8] / panels)
-            assert tri_err(_from_split(dw, dv), step) < 1e-15
+    path = _square(c)
+    panels = 2 * path.samples
+    nodes = [node for p in range(panels) for node in path._nodes(p / 2, 0.5)]
+    for k, (w, v, dw, dv, u) in enumerate(nodes):
+        t = (k // 8 + _GL_NODES[k % 8]) / panels
+        assert tri_err(_from_split(w, v), path.point_at(t)) < 1e-15
+        step = path.tangent_at(t) * (_GL_WEIGHTS[k % 8] / panels)
+        assert tri_err(_from_split(dw, dv), step) < 1e-15
 
 
 def test_node_cap_is_checked_before_evaluating():
@@ -651,7 +650,7 @@ def test_node_cap_is_checked_before_evaluating():
     # three starting panels of 8 nodes are over a cap of 16
     _, triangle = _triangle()
     with pytest.raises(NonConvergent):
-        path_integral(f, triangle, cap=16)
+        _quadrature(f, triangle, QUADRATURE_TOL, 16)
     assert f.calls == 0
 
 

@@ -205,11 +205,14 @@ WHOLE_RANGE_OPERATIONS = {
 @given(u=whole_range_triples, v=whole_range_triples)
 # a transverse coefficient whose modulus is beyond the double range
 @example(u=Tricomplex(1.3e308, 0.75e308, -0.75e308), v=ZERO)
-# the first iterate's residual has a modulus beyond the double range
+# components from 1e-107 to 5e307, whose roots, near 5e153, factor
 @example(
     u=Tricomplex(6.662140998568333e16, 1.97959841424133e-107, -73.54866650054805),
     v=Tricomplex(-8.468982973470195e58, -4.737443580491874e307, -406.9818898931609),
 )
+# the root iteration's start circle, near 1e154, has residual moduli
+# beyond the double range: Overflow, not a bare OverflowError
+@example(u=ZERO, v=Tricomplex(1e308, 0.5, 0.0))
 @settings(max_examples=300, deadline=None)
 def test_whole_range_results_are_finite_or_reported(u, v):
     # finite input anywhere in the double range gives a finite result or

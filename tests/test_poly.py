@@ -370,6 +370,17 @@ def test_polish_stops_at_a_zero_slope():
     assert poly._polish([1.0, 0.0, -1.0], 0j, 1) == 0
 
 
+def test_lone_roots_skip_the_multiplicity_check(monkeypatch):
+    # a root alone in its disc is polished once, with no test of whether
+    # it is multiple
+    calls = []
+    multiple = poly._multiple
+    monkeypatch.setattr(poly, "_multiple", lambda *args: calls.append(args) or multiple(*args))
+    p = TriPolynomial.from_roots(_split_roots(_separated_parts(np.random.default_rng(1206), 6)))
+    _assert_rebuilds(p, factor(p))
+    assert calls == []
+
+
 @pytest.mark.parametrize("degree", range(5, 11))
 def test_separated_roots_factor_at_high_degree(degree):
     rng = np.random.default_rng(1000 + degree)
