@@ -11,17 +11,17 @@ sets; around a simple pole at ``a`` the loop integral picks up the
 fixed transverse unit (2*pi/sqrt(3))(h - k) once per turn of the loop's
 projection on the nodal plane around the projection of ``a``.
 
-Path integrals use spectral rules.  Circles take the periodic
-trapezoid rule with their exact tangent, which converges exponentially
-on a smooth closed loop (Trefethen & Weideman 2014, SIAM Review 56(3));
-the levels are nested, each with twice the nodes of the one before, so
-each level evaluates only its new nodes, and the loop stops when two
-levels agree.  Every other path takes a fixed 8-point Gauss-Legendre
-rule on panels, each with its own error estimate from its 8 nodes: the
-size of its top Legendre coefficients, or once halved, the change from
-its parent panel.  Only the panels that fail it are halved, so a smooth
-loop settles on its starting panels and a panel near a pole is refined
-on its own.
+Path integrals use spectral rules.  Closed loops take the periodic
+trapezoid rule, which converges exponentially on a smooth closed loop
+(Trefethen & Weideman 2014, SIAM Review 56(3)), with a circle's exact
+tangent or a sampled loop's trigonometric interpolant's, in nested
+levels that evaluate only their new nodes, until two agree.  Other
+paths, and sampled loops that do not settle within 8*samples nodes,
+take a fixed 8-point Gauss-Legendre rule on panels, each with its own
+error estimate from its 8 nodes: the size of its top Legendre
+coefficients, or once halved, the change from its parent panel.  Only
+the panels that fail it are halved, so a smooth path settles on its
+starting panels and a panel near a pole is refined on its own.
 
 The quadrature runs in split coordinates: the product acts as complex
 multiplication on the transverse pair w = v1 + i*v1t and as real
@@ -41,8 +41,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import mul, sub
-from typing import Callable, Iterable, Sequence
+from operator import add, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     H,
@@ -147,12 +147,12 @@ Node = tuple[complex, float, complex, float, Tricomplex | None]
 class Path3:
     """Curve in the component space, parameterized over t in [0, 1].
 
-    ``tangent_at`` is None: quadrature takes the derivative of each
-    panel's interpolating polynomial.  ``samples`` is the count of
-    starting Gauss-Legendre panels; a panel whose error estimate fails
-    is halved, so a kink at a multiple of 1/samples stays on a panel
-    edge.  A closed path's ends must agree within 1e-12 times max(1,
-    their largest component); circles are closed by construction.
+    ``tangent_at`` is None: quadrature differentiates a closed path's
+    trigonometric interpolant or each panel's interpolating polynomial.
+    ``samples`` caps the trapezoid rule at 8*samples nodes and counts the
+    starting Gauss-Legendre panels; a failing panel is halved, so a kink
+    at a multiple of 1/samples stays on a panel edge.  A closed path's ends
+    must agree within 1e-12 times max(1, their largest component).
     Circles and polylines are split into transverse pairs w and
     component sums v once, when made: ``point_at`` and ``tangent_at``
     join that split, and their quadrature nodes and winding read it.
@@ -204,15 +204,42 @@ class Path3:
             for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs)
         ]
 
+    def _levels(self, cap: int) -> Iterator[tuple[list, list[complex], list[float]]]:
+        """Nested trapezoid levels of n = 8, 16, ... <= 8*samples nodes on a
+        closed path without a tangent (polylines keep their panels), none if
+        8*samples is over ``cap``: the points (w, v, u) not yet yielded, and
+        each node's steps, the derivative of the split's trigonometric
+        interpolant (Nyquist term dropped) over n.  A level whose top quarter
+        of coefficients is above rounding is skipped."""
+        if not self.closed or self.tangent_at or _ORDER * self.samples > cap:
+            return
+        points, n, taken = [], _ORDER, False
+        while n <= _ORDER * self.samples:
+            ts = [i / n for i in range(n) if i % 2 or not points]
+            new = [(*_to_split(u), u) for u in map(self.point_at, ts)]
+            points = _interleaved(points, new)
+            roots = [cmath.exp(complex(0.0, -_TWO_PI * j / n)) for j in range(n // 2)]
+            cw, cv = (_fft([complex(p[i]) for p in points], roots) for i in (0, 1))
+            top = slice(3 * n // 8, 5 * n // 8 + 1)
+            resolved = max(map(abs, cw[top] + cv[top])) <= _ROUNDING * max(map(abs, cw + cv))
+            if resolved:
+                d = [complex(0.0, _TWO_PI * (j - n * (2 * j > n)) * (2 * j != n) / (n * n)) for j in range(n)]
+                dw, dv = (_fft(list(map(mul, d, c)), [r.conjugate() for r in roots]) for c in (cw, cv))
+                yield (new if taken else points), dw, [t.real for t in dv]
+            n, taken = 2 * n, resolved
+
     def _winding(self) -> Callable[[complex], int]:
-        """The winding of the loop's w around a point's a_w, from
-        max(samples, 256) points taken here, once; over ``QUADRATURE_CAP``
-        of them raise NonConvergent before any is taken."""
+        """The winding of the loop's w around a point's a_w from max(samples,
+        256) points, taken once; over ``QUADRATURE_CAP`` raise NonConvergent
+        first.  A point nearer a chord than half the larger second difference
+        at its ends, which bounds how far the loop strays, is ambiguous."""
         n = max(self.samples, 256)
         if n > QUADRATURE_CAP:
             raise NonConvergent(f"winding count needs {n} points, over the cap {QUADRATURE_CAP}")
         ws = [_to_split(self.point_at(i / n))[0] for i in range(n + 1)]
-        return lambda aw: _winding_number(ws, aw, _WINDING_GUARD)
+        bends = [abs(a - 2.0 * b + c) / 2.0 for a, b, c in zip(ws[-2:-1] + ws, ws, ws[1:])]
+        gaps = list(map(max, bends, bends[1:] + bends[:1]))
+        return lambda aw: _winding_number(ws, aw, _WINDING_GUARD, gaps)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -278,8 +305,8 @@ class _Circle(_SplitPath):
     (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
     ``_split(i/n, n)`` divides the step by n: node i of the n-node
-    trapezoid rule, of which a level evaluates only its new nodes, the
-    odd i; its winding is closed form (see ``winding_count``)."""
+    trapezoid rule, whose n nodes repeat every turn, so a level holds
+    one turn's; its winding is closed form (see ``winding_count``)."""
 
     samples: int = field(init=False)
     closed: bool = field(default=True, init=False)
@@ -306,6 +333,14 @@ class _Circle(_SplitPath):
         omega = _TWO_PI * self.turns
         e = cmath.rect(self.radius_w, omega * t)
         return self.center_w + e, self.center_v, e * complex(0.0, omega / n), 0.0
+
+    def _levels(self, cap: int) -> Iterator[tuple[list, list[complex], list[float]]]:
+        k, n, steps = abs(self.turns), _ORDER * abs(self.turns), []
+        while n <= cap:  # node 2i of n nodes is node i of n/2, its step halved exactly
+            new = [self._split(i / n, n) for i in (range(1, n // k, 2) if steps else range(n // k))]
+            steps = _interleaved([s * 0.5 for s in steps], [s for _, _, s, _ in new])
+            yield [(w, v, None) for w, v, _, _ in new], steps, [0.0] * len(steps)
+            n *= 2
 
     def _winding(self) -> Callable[[complex], int]:
         cw, r = self.center_w, self.radius_w
@@ -507,13 +542,26 @@ def _exact_sum(tw: list[complex], tv: list[float]) -> tuple[complex, float]:
     return complex(sums[0], sums[1]), sums[2]
 
 
-def _halved_with(old: list, new: list) -> list:
-    """The terms of a circle level: the previous level's, halved, at the
-    even nodes and the new ones at the odd nodes."""
-    terms = old + new
-    terms[0::2] = [t * 0.5 for t in old]
-    terms[1::2] = new
-    return terms
+def _interleaved(old: list, new: list) -> list:
+    """A nested level's items: the previous level's, if any, at even nodes."""
+    if not old:
+        return new
+    both = old + new
+    both[0::2], both[1::2] = old, new
+    return both
+
+
+def _fft(a: list[complex], roots: list[complex]) -> list[complex]:
+    """The unnormalized DFT of ``a`` (n = 2**m) with the n/2 roots of unity
+    ``roots`` (conjugates for the inverse), by radix-2 decimation in time:
+    a stage merges the residues r and r + n/(2L), blocks of L terms."""
+    x, half, size = a, len(a) // 2, 1
+    while size < 2 * half:
+        p = list(map(mul, roots[:: half // size] * (half // size), x[half:]))
+        s, d = list(map(add, x[:half], p)), list(map(sub, x[:half], p))
+        x = [t for i in range(0, half, size) for t in (*s[i : i + size], *d[i : i + size])]
+        size *= 2
+    return x
 
 
 def _panel(
@@ -565,9 +613,9 @@ def _quadrature(
     """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
-    estimate, for a circle the change between its last two levels.  A
-    circle level evaluates only its new nodes, so a circle's evaluations
-    are its last level's nodes per turn.
+    estimate, for the trapezoid rule the change between its last two
+    levels.  Its ``_levels`` evaluate their odd nodes, rebuilding the terms
+    from their steps; a sampled loop whose levels run out takes panels.
 
     A Gauss-Legendre panel is accepted once its estimate is at most
     ``tol`` times its share of [0, 1], and the others are halved, as in
@@ -581,26 +629,23 @@ def _quadrature(
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
     g = _integrand(f, pole)
+    # a circle's nodes repeat every turn: its levels hold one turn's, counted k times
+    k = abs(path.turns) if isinstance(path, _Circle) else 1
+    fw, fv, previous, spent = [], [], None, 0
+    for fresh, dw, dv in path._levels(cap):
+        new = [g(w, v, u) for w, v, u in fresh]
+        spent += len(new)
+        nw, nv = map(list, zip(*new))
+        # fresh are the odd nodes, or all of them at the first level and one after a skip
+        fw, fv = (_interleaved(fw, nw), _interleaved(fv, nv)) if len(fresh) < len(dw) else (nw, nv)
+        sw, sv = _exact_sum(list(map(mul, fw, dw)), list(map(mul, fv, dv)))
+        sw, sv = sw * k, sv * k
+        if previous is not None:
+            error = _split_norm(sw - previous[0], sv - previous[1])
+            if error < tol:
+                return _from_split(sw, sv), spent, error
+        previous = sw, sv
     if isinstance(path, _Circle):
-        # the n nodes of k = |turns| turns repeat every n/k: each level
-        # evaluates one turn's nodes and counts them k times.  Node 2j of
-        # level n is node j of level n/2 with half its step, so its term is
-        # the previous term halved, exactly: past the first level only the
-        # odd nodes are evaluated, and the terms stay in node order
-        k = abs(path.turns)
-        n, tw, tv, previous = _ORDER * k, [], [], None
-        while n <= cap:
-            new = range(1, n // k, 2) if tw else range(n // k)
-            nw, nv = _terms(g, ((*path._split(i / n, n), None) for i in new))
-            tw, tv = (_halved_with(tw, nw), _halved_with(tv, nv)) if tw else (nw, nv)
-            sw, sv = _exact_sum(tw, tv)
-            sw, sv = sw * k, sv * k
-            if previous is not None:
-                error = _split_norm(sw - previous[0], sv - previous[1])
-                if error < tol:
-                    return _from_split(sw, sv), n // k, error
-            previous = sw, sv
-            n *= 2
         raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
     scale = tol / path.samples  # the tolerance of a panel one sample wide
     # (start, width, sw, sv, tw, tv): an evaluated panel; the starting ones
@@ -633,26 +678,26 @@ def _quadrature(
             else:
                 failed.append((a, h, sw, sv))
         panels, count = [], 2 * len(failed)
-    return _from_split(*_exact_sum(tw_all, tv_all)), evaluations, estimate
+    return _from_split(*_exact_sum(tw_all, tv_all)), spent + evaluations, estimate
 
 
 def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     """Integral of f(u) du along the path.
 
-    A circle takes the periodic trapezoid rule with its exact tangent:
+    A closed loop takes the periodic trapezoid rule, with a circle's
+    exact tangent or a parametric loop's trigonometric interpolant's:
     each level has twice the nodes of the one before and evaluates only
     its new nodes, and the sum is returned once it differs from the
-    previous level's by less than ``QUADRATURE_TOL`` in modulus.
-    Every other path takes a fixed 8-point Gauss-Legendre rule, starting
-    from ``path.samples`` equal panels; the tangent comes from a
-    polyline's segments or, for a parametric path, from the derivative
-    of the polynomial that interpolates the path at each panel's nodes.
-    Each panel estimates its own error, and only the panels whose
-    estimate exceeds ``QUADRATURE_TOL`` times their share of the path's
-    parameter range are halved; the sum is returned once every panel
-    passes.  NonConvergent is raised, before any evaluation, at a circle
-    level of more than ``QUADRATURE_CAP`` nodes, or at a batch of panels
-    that would take the evaluations past it.
+    previous level's by less than ``QUADRATURE_TOL`` in modulus.  Other
+    paths, and parametric loops unsettled after 8*samples nodes, take a
+    fixed 8-point Gauss-Legendre rule from ``path.samples`` equal panels,
+    with a polyline's segments or each panel's interpolating polynomial
+    for tangent.  Only the panels whose own error estimate exceeds
+    ``QUADRATURE_TOL`` times their share of the path's parameter range
+    are halved; the sum is returned once every panel passes.
+    NonConvergent is raised, before any evaluation, at a circle level of
+    more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that
+    would take the evaluations past it.
 
     The quadrature runs in split coordinates: f(u) du is summed as the
     pair (f_w dw, f_v dv) on the transverse pair and the component sum.
@@ -687,23 +732,23 @@ def cauchy_value(f: TriFunction, a: Tricomplex, loop: Path3) -> Tricomplex:
 _ON_LOOP = "projected pole lies on (or too near) the projected loop"
 
 
-def _winding_number(ws: list[complex], aw: complex, guard: float) -> int:
+def _winding_number(ws: list[complex], aw: complex, guard: float, gaps: Sequence[float] = ()) -> int:
     """Winding of the polygon through the transverse pairs ``ws`` around
     ``aw``: the sum of the angles its edges subtend.  A point within
-    guard*(1 + the largest coordinate) of an edge raises
-    AmbiguousWinding."""
+    guard*(1 + the largest coordinate) of an edge, plus that edge's gap
+    when ``gaps`` are given, raises AmbiguousWinding."""
     top = max(max(abs(w.real), abs(w.imag)) for w in (aw, *ws))
     scale = guard * (1.0 + top)
     if top > 2.0**500:  # scaled exactly, so that no product of differences overflows
         k = 2.0 ** -math.frexp(top)[1]
-        ws, aw, scale = [w * k for w in ws], aw * k, scale * k
+        ws, aw, scale, gaps = [w * k for w in ws], aw * k, scale * k, [g * k for g in gaps]
     total = 0.0
-    for w0, w1 in zip(ws, ws[1:]):
+    for w0, w1, gap in zip(ws, ws[1:], gaps or [0.0] * len(ws)):
         d0, d1, e = w0 - aw, w1 - aw, w1 - w0
         # distance from the point to this edge
         ee = e.real * e.real + e.imag * e.imag
         t = 0.0 if ee == 0.0 else min(1.0, max(0.0, -(d0 * e.conjugate()).real / ee))
-        if abs(d0 + t * e) <= scale:
+        if abs(d0 + t * e) <= scale + gap:
             raise AmbiguousWinding(_ON_LOOP)
         q = d0.conjugate() * d1
         total += math.atan2(q.imag, q.real)

@@ -49,6 +49,7 @@ from tricomplex.calculus import (
     _GL_WEIGHTS,
     _ORDER,
     _exact_sum,
+    _fft,
     _integrand,
     _quadrature,
     _terms,
@@ -527,13 +528,89 @@ def _ellipse(center, a, b):
 
 
 def test_smooth_loop_settles_on_its_first_panels():
-    # every starting panel of a smooth ellipse passes its own estimate;
-    # whole-level doubling took 512 + 1024 evaluations
+    # a smooth ellipse without a tangent takes the trapezoid rule on its
+    # trigonometric interpolant, 64 evaluations; its 64 starting panels
+    # took 512, and whole-level doubling 512 + 1024
     loop = _ellipse(Tricomplex(-1 / 3, -1 / 3, -1 / 3), 1.2, 0.8)
     got, evaluations, error = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=ZERO)
     assert evaluations <= 640
     assert abs(got - POLE_LOOP_VALUE) < 1e-12
     assert error < QUADRATURE_TOL
+
+
+def test_kinked_loop_takes_at_most_one_round_of_points_before_its_panels():
+    # the square's trigonometric coefficients never fall to rounding: the
+    # trapezoid rule takes no integrand value and at most the 8*4 points
+    # of the panels' first round before the panels take over unchanged
+    square = _square(Tricomplex(-1 / 3, -1 / 3, -1 / 3))
+    points = Counted(square.point_at)
+    loop = Path3.parametric(points, samples=4, closed=True)
+    points.calls = 0  # the endpoint check when the loop is made
+    got, evaluations, _ = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=ZERO)
+    assert evaluations == 224
+    assert points.calls <= evaluations + 32
+    assert abs(got - POLE_LOOP_VALUE) < 1e-12
+
+
+def test_pole_near_a_sampled_loop_costs_at_most_one_round_more():
+    # with the pole 1e-3 inside the ellipse the trapezoid rule would need
+    # 65536 nodes: it stops at 8*64 and the panels take their 1296
+    c = Tricomplex(-1 / 3, -1 / 3, -1 / 3)
+    pole = c + XI1 * (1.2 - 1e-3) + Tricomplex(0.5, 0.5, 0.5)
+    got, evaluations, _ = _quadrature(None, _ellipse(c, 1.2, 0.8), QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert evaluations <= 1296 + 8 * 64
+    assert abs(got - POLE_LOOP_VALUE) < QUADRATURE_TOL
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_benchmark_like_ellipse_settles_within_128_evaluations(inside):
+    # an ellipse without a tangent whose component sum wobbles at three
+    # times its angle, as the benchmark's parametric loops do
+    c, a, b = Tricomplex(0.2, 0.2, 0.2), 1.1, 0.8
+
+    def at(t):
+        ang = 2.0 * math.pi * t
+        h = 0.03 * math.sin(3.0 * ang)
+        return c + XI1 * (a * math.cos(ang)) + XI2 * (b * math.sin(ang)) + Tricomplex(h, h, h)
+
+    q = 0.1 if inside else 2.2 * a
+    pole = c + XI1 * (q * math.cos(1.0)) + XI2 * (q * math.sin(1.0)) + Tricomplex(0.4, 0.4, 0.4)
+    loop = Path3.parametric(at, samples=64, closed=True)
+    for f, want in ((None, POLE_LOOP_VALUE), (texp, POLE_LOOP_VALUE * texp(pole))):
+        got, evaluations, error = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+        assert evaluations <= 128
+        assert error < QUADRATURE_TOL
+        assert abs(got - want * float(inside)) < 1e-13
+
+
+def test_level_that_aliased_the_loop_is_skipped():
+    # at 8 nodes the loop's frequency-8 ripple aliases to its center, so
+    # that level counts; at 16 the ripple is the top coefficient and the
+    # level is skipped; the next level evaluates all its nodes again
+    c = Tricomplex(0.2, 0.2, 0.2)
+
+    def at(t):
+        ang = 2.0 * math.pi * t
+        return c + XI1 * (math.cos(ang) + 0.01 * math.cos(8 * ang)) + XI2 * (math.sin(ang) + 0.01 * math.sin(8 * ang))
+
+    points = Counted(at)
+    loop = Path3.parametric(points, samples=64, closed=True)
+    pole = c + XI1 * 0.3 + Tricomplex(0.5, 0.5, 0.5)
+    points.calls = 0  # the endpoint check when the loop is made
+    got, evaluations, error = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert abs(got - POLE_LOOP_VALUE) < 1e-13
+    assert error < QUADRATURE_TOL
+    assert evaluations == 8 + points.calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+def test_fft_is_the_discrete_fourier_transform(n):
+    rng = np.random.default_rng(n)
+    a = list(rng.normal(size=n) + 1j * rng.normal(size=n))
+    roots = [complex(np.exp(-2j * np.pi * j / n)) for j in range(n // 2)]
+    assert np.allclose(_fft(a, roots), np.fft.fft(a), rtol=0.0, atol=1e-12 * n)
+    back = [r.conjugate() for r in roots]
+    assert np.allclose(_fft(a, back), n * np.fft.ifft(a), rtol=0.0, atol=1e-12 * n)
 
 
 def _regular_polygon(center, r, nseg):
@@ -558,7 +635,7 @@ def test_panels_near_a_pole_are_refined_on_their_own():
 
 
 @st.composite
-def wobbly_loops_with_poles(draw):
+def wobbly_loops_with_poles(draw, samples=st.just(64)):
     c = Tricomplex(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
     a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
     k, depth = draw(st.integers(1, 6)), draw(st.floats(0.0, 0.2))
@@ -576,7 +653,7 @@ def wobbly_loops_with_poles(draw):
     # off the component sums 3*h of the loop, by at least 0.6
     off = draw(st.sampled_from((-1.0, 1.0))) * (abs(lift) + draw(st.floats(0.2, 1.0)))
     pole = c + XI1 * (rad * math.cos(ang)) + XI2 * (rad * math.sin(ang)) + Tricomplex(off, off, off)
-    return Path3.parametric(at, samples=64, closed=True), pole
+    return Path3.parametric(at, samples=draw(samples), closed=True), pole
 
 
 @settings(max_examples=60, deadline=None)
@@ -585,6 +662,23 @@ def test_smooth_loop_integral_is_winding_times_pole_value(case):
     loop, pole = case
     n = winding_count(loop, pole)
     assert abs(loop_integral_pole(pole, loop) - POLE_LOOP_VALUE * float(n)) < QUADRATURE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=wobbly_loops_with_poles(samples=st.integers(16, 64)))
+def test_sampled_loop_estimate_bounds_its_error(case):
+    # wherever the trapezoid rule settles (within 8*samples evaluations)
+    # with an estimate within tol, its value is within tol, or its own
+    # rounding, of the residue theorem's; the panels it falls back on can
+    # still under-report at these sample counts
+    loop, pole = case
+    n = float(winding_count(loop, pole))
+    for f, want in ((None, POLE_LOOP_VALUE * n), (texp, POLE_LOOP_VALUE * texp(pole) * n)):
+        got, evaluations, estimate = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+        bound = max(QUADRATURE_TOL, 64 * sys.float_info.epsilon * abs(want))
+        if evaluations <= 8 * loop.samples and estimate <= QUADRATURE_TOL:
+            assert abs(got - want) <= bound
+    assert got == cauchy_value(texp, pole, loop)
 
 
 def test_overflowing_level_sum_is_singular_on_path():
@@ -670,6 +764,23 @@ def test_panel_cap_is_checked_before_the_panels_are_made():
     assert peak < 2**20
 
 
+def test_closed_panel_cap_is_checked_before_any_point():
+    # the closed twin: the trapezoid rule's 8*samples nodes are over the
+    # cap too, so neither rule takes a point or builds a list
+    points = Counted(UNIT_LOOP.point_at)
+    path = Path3.parametric(points, samples=10**6, closed=True)
+    points.calls = 0  # the endpoint check when the loop is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonConvergent):
+            path_integral(texp, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert points.calls == 0
+    assert peak < 2**20
+
+
 def test_path_needs_a_sample():
     # a path without panels would leave the refinement loop nothing to refine
     with pytest.raises(ValueError):
@@ -706,6 +817,20 @@ def test_quadrature_does_not_load_numpy_polynomial():
         "import sys, tricomplex as T\n"
         "T.path_integral(T.texp, T.Path3.polyline([T.ZERO, T.ONE]))\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(tricomplex.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_trapezoid_rule_does_not_load_numpy():
+    # the spectral tangent's FFT is pure Python: numpy would add about
+    # 11 MB to the resident set of every process that integrates a loop
+    code = (
+        "import math, sys, tricomplex as T\n"
+        "c = T.Tricomplex(1.0, 1.0, 1.0)\n"
+        "at = lambda t: c + T.Tricomplex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t), 0.0)\n"
+        "_, n, _ = T.calculus._quadrature(None, T.Path3.parametric(at, closed=True), 1e-9, 2**20, pole=T.ZERO)\n"
+        "assert n <= 128 and 'numpy' not in sys.modules, (n, 'numpy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(tricomplex.__file__))
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
@@ -871,6 +996,24 @@ def test_ambiguous_winding():
     edge = PoleSpec((square.vertices[0] + square.vertices[1]) * 0.5 + Tricomplex(1.0, 1.0, 1.0), ONE)
     with pytest.raises(AmbiguousWinding):
         residue_sum([edge], square)
+
+
+def test_sampled_winding_near_a_chord_is_ambiguous():
+    # a point 5e-5 inside the unit loop's w, midway between two of the 256
+    # points its tangent-less twin is sampled at: the chord between them
+    # passes 7.5e-5 inside the circle, so the point is outside the polygon
+    loop = Path3.parametric(UNIT_LOOP.point_at, samples=64, closed=True)
+    c, lift = UNIT_LOOP.center, Tricomplex(0.5, 0.5, 0.5)
+    radial = UNIT_LOOP.point_at(3.5 / 256) - c
+    pole = c + radial * (1.0 - 5e-5) + lift
+    assert winding_count(UNIT_LOOP, pole) == 1
+    assert abs(loop_integral_pole(pole, loop) - POLE_LOOP_VALUE) < QUADRATURE_TOL
+    for call in (lambda: winding_count(loop, pole), lambda: residue_sum([PoleSpec(pole, ONE)], loop)):
+        with pytest.raises(AmbiguousWinding):
+            call()
+    # 1% inside, and outside, the sampled winding still decides
+    assert winding_count(loop, c + radial * 0.99 + lift) == 1
+    assert winding_count(loop, c + radial * 1.01 + lift) == 0
 
 
 def _triangle():
