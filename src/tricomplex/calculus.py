@@ -11,17 +11,15 @@ sets; around a simple pole at ``a`` the loop integral picks up the
 fixed transverse unit (2*pi/sqrt(3))(h - k) once per turn of the loop's
 projection on the nodal plane around the projection of ``a``.
 
-Path integrals use spectral rules.  Closed loops take the periodic
-trapezoid rule, which converges exponentially on a smooth closed loop
-(Trefethen & Weideman 2014, SIAM Review 56(3)), with a circle's exact
-tangent or a sampled loop's trigonometric interpolant's, in nested
-levels that evaluate only their new nodes, until two agree.  Other
-paths, and sampled loops that do not settle within 8*samples nodes,
-take a fixed 8-point Gauss-Legendre rule on panels, each with its own
-error estimate from its 8 nodes: the size of its top Legendre
-coefficients, or once halved, the change from its parent panel.  Only
-the panels that fail it are halved, so a smooth path settles on its
-starting panels and a panel near a pole is refined on its own.
+Path integrals use spectral rules.  Closed loops take the periodic trapezoid
+rule, exponentially convergent on a smooth closed loop (Trefethen & Weideman
+2014, SIAM Review 56(3)), with a circle's exact tangent or a sampled loop's
+trigonometric interpolant's, in nested levels that evaluate only their new
+nodes, until two agree.  Other paths, and sampled loops unsettled by
+8*samples nodes, take an 8-point Gauss-Legendre rule on panels, each with
+its own error estimate from its 8 nodes: the size of its top Legendre
+coefficients, or once halved, the change from its parent panel.  Only the
+panels that fail it are halved, so a panel near a pole is refined alone.
 
 The quadrature runs in split coordinates: the product acts as complex
 multiplication on the transverse pair w = v1 + i*v1t and as real
@@ -148,13 +146,13 @@ class Path3:
     """Curve in the component space, parameterized over t in [0, 1].
 
     ``tangent_at`` is None: quadrature differentiates a closed path's
-    trigonometric interpolant or each panel's interpolating polynomial.
-    ``samples`` caps the trapezoid rule at 8*samples nodes and counts the
-    starting Gauss-Legendre panels; a failing panel is halved, so a kink
-    at a multiple of 1/samples stays on a panel edge.  A closed path's ends
-    must agree within 1e-12 times max(1, their largest component).
-    Circles and polylines are split into transverse pairs w and
-    component sums v once, when made: ``point_at`` and ``tangent_at``
+    trigonometric interpolant, resolved on 2*samples points or more and
+    capped at 8*samples nodes, or each panel's interpolating polynomial.
+    ``samples`` counts the starting Gauss-Legendre panels, and a failing
+    one is halved, so a kink at a multiple of 1/samples stays on a panel
+    edge.  Closed ends must agree within 1e-12 times max(1, their largest
+    component).  Circles and polylines are split into transverse pairs w
+    and component sums v once, when made: ``point_at`` and ``tangent_at``
     join that split, and their quadrature nodes and winding read it.
     Neither takes ``samples``: a polyline's is its segment count (one
     panel per segment), and a circle's is 64 per turn, which its
@@ -165,6 +163,7 @@ class Path3:
     samples: int
     closed: bool
     tangent_at = None
+    _repeats = 1  # the times a trapezoid level's nodes repeat: a circle's turns
 
     def __post_init__(self) -> None:
         if not isinstance(self.samples, int) or self.samples < 1:
@@ -205,28 +204,35 @@ class Path3:
         ]
 
     def _levels(self, cap: int) -> Iterator[tuple[list, list[complex], list[float]]]:
-        """Nested trapezoid levels of n = 8, 16, ... <= 8*samples nodes on a
-        closed path without a tangent (polylines keep their panels), none if
-        8*samples is over ``cap``: the points (w, v, u) not yet yielded, and
-        each node's steps, the derivative of the split's trigonometric
-        interpolant (Nyquist term dropped) over n.  A level whose top quarter
-        of coefficients is above rounding is skipped."""
-        if not self.closed or self.tangent_at or _ORDER * self.samples > cap:
+        """Trapezoid levels of n = 8, 16, ... <= 8*samples (<= ``cap``) nodes on
+        a closed path without a tangent: the points (w, v, u) off the last level
+        yielded, and the steps, the derivative of the split's interpolant over n.
+        The split is transformed on m >= 2*samples points and on finer levels;
+        level n counts once the coefficients of frequency >= 3n/8 are at rounding.
+        At n = m, levels stop if those, decaying as from 3n/16, stay above it at 4n."""
+        top, n, last = _ORDER * self.samples, _ORDER, 0
+        if not self.closed or self.tangent_at or top > cap:
             return
-        points, n, taken = [], _ORDER, False
-        while n <= _ORDER * self.samples:
-            ts = [i / n for i in range(n) if i % 2 or not points]
-            new = [(*_to_split(u), u) for u in map(self.point_at, ts)]
-            points = _interleaved(points, new)
-            roots = [cmath.exp(complex(0.0, -_TWO_PI * j / n)) for j in range(n // 2)]
-            cw, cv = (_fft([complex(p[i]) for p in points], roots) for i in (0, 1))
-            top = slice(3 * n // 8, 5 * n // 8 + 1)
-            resolved = max(map(abs, cw[top] + cv[top])) <= _ROUNDING * max(map(abs, cw + cv))
-            if resolved:
-                d = [complex(0.0, _TWO_PI * (j - n * (2 * j > n)) * (2 * j != n) / (n * n)) for j in range(n)]
-                dw, dv = (_fft(list(map(mul, d, c)), [r.conjugate() for r in roots]) for c in (cw, cv))
-                yield (new if taken else points), dw, [t.real for t in dv]
-            n, taken = 2 * n, resolved
+        points, m = [], max(_ORDER, 2 << (self.samples - 1).bit_length())
+        while n <= top:
+            if len(points) < m:  # all the grid's points, or a finer level's odd ones
+                ts = [i / m for i in range(m) if i % 2 or not points]
+                points = _interleaved(points, [(*_to_split(u), u) for u in map(self.point_at, ts)])
+                roots = [cmath.exp(complex(0.0, -_TWO_PI * j / m)) for j in range(m // 2)]
+                cw, cv = (_fft([complex(p[i]) for p in points], roots) for i in (0, 1))
+                sizes = list(map(max, map(abs, cw), map(abs, cv)))
+                limit = _ROUNDING * max(sizes)
+            k, s = 3 * n // 8, m // n
+            tail = max(sizes[k : m - k + 1])  # the coefficients of frequency >= k
+            if tail <= limit:  # the derivative of the coefficients below n/2, at the level's nodes
+                d = [complex(0.0, _TWO_PI * (j - n * (2 * j > n)) * (2 * j != n) / (m * n)) for j in range(n)]
+                back = [r.conjugate() for r in roots[::s]]
+                dw, dv = (_fft(list(map(mul, d, c[: n // 2] + c[m - n // 2 :])), back) for c in (cw, cv))
+                yield [p for i, p in enumerate(points[::s]) if not last or i * last % n], dw, [t.real for t in dv]
+                last = n
+            elif n == m and tail * (tail / max(sizes[k // 2 : m - k // 2 + 1])) ** 6 > limit:
+                return
+            n, m = 2 * n, max(m, 2 * n)
 
     def _winding(self) -> Callable[[complex], int]:
         """The winding of the loop's w around a point's a_w from max(samples,
@@ -323,6 +329,7 @@ class _Circle(_SplitPath):
         if not isinstance(self.turns, int) or self.turns == 0:
             raise ValueError("turns must be a nonzero integer")
         object.__setattr__(self, "samples", 64 * abs(self.turns))
+        object.__setattr__(self, "_repeats", abs(self.turns))
         cw, cv = _to_split(self.center)
         object.__setattr__(self, "center_w", cw)
         object.__setattr__(self, "center_v", cv)
@@ -543,18 +550,19 @@ def _exact_sum(tw: list[complex], tv: list[float]) -> tuple[complex, float]:
 
 
 def _interleaved(old: list, new: list) -> list:
-    """A nested level's items: the previous level's, if any, at even nodes."""
+    """A nested level's items: the last level's, if any, every r-th, the new between."""
     if not old:
         return new
-    both = old + new
-    both[0::2], both[1::2] = old, new
+    both, r = old + new, len(new) // len(old) + 1
+    both[::r] = old
+    for j in range(1, r):
+        both[j::r] = new[j - 1 :: r - 1]
     return both
 
 
 def _fft(a: list[complex], roots: list[complex]) -> list[complex]:
-    """The unnormalized DFT of ``a`` (n = 2**m) with the n/2 roots of unity
-    ``roots`` (conjugates for the inverse), by radix-2 decimation in time:
-    a stage merges the residues r and r + n/(2L), blocks of L terms."""
+    """The unnormalized DFT of ``a`` (n = 2**m) with the n/2 roots of unity ``roots``
+    (conjugates for the inverse), by radix-2 decimation in time."""
     x, half, size = a, len(a) // 2, 1
     while size < 2 * half:
         p = list(map(mul, roots[:: half // size] * (half // size), x[half:]))
@@ -613,9 +621,8 @@ def _quadrature(
     """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
-    estimate, for the trapezoid rule the change between its last two
-    levels.  Its ``_levels`` evaluate their odd nodes, rebuilding the terms
-    from their steps; a sampled loop whose levels run out takes panels.
+    estimate, for the path's ``_levels`` the change between the last two;
+    a sampled loop whose levels run out takes panels.
 
     A Gauss-Legendre panel is accepted once its estimate is at most
     ``tol`` times its share of [0, 1], and the others are halved, as in
@@ -629,17 +636,12 @@ def _quadrature(
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
     g = _integrand(f, pole)
-    # a circle's nodes repeat every turn: its levels hold one turn's, counted k times
-    k = abs(path.turns) if isinstance(path, _Circle) else 1
     fw, fv, previous, spent = [], [], None, 0
     for fresh, dw, dv in path._levels(cap):
-        new = [g(w, v, u) for w, v, u in fresh]
-        spent += len(new)
-        nw, nv = map(list, zip(*new))
-        # fresh are the odd nodes, or all of them at the first level and one after a skip
-        fw, fv = (_interleaved(fw, nw), _interleaved(fv, nv)) if len(fresh) < len(dw) else (nw, nv)
-        sw, sv = _exact_sum(list(map(mul, fw, dw)), list(map(mul, fv, dv)))
-        sw, sv = sw * k, sv * k
+        nw, nv = map(list, zip(*(g(w, v, u) for w, v, u in fresh)))
+        spent += len(nw)
+        fw, fv = _interleaved(fw, nw), _interleaved(fv, nv)
+        sw, sv = (s * path._repeats for s in _exact_sum(list(map(mul, fw, dw)), list(map(mul, fv, dv))))
         if previous is not None:
             error = _split_norm(sw - previous[0], sv - previous[1])
             if error < tol:
@@ -651,7 +653,7 @@ def _quadrature(
     # (start, width, sw, sv, tw, tv): an evaluated panel; the starting ones
     # are evaluated as they are judged, after the first round's cap check
     panels = (_panel(g, path, float(p), 1.0) for p in range(path.samples))
-    tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, 0, []
+    tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, spent, []
     count = path.samples  # the panels this round evaluates
     while count:
         evaluations += _ORDER * count
@@ -662,9 +664,8 @@ def _quadrature(
             left, right = _panel(g, path, a, h), _panel(g, path, a + h, h)
             error = _split_norm(sw - left[2] - right[2], sv - left[3] - right[3])
             if error <= 2.0 * h * scale or error <= _rounding(left[4] + right[4], left[5] + right[5]):
-                for *_, tw, tv in (left, right):
-                    tw_all += tw
-                    tv_all += tv
+                tw_all += left[4] + right[4]
+                tv_all += left[5] + right[5]
                 estimate += error
             else:
                 panels += left, right
@@ -678,26 +679,24 @@ def _quadrature(
             else:
                 failed.append((a, h, sw, sv))
         panels, count = [], 2 * len(failed)
-    return _from_split(*_exact_sum(tw_all, tv_all)), spent + evaluations, estimate
+    return _from_split(*_exact_sum(tw_all, tv_all)), evaluations, estimate
 
 
 def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     """Integral of f(u) du along the path.
 
-    A closed loop takes the periodic trapezoid rule, with a circle's
-    exact tangent or a parametric loop's trigonometric interpolant's:
-    each level has twice the nodes of the one before and evaluates only
-    its new nodes, and the sum is returned once it differs from the
-    previous level's by less than ``QUADRATURE_TOL`` in modulus.  Other
-    paths, and parametric loops unsettled after 8*samples nodes, take a
-    fixed 8-point Gauss-Legendre rule from ``path.samples`` equal panels,
-    with a polyline's segments or each panel's interpolating polynomial
-    for tangent.  Only the panels whose own error estimate exceeds
-    ``QUADRATURE_TOL`` times their share of the path's parameter range
-    are halved; the sum is returned once every panel passes.
+    A closed loop takes the periodic trapezoid rule, with a circle's exact
+    tangent or a parametric loop's trigonometric interpolant's: each level
+    doubles the nodes, evaluates only its new ones and is returned once it
+    differs from the last by less than ``QUADRATURE_TOL`` in modulus.
+    Other paths, and parametric loops unsettled by 8*samples nodes, take an
+    8-point Gauss-Legendre rule from ``path.samples`` equal panels, with a
+    polyline's segments or each panel's interpolating polynomial for
+    tangent.  Only the panels whose own error estimate exceeds
+    ``QUADRATURE_TOL`` times their share of the parameter range are halved.
     NonConvergent is raised, before any evaluation, at a circle level of
-    more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that
-    would take the evaluations past it.
+    more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that would
+    take the evaluations, the trapezoid rule's included, past it.
 
     The quadrature runs in split coordinates: f(u) du is summed as the
     pair (f_w dw, f_v dv) on the transverse pair and the component sum.

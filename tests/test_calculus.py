@@ -50,6 +50,7 @@ from tricomplex.calculus import (
     _ORDER,
     _exact_sum,
     _fft,
+    _interleaved,
     _integrand,
     _quadrature,
     _terms,
@@ -583,24 +584,73 @@ def test_benchmark_like_ellipse_settles_within_128_evaluations(inside):
         assert abs(got - want * float(inside)) < 1e-13
 
 
-def test_level_that_aliased_the_loop_is_skipped():
-    # at 8 nodes the loop's frequency-8 ripple aliases to its center, so
-    # that level counts; at 16 the ripple is the top coefficient and the
-    # level is skipped; the next level evaluates all its nodes again
+def test_levels_the_resolution_grid_does_not_resolve_are_skipped():
+    # the loop's frequency-8 ripple aliases to its center at 8 nodes; the
+    # 128-point grid that its 64 samples resolve shows it, so levels 8 and
+    # 16 are skipped, and the levels after take each point's integrand once
     c = Tricomplex(0.2, 0.2, 0.2)
 
     def at(t):
         ang = 2.0 * math.pi * t
         return c + XI1 * (math.cos(ang) + 0.01 * math.cos(8 * ang)) + XI2 * (math.sin(ang) + 0.01 * math.sin(8 * ang))
 
-    points = Counted(at)
+    points, f = Counted(at), Counted(texp)
     loop = Path3.parametric(points, samples=64, closed=True)
     pole = c + XI1 * 0.3 + Tricomplex(0.5, 0.5, 0.5)
     points.calls = 0  # the endpoint check when the loop is made
-    got, evaluations, error = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
-    assert abs(got - POLE_LOOP_VALUE) < 1e-13
+    got, evaluations, error = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert abs(got - POLE_LOOP_VALUE * texp(pole)) < 1e-13
     assert error < QUADRATURE_TOL
-    assert evaluations == 8 + points.calls
+    assert evaluations == f.calls == points.calls == 128
+    fresh, dw, _ = next(loop._levels(QUADRATURE_CAP))
+    assert len(fresh) == len(dw) == 32
+
+
+def test_ripple_the_first_levels_alias_is_resolved():
+    # at 8 and 16 nodes the frequency-16 ripple folds onto the center, so
+    # those levels see a unit circle 20 from the pole and agree on 0; the
+    # grid of 2*samples points shows the ripple, and the loop winds 16 times
+    c = Tricomplex(0.2, 0.2, 0.2)
+
+    def at(t):
+        ang = 2.0 * math.pi * t
+        return c + XI1 * (math.cos(ang) + 20.0 * math.cos(16 * ang)) + XI2 * (math.sin(ang) + 20.0 * math.sin(16 * ang))
+
+    loop, pole = Path3.parametric(at, samples=64, closed=True), c + Tricomplex(0.5, 0.5, 0.5)
+    assert winding_count(loop, pole) == 16
+    got, _, error = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert error < QUADRATURE_TOL
+    assert abs(got - POLE_LOOP_VALUE * 16.0) < 1e-12
+
+
+def test_kinked_loop_stops_its_levels_at_the_resolution_grid():
+    # the square's coefficients decay only algebraically: on the grid of
+    # 128 points they would not reach rounding by 512 nodes, so the levels
+    # stop there, without an integrand value, and the panels take their 512
+    square = _square(Tricomplex(-1 / 3, -1 / 3, -1 / 3))
+    points = Counted(square.point_at)
+    loop = Path3.parametric(points, samples=64, closed=True)
+    points.calls = 0  # the endpoint check when the loop is made
+    got, evaluations, _ = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=ZERO)
+    assert (evaluations, points.calls) == (512, 512 + 128)
+    assert abs(got - POLE_LOOP_VALUE) < 1e-12
+
+
+def test_panel_cap_counts_the_trapezoid_evaluations():
+    # the trapezoid rule spends 512 evaluations near the pole; the panels'
+    # first round of 512 more would pass a cap of 1000, so it is not taken
+    c = Tricomplex(-1 / 3, -1 / 3, -1 / 3)
+    pole = c + XI1 * (1.2 - 1e-3) + Tricomplex(0.5, 0.5, 0.5)
+    f = Counted(texp)
+    with pytest.raises(NonConvergent):
+        _quadrature(f, _ellipse(c, 1.2, 0.8), QUADRATURE_TOL, 1000, pole=pole)
+    assert f.calls == 512
+
+
+def test_interleaved_keeps_the_last_level_every_rth_node():
+    assert _interleaved([], [1, 2]) == [1, 2]
+    assert _interleaved([0, 4], [1, 2, 3, 5, 6, 7]) == list(range(8))
+    assert _interleaved([0, 2, 4], [1, 3, 5]) == list(range(6))
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
