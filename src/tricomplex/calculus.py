@@ -20,6 +20,10 @@ nodes, until two agree.  Other paths, and sampled loops unsettled by
 its own error estimate from its 8 nodes: the size of its top Legendre
 coefficients, or once halved, the change from its parent panel.  Only the
 panels that fail it are halved, so a panel near a pole is refined alone.
+On a polyline the pole's kernel is 1/(c - t*) in each straight panel's
+parameter c, and the rule's remainder on it is closed form: a panel adds it
+times f's interpolant at t* (product integration), so it is exact for f of
+degree 7 however near the pole, and a pole near an edge forces no halving.
 
 The quadrature runs in split coordinates: the product acts as complex
 multiplication on the transverse pair w = v1 + i*v1t and as real
@@ -39,7 +43,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from functools import lru_cache
+from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -88,8 +93,9 @@ _ORDER = 8
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], ...]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (n
     even), each weight times its row of the differentiation matrix of
-    the polynomial interpolating at the nodes, and the rows that take a
-    panel's weighted terms to its top Legendre coefficients.
+    the polynomial interpolating at the nodes, the rows that take a
+    panel's weighted terms to its top Legendre coefficients, and the
+    nodes' barycentric weights over their rule weights.
 
     The positive roots of P_n come from Newton's method on the Legendre
     recurrence, started at the cosine estimates; mirroring them keeps
@@ -128,11 +134,13 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], ...]:
             [((2 * k + 1) * x * p1 - k * p0) / (k + 1) for (x, _), p0, p1 in zip(ordered, *legendre[-2:])]
         )
     tails = tuple(tuple((2 * k + 1) * p for p in legendre[k]) for k in range(n - 4, n))
-    return nodes, weights, tuple(rows), tails
+    return nodes, weights, tuple(rows), tails, tuple(map(truediv, bary, weights))
 
 
-_GL_NODES, _GL_WEIGHTS, _GL_WEIGHTED_DIFF, _GL_TAILS = _gauss_legendre(_ORDER)
+_GL_NODES, _GL_WEIGHTS, _GL_WEIGHTED_DIFF, _GL_TAILS, _GL_BARY = _gauss_legendre(_ORDER)
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
+#: |t| + |t - 1| at Bernstein parameter 20 of 2t - 1: past it the rule's error on 1/(c - t) is at rounding.
+_FAR = 10.025
 
 
 #: A node in split coordinates: the node (w, v), its weighted step
@@ -218,15 +226,13 @@ class Path3:
             if len(points) < m:  # all the grid's points, or a finer level's odd ones
                 ts = [i / m for i in range(m) if i % 2 or not points]
                 points = _interleaved(points, [(*_to_split(u), u) for u in map(self.point_at, ts)])
-                roots = [cmath.exp(complex(0.0, -_TWO_PI * j / m)) for j in range(m // 2)]
-                cw, cv = (_fft([complex(p[i]) for p in points], roots) for i in (0, 1))
+                cw, cv = (_fft([complex(p[i]) for p in points], _spectral(m, n)[0]) for i in (0, 1))
                 sizes = list(map(max, map(abs, cw), map(abs, cv)))
                 limit = _ROUNDING * max(sizes)
             k, s = 3 * n // 8, m // n
             tail = max(sizes[k : m - k + 1])  # the coefficients of frequency >= k
             if tail <= limit:  # the derivative of the coefficients below n/2, at the level's nodes
-                d = [complex(0.0, _TWO_PI * (j - n * (2 * j > n)) * (2 * j != n) / (m * n)) for j in range(n)]
-                back = [r.conjugate() for r in roots[::s]]
+                _, d, back = _spectral(m, n)
                 dw, dv = (_fft(list(map(mul, d, c[: n // 2] + c[m - n // 2 :])), back) for c in (cw, cv))
                 yield [p for i, p in enumerate(points[::s]) if not last or i * last % n], dw, [t.real for t in dv]
                 last = n
@@ -295,6 +301,36 @@ class _Polyline(_SplitPath):
     def _nodes(self, a: float, h: float) -> list[Node]:
         w, v, dw, dv = self._at(a, h)
         return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
+
+    def _pole_panel(
+        self, g: SplitFunction, a: float, h: float, pole: Tricomplex, one: bool
+    ) -> tuple[list[complex], list[float], float | None, float]:
+        """The terms of g, f/(u - pole), on the panel [a, a + h], its rounding if its own
+        estimate is at it (else None) and the size of a term appended.  On the segment
+        dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part adds
+        ``_remainder``'s term, a far one its tail to the estimate.  A t_w within
+        ``_GUARD`` of [0, 1], or a t_v in it, puts the pole's singular line, or plane, on it."""
+        (aw, av), (w, v, dw, dv), (w1, v1, _, _) = _to_split(pole), self._at(a, h), self._at(a + h, h)
+        t_w, t_v = (aw - w) / dw if dw else math.inf, (av - v) / dv if dv else math.inf
+        s = min(max(t_w.real, 0.0), 1.0)
+        if abs(t_w - s) <= _GUARD or 0.0 <= t_v <= 1.0:
+            line = abs(t_w - s) <= _GUARD
+            what, s = ("touches the singular line", s) if line else ("crosses the singular plane", t_v)
+            raise SingularOnPath(f"path {what} through {pole} near {self.point_at((a + s * h) / self.samples)}")
+        nodes = self._nodes(a, h)
+        tw, tv = _terms(g, nodes)
+        far = [abs(t) + abs(t - 1.0) >= _FAR for t in (t_w, t_v)]
+        if all(far):
+            return tw, tv, None, 0.0
+        own, fix = _tail_estimate(tw if far[0] else (), tv if far[1] else (), 0.0), [0.0, 0.0]
+        parts = [(tw, aw, w, w1, _TRANSVERSE_NORM), (tv, av, v, v1, 1.0 / _SQRT3)]
+        for k, (terms, x, x0, x1, norm) in enumerate(parts):
+            if not far[k]:  # the kernel as the terms have it: 1/(w - a_w) times the step
+                kernel = [1.0 / (node[k] - x) * node[k + 2] for node in nodes]
+                fix[k], estimate = _remainder((x - x1) / (x - x0), terms, kernel, one, norm)
+                own += estimate
+        (rw, rv), tw, tv = fix, tw + fix[:1], tv + [fix[1].real]
+        return tw, tv, rounding if own <= (rounding := _rounding(tw, tv)) else None, _split_norm(rw, rv.real)
 
     def _winding(self) -> Callable[[complex], int]:
         ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
@@ -560,28 +596,49 @@ def _interleaved(old: list, new: list) -> list:
     return both
 
 
-def _fft(a: list[complex], roots: list[complex]) -> list[complex]:
+@lru_cache(maxsize=64)
+def _spectral(m: int, n: int) -> tuple[tuple[complex, ...], ...]:
+    """The m/2 roots of unity of an m-point FFT and, for n nodes, the factors that
+    take m points' coefficients below n/2 to the derivative over n and the
+    inverse n-point FFT's roots: made once per (m, n)."""
+    roots = tuple(cmath.exp(complex(0.0, -_TWO_PI * j / m)) for j in range(m // 2))
+    d = tuple(complex(0.0, _TWO_PI * (j - n * (2 * j > n)) * (2 * j != n) / (m * n)) for j in range(n))
+    return roots, d, tuple(r.conjugate() for r in roots[:: m // n])
+
+
+def _fft(a: list[complex], roots: Sequence[complex]) -> list[complex]:
     """The unnormalized DFT of ``a`` (n = 2**m) with the n/2 roots of unity ``roots``
-    (conjugates for the inverse), by radix-2 decimation in time."""
+    (conjugates for the inverse), by radix-2 decimation in time; a stage's sums and
+    differences interleave by strided slices while fewer than its blocks, then by blocks."""
     x, half, size = a, len(a) // 2, 1
     while size < 2 * half:
         p = list(map(mul, roots[:: half // size] * (half // size), x[half:]))
         s, d = list(map(add, x[:half], p)), list(map(sub, x[:half], p))
-        x = [t for i in range(0, half, size) for t in (*s[i : i + size], *d[i : i + size])]
+        x = s + d
+        if size * size <= half:
+            for j in range(size):
+                x[j :: 2 * size], x[size + j :: 2 * size] = s[j::size], d[j::size]
+        else:
+            for i in range(0, half, size):
+                x[2 * i : 2 * i + size], x[2 * i + size : 2 * i + 2 * size] = s[i : i + size], d[i : i + size]
         size *= 2
     return x
 
 
 def _panel(
-    g: SplitFunction, path: Path3, a: float, h: float
-) -> tuple[float, float, complex, float, list[complex], list[float]]:
+    g: SplitFunction, path: Path3, a: float, h: float, pole: Tricomplex | None, one: bool
+) -> tuple[float, float, complex, float, list[complex], list[float], float | None, float]:
     """The panel [a, a + h] of the path evaluated: (a, h), the sum of g on
-    it and its terms.  A sum beyond the double range raises SingularOnPath."""
-    tw, tv = _terms(g, path._nodes(a, h))
+    it, its terms, its own estimate (None: its tail decides) and the size of
+    a term appended to them.  A sum beyond the double range raises SingularOnPath."""
+    if pole is not None and isinstance(path, _Polyline):
+        tw, tv, own, fix = path._pole_panel(g, a, h, pole, one)
+    else:
+        (tw, tv), own, fix = _terms(g, path._nodes(a, h)), None, 0.0
     sw, sv = sum(tw), sum(tv)
     if not (cmath.isfinite(sw) and math.isfinite(sv)):
         raise SingularOnPath(f"the integral over a panel of {len(tv)} nodes leaves the double range")
-    return a, h, sw, sv, tw, tv
+    return a, h, sw, sv, tw, tv, own, fix
 
 
 def _coefficient_size(row: tuple[float, ...], tw: list[complex], tv: list[float]) -> float:
@@ -611,6 +668,29 @@ def _tail_estimate(tw: list[complex], tv: list[float], limit: float) -> float:
     return top * min(1.0, 16.0 * top / below) ** 4 if below > 0.0 else top
 
 
+def _remainder(ratio: complex, terms: list, kernel: list, one: bool, norm: float) -> tuple[complex, float]:
+    """p(t)*R(t) for one split part of a panel whose terms are f(c) times ``kernel``,
+    the weights times 1/(c - t) at its nodes c, and its estimate.  R(t) =
+    log((t - 1)/t) - sum(kernel), ``ratio`` (t - 1)/t from the panel's ends, is the
+    rule's remainder on 1/(c - t), and p f's interpolant at the nodes (1 if ``one``):
+    exact for f of degree 7 however near t is (Helsing & Ojala 2008, J. Comput.
+    Phys. 227).  f's c8, extrapolated as ``_tail_estimate`` does, times
+    |R(t)*P_8(2t - 1)| = 2|Q_8| (Gautschi & Varga 1983, SIAM J. Numer. Anal. 20),
+    plus f's tail times max|1/(c - t)|, estimates the rest (``norm``: the part's weight)."""
+    r = cmath.log(ratio) - sum(kernel)
+    if one:
+        return r, 0.0
+    # barycentric p, with f = x/k: sum(b/(c - t)) is -1/prod(t - c), and
+    # P_8(2t - 1) is comb(16, 8)*prod(t - c)
+    den = sum(map(mul, _GL_BARY, kernel))
+    p = sum(map(mul, _GL_BARY, terms)) / den
+    q = list(map(truediv, map(mul, terms, _GL_WEIGHTS), kernel))  # the weights times f
+    c4, c5, c6, c7 = (norm * abs(sum(map(mul, row, q))) for row in _GL_TAILS)
+    decay = min(1.0, 16.0 * (c6 + c7) / (c4 + c5)) if c4 + c5 > 0.0 else 1.0  # over two degrees
+    rough = max(map(abs, map(truediv, kernel, _GL_WEIGHTS)))
+    return p * r, (c6 + c7) * (decay * math.comb(2 * _ORDER, _ORDER) * abs(r / den) + decay**4 * rough)
+
+
 def _quadrature(
     f: TriFunction | None,
     path: Path3,
@@ -630,8 +710,11 @@ def _quadrature(
     is ``_tail_estimate``; two halves are first estimated by the change
     from their parent's value, and each by its own ``_tail_estimate``
     when that fails.  A panel whose estimate is below its ``_rounding``
-    is accepted too.  The estimate returned is the sum of the accepted
-    panels'.  A pole's loop must be closed.
+    is accepted too.  A polyline panel near a pole adds the rule's remainder
+    on the pole's kernel (``_Polyline._pole_panel``); its own estimate accepts
+    it only at its rounding, which it then reports, and otherwise the tail
+    estimate plus that term's size judges it.  The estimate returned is the
+    sum of the accepted panels'.  A pole's loop must be closed.
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
@@ -650,9 +733,9 @@ def _quadrature(
     if isinstance(path, _Circle):
         raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
     scale = tol / path.samples  # the tolerance of a panel one sample wide
-    # (start, width, sw, sv, tw, tv): an evaluated panel; the starting ones
+    # (start, width, sw, sv, tw, tv, own, fix): an evaluated panel; the starting ones
     # are evaluated as they are judged, after the first round's cap check
-    panels = (_panel(g, path, float(p), 1.0) for p in range(path.samples))
+    panels = (_panel(g, path, float(p), 1.0, pole, f is None) for p in range(path.samples))
     tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, spent, []
     count = path.samples  # the panels this round evaluates
     while count:
@@ -661,7 +744,7 @@ def _quadrature(
             raise NonConvergent(f"quadrature did not settle below {tol} within {cap} evaluations")
         for a, h, sw, sv in failed:
             h /= 2.0
-            left, right = _panel(g, path, a, h), _panel(g, path, a + h, h)
+            left, right = (_panel(g, path, x, h, pole, f is None) for x in (a, a + h))
             error = _split_norm(sw - left[2] - right[2], sv - left[3] - right[3])
             if error <= 2.0 * h * scale or error <= _rounding(left[4] + right[4], left[5] + right[5]):
                 tw_all += left[4] + right[4]
@@ -670,8 +753,9 @@ def _quadrature(
             else:
                 panels += left, right
         failed = []
-        for a, h, sw, sv, tw, tv in panels:
-            error = _tail_estimate(tw, tv, h * scale)
+        for a, h, sw, sv, tw, tv, own, fix in panels:
+            # the tail reads the rule's 8 terms, not a term appended to them
+            error = _tail_estimate(tw, tv, h * scale) + fix if own is None else own
             if error <= h * scale or error <= _rounding(tw, tv):
                 tw_all += tw
                 tv_all += tv
@@ -694,6 +778,11 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     polyline's segments or each panel's interpolating polynomial for
     tangent.  Only the panels whose own error estimate exceeds
     ``QUADRATURE_TOL`` times their share of the parameter range are halved.
+    With a pole (``loop_integral_pole``, ``cauchy_value``) a polyline panel
+    adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
+    at the pole's panel parameter: it is exact for f of degree 7, so a pole
+    near an edge costs no halving, and one whose singular line meets an edge
+    raises SingularOnPath.
     NonConvergent is raised, before any evaluation, at a circle level of
     more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that would
     take the evaluations, the trapezoid rule's included, past it.

@@ -684,6 +684,106 @@ def test_panels_near_a_pole_are_refined_on_their_own():
     assert abs(got - POLE_LOOP_VALUE) < QUADRATURE_TOL
 
 
+@pytest.mark.parametrize("f", [None, texp])
+@pytest.mark.parametrize("gap", [1e-2, 1e-4])
+def test_pole_near_a_polyline_edge_costs_the_same_at_any_distance(gap, f):
+    # each panel adds the Gauss rule's closed-form remainder on 1/(u - a),
+    # so the panel next to the pole is not halved down to its distance
+    c, r, nseg = Tricomplex(0.5, 0.5, 0.5), 1.0, 16
+    q, ang = (1.0 - gap) * r * math.cos(math.pi / nseg), math.pi / nseg
+    pole = c + XI1 * (q * math.cos(ang)) + XI2 * (q * math.sin(ang)) + Tricomplex(0.2, 0.2, 0.2)
+    got, evaluations, _ = _quadrature(f, _regular_polygon(c, r, nseg), QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert evaluations <= 160
+    assert abs(got - POLE_LOOP_VALUE * (ONE if f is None else texp(pole))) < QUADRATURE_TOL
+
+
+def test_square_with_the_pole_inside_settles_on_its_first_panels():
+    square = _square(Tricomplex(-1 / 3, -1 / 3, -1 / 3))
+    got, evaluations, _ = _quadrature(None, square, QUADRATURE_TOL, QUADRATURE_CAP, pole=ZERO)
+    assert evaluations == 32
+    assert abs(got - POLE_LOOP_VALUE) < 1e-14
+
+
+@pytest.mark.parametrize("f", [None, texp])
+@pytest.mark.parametrize("s", [0.5, 0.3])
+def test_pole_whose_line_meets_a_polyline_edge_is_singular(s, f):
+    # the pole projects onto the square's first edge, s along it; at the
+    # midpoint no node lands near it, and the rule's symmetric nodes would
+    # cancel the log singularity into half the pole's value
+    c = Tricomplex(-1 / 3, -1 / 3, -1 / 3)
+    pole = c + XI1 * (1.0 - s) + XI2 * s + Tricomplex(0.5, 0.5, 0.5)
+    with pytest.raises(AmbiguousWinding):
+        winding_count(_square(c), pole)
+    with pytest.raises(SingularOnPath, match="touches the singular line"):
+        _quadrature(f, _square(c), QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+
+
+def test_polyline_edge_through_the_pole_plane_is_singular():
+    # the component sum rises by 1 along the first edge and crosses the
+    # pole's 0 a third of the way from its fourth node to its fifth
+    c0, c1 = _GL_NODES[3], _GL_NODES[4]
+    t = (c0 + (c1 - c0) / 3.0) / 3.0
+    s = 1.0 / 3.0 - t
+    corners = [XI1 - Tricomplex(t, t, t), XI2 + Tricomplex(s, s, s), Tricomplex(s, s, s) - XI1 - XI2]
+    loop = Path3.polyline(corners + corners[:1], closed=True)
+    assert winding_count(loop, ZERO) == 1
+    with pytest.raises(SingularOnPath, match="crosses the singular plane"):
+        loop_integral_pole(ZERO, loop)
+
+
+@st.composite
+def polylines_with_poles(draw):
+    # a star-shaped polygon with lifts; the pole gap*r from a point of one
+    # edge, on either side, and off the loop's component sums
+    c = Tricomplex(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+    n, r = draw(st.integers(3, 12)), draw(st.floats(0.5, 2.0))
+    ws = [
+        r * draw(st.floats(0.6, 1.4)) * complex(math.cos(ang), math.sin(ang))
+        for ang in sorted(2 * math.pi * (k + draw(st.floats(-0.3, 0.3))) / n for k in range(n))
+    ]
+    lifts = [draw(st.floats(-0.3, 0.3)) for _ in ws]
+    verts = [c + XI1 * w.real + XI2 * w.imag + Tricomplex(h, h, h) for w, h in zip(ws, lifts)]
+    side = draw(st.sampled_from((-1.0, 1.0)))
+
+    def near_edge(k, sign):
+        w0, w1 = ws[k], ws[(k + 1) % n]
+        gap = r * 10.0 ** draw(st.floats(-4.0, math.log10(2.0))) * draw(st.sampled_from((-1.0, 1.0)))
+        p = w0 + (w1 - w0) * draw(st.floats(0.05, 0.95)) + 1j * (w1 - w0) / abs(w1 - w0) * gap
+        off = sign * (max(map(abs, lifts)) + draw(st.floats(0.2, 1.0)))
+        return c + XI1 * p.real + XI2 * p.imag + Tricomplex(off, off, off)
+
+    k = draw(st.integers(0, n - 1))
+    pole = near_edge(k, side)
+    # f's own pole near another edge, its singular plane on the other side
+    b = near_edge((k + draw(st.integers(1, n - 1))) % n, -side)
+    return Path3.polyline(verts + verts[:1], closed=True), pole, b
+
+
+def _polyline_cases(loop, pole, b):
+    # (f, the value of one turn around the pole, the turns)
+    n = float(winding_count(loop, pole))
+    yield None, POLE_LOOP_VALUE, n
+    yield texp, POLE_LOOP_VALUE * texp(pole), n
+    yield tsin, POLE_LOOP_VALUE * tsin(pole), n
+    cubic = lambda u: u * u * u - u * 0.5 + ONE  # noqa: E731
+    yield cubic, POLE_LOOP_VALUE * cubic(pole), n
+    # 1/((u - a)(u - b)) = (1/(u - a) - 1/(u - b))/(a - b)
+    yield lambda u: inverse(u - b), POLE_LOOP_VALUE * inverse(pole - b), n - float(winding_count(loop, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=polylines_with_poles())
+def test_polyline_pole_estimate_bounds_its_error(case):
+    # the value is within the reported estimate, or the rounding of one
+    # turn's value (the want of a pole outside is 0), of the residue
+    # theorem's, and within tol of it
+    for f, turn, n in _polyline_cases(*case):
+        got, _, estimate = _quadrature(f, case[0], QUADRATURE_TOL, QUADRATURE_CAP, pole=case[1])
+        error = abs(got - turn * n)
+        assert error <= max(estimate, 64 * sys.float_info.epsilon * abs(turn) * max(1.0, abs(n)))
+        assert error <= QUADRATURE_TOL
+
+
 @st.composite
 def wobbly_loops_with_poles(draw, samples=st.just(64)):
     c = Tricomplex(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
