@@ -9,7 +9,8 @@ factorization, plus a deterministic CLI front end.
 
 ``import tricomplex`` loads the algebra, geometry, elementary and
 cosexponential functions and the errors.  The calculus, poly and series
-modules load on first use of one of their names.
+modules load on first use of one of their names.  The records are named
+tuples or immutable slotted classes, which cost no import at start-up.
 """
 
 from importlib import import_module as _import_module

@@ -43,7 +43,39 @@ class AlgebraClass(enum.Enum):
     ZERO = "zero"
 
 
-class Tricomplex:
+class _Record:
+    """Base of the immutable slotted classes: ``__init__`` fills the slots
+    with ``object.__setattr__``, and setting or deleting an attribute raises
+    AttributeError.  It prints, compares and hashes by its ``_fields``, and
+    pickles and copies as its class called with them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({shown})"
+
+
+class Tricomplex(_Record):
     """Immutable value x + h*y + k*z with real components.
 
     Equality is componentwise and exact; all components are finite
@@ -55,7 +87,7 @@ class Tricomplex:
     ``**``.
     """
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = _fields = ("x", "y", "z")
     x: float
     y: float
     z: float
@@ -69,15 +101,6 @@ class Tricomplex:
         _set_y(self, y)
         _set_z(self, z)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Tricomplex, (self.x, self.y, self.z)
-
     def __eq__(self, other):
         if other.__class__ is not Tricomplex:
             return NotImplemented
@@ -86,8 +109,8 @@ class Tricomplex:
     def __hash__(self) -> int:
         return hash((self.x, self.y, self.z))
 
-    def __repr__(self) -> str:
-        return f"Tricomplex(x={self.x!r}, y={self.y!r}, z={self.z!r})"
+    def __reduce__(self):
+        return Tricomplex, (self.x, self.y, self.z)
 
     # -- construction / formatting ------------------------------------
 

@@ -42,21 +42,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, mul, sub, truediv
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import (
-    H,
-    K,
-    ONE,
-    Tricomplex,
-    ZERO,
-    _times_pow2,
-    default_tolerance,
-    inverse,
-)
+from .algebra import H, K, ONE, ZERO, Tricomplex, _Record, _times_pow2, default_tolerance, inverse
 from .errors import (
     AmbiguousWinding,
     NonConvergent,
@@ -149,8 +139,7 @@ _FAR = 10.025
 Node = tuple[complex, float, complex, float, Tricomplex | None]
 
 
-@dataclass(frozen=True)
-class Path3:
+class Path3(_Record):
     """Curve in the component space, parameterized over t in [0, 1].
 
     ``tangent_at`` is None: quadrature differentiates a closed path's
@@ -167,17 +156,25 @@ class Path3:
     trapezoid rule (8 nodes per turn to start) does not read.
     """
 
+    __slots__ = _fields = ("point_at", "samples", "closed")
     point_at: Callable[[float], Tricomplex]
     samples: int
     closed: bool
     tangent_at = None
     _repeats = 1  # the times a trapezoid level's nodes repeat: a circle's turns
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.samples, int) or self.samples < 1:
+    def __init__(self, point_at: Callable[[float], Tricomplex], samples: int, closed: bool) -> None:
+        object.__setattr__(self, "point_at", point_at)
+        self._made(samples, closed)
+
+    def _made(self, samples: int, closed: bool) -> None:
+        """Check and set ``samples`` and ``closed`` once ``point_at`` is set.  A circle sets
+        its own: its ends differ by its angle's rounding, 4.7e-8 at 10**9 turns."""
+        if not isinstance(samples, int) or samples < 1:
             raise ValueError("samples must be an integer >= 1")
-        # a circle's ends differ by its angle's rounding, 4.7e-8 at 10**9 turns
-        if self.closed and not isinstance(self, _Circle):
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "closed", closed)
+        if closed:
             a, b = self.point_at(0.0), self.point_at(1.0)
             gap = max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
             if gap > max(default_tolerance(a), default_tolerance(b)):
@@ -188,9 +185,7 @@ class Path3:
         return _Polyline(closed=closed, vertices=tuple(vertices))
 
     @classmethod
-    def parametric(
-        cls, fn: Callable[[float], Tricomplex], samples: int = 64, closed: bool = False
-    ) -> "Path3":
+    def parametric(cls, fn: Callable[[float], Tricomplex], samples: int = 64, closed: bool = False) -> "Path3":
         return cls(point_at=fn, samples=samples, closed=closed)
 
     @classmethod
@@ -254,40 +249,41 @@ class Path3:
         return lambda aw: _winding_number(ws, aw, _WINDING_GUARD, gaps)
 
 
-@dataclass(frozen=True, kw_only=True)
 class _SplitPath(Path3):
     """A path made from its defining data, which a subclass splits when
     the path is made.  Its ``_split(t)`` gives the node (w, v) and the
     step (dw/dt, dv/dt) at t; ``point_at`` and ``tangent_at`` are their
-    joins, so ``replace`` cannot detach them from the data."""
+    joins."""
 
-    point_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
-    tangent_at: Callable[[float], Tricomplex] = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point_at", lambda t: _from_split(*self._split(t)[:2]))
-        object.__setattr__(self, "tangent_at", lambda t: _from_split(*self._split(t)[2:]))
-        super().__post_init__()
+    def point_at(self, t: float) -> Tricomplex:
+        return _from_split(*self._split(t)[:2])
+
+    def tangent_at(self, t: float) -> Tricomplex:
+        return _from_split(*self._split(t)[2:])
 
 
-@dataclass(frozen=True, kw_only=True)
 class _Polyline(_SplitPath):
     """A polyline, linear in the split between its vertices: ``edges``
     holds each segment's start and step (w0, v0, w1 - w0, v1 - v0), and
     ``samples`` is its number of segments."""
 
-    samples: int = field(init=False)
-    edges: tuple[tuple[complex, float, complex, float], ...] = field(init=False, repr=False)
+    __slots__ = ("vertices", "edges")
+    _fields = ("samples", "closed", "vertices")
     vertices: tuple[Tricomplex, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 2:
+    def __init__(self, *, vertices: tuple[Tricomplex, ...], closed: bool) -> None:
+        if len(vertices) < 2:
             raise ValueError("a polyline needs at least two vertices")
-        ends = tuple(map(_to_split, self.vertices))
+        ends = tuple(map(_to_split, vertices))
         edges = tuple((w0, v0, w1 - w0, v1 - v0) for (w0, v0), (w1, v1) in zip(ends, ends[1:]))
-        object.__setattr__(self, "samples", len(edges))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        super().__post_init__()
+        self._made(len(edges), closed)
+
+    def __reduce__(self):
+        return Path3.polyline, (self.vertices, self.closed)
 
     def _split(self, t: float) -> tuple[complex, float, complex, float]:
         return self._at(min(max(t, 0.0), 1.0) * self.samples, self.samples)
@@ -337,7 +333,6 @@ class _Polyline(_SplitPath):
         return lambda aw: _winding_number(ws, aw, _WINDING_GUARD)
 
 
-@dataclass(frozen=True, kw_only=True)
 class _Circle(_SplitPath):
     """A circle: smooth and periodic, so quadrature takes the periodic
     trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
@@ -350,27 +345,24 @@ class _Circle(_SplitPath):
     trapezoid rule, whose n nodes repeat every turn, so a level holds
     one turn's; its winding is closed form (see ``winding_count``)."""
 
-    samples: int = field(init=False)
-    closed: bool = field(default=True, init=False)
-    center_w: complex = field(init=False, repr=False)
-    center_v: float = field(init=False, repr=False)
-    radius_w: float = field(init=False, repr=False)
+    __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w", "_repeats")
+    _fields = ("samples", "closed", "center", "radius", "turns")
+    closed = True
     center: Tricomplex
     radius: float
-    turns: int = 1
+    turns: int
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
+    def __init__(self, *, center: Tricomplex, radius: float, turns: int = 1) -> None:
+        if not (math.isfinite(radius) and radius > 0.0):
             raise ValueError("radius must be finite and > 0")
-        if not isinstance(self.turns, int) or self.turns == 0:
+        if not isinstance(turns, int) or turns == 0:
             raise ValueError("turns must be a nonzero integer")
-        object.__setattr__(self, "samples", 64 * abs(self.turns))
-        object.__setattr__(self, "_repeats", abs(self.turns))
-        cw, cv = _to_split(self.center)
-        object.__setattr__(self, "center_w", cw)
-        object.__setattr__(self, "center_v", cv)
-        object.__setattr__(self, "radius_w", self.radius / _TRANSVERSE_NORM)
-        super().__post_init__()
+        values = center, radius, turns, *_to_split(center), radius / _TRANSVERSE_NORM, abs(turns), 64 * abs(turns)
+        for name, value in zip(self.__slots__ + ("samples",), values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return Path3.circle, (self.center, self.radius, self.turns)
 
     def _split(self, t: float, n: int = 1) -> tuple[complex, float, complex, float]:
         omega = _TWO_PI * self.turns
@@ -398,16 +390,14 @@ class _Circle(_SplitPath):
         return winding
 
 
-@dataclass(frozen=True)
-class PoleSpec:
+class PoleSpec(NamedTuple):
     """A simple pole: the expansion term residue/(u - location)."""
 
     location: Tricomplex
     residue: Tricomplex
 
 
-@dataclass(frozen=True)
-class RiemannReport:
+class RiemannReport(NamedTuple):
     """Residual magnitudes of the component-derivative relations.
 
     ``first_order``: the largest components of h f_x - f_y, k f_x - f_z
@@ -425,10 +415,8 @@ class RiemannReport:
         return max(*self.first_order, *self.second_order, *self.laplacian)
 
     def lines(self) -> list[str]:
-        groups = ("first_order",) * 3 + ("second_order",) * 3 + ("laplacian",) * 3
-        tags = ("xy", "xz", "yz", "F", "G", "H", "FG", "FH", "GH")
-        values = (*self.first_order, *self.second_order, *self.laplacian)
-        return [f"{g}_{t}={v:.17g}" for g, t, v in zip(groups, tags, values)]
+        tags = (("xy", "xz", "yz"), ("F", "G", "H"), ("FG", "FH", "GH"))
+        return [f"{g}_{t}={v:.17g}" for g, ts, vs in zip(self._fields, tags, self) for t, v in zip(ts, vs)]
 
 
 def derivative(

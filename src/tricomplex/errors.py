@@ -80,9 +80,8 @@ class Indeterminate(TricomplexError):
 
 
 class ComplexLongitudinalRoot(TricomplexError):
-    """Raised when a polynomial's longitudinal part has complex roots.
-
-    Such roots come in conjugate pairs and admit no factorization into
-    linear factors with real components; the condition is reported rather
-    than silently dropped.
+    """Raised when a polynomial's longitudinal roots rebuild it only as
+    found, complex, and their real parts fail the rebuild guard: no
+    factorization into linear factors with real components was found.
+    The condition is reported rather than silently dropped.
     """

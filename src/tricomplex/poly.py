@@ -18,10 +18,9 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import ONE, Tricomplex
+from .algebra import ONE, Tricomplex, _Record
 from .errors import ComplexLongitudinalRoot, NonConvergent, Overflow
 from .geometry import _from_split, _to_split
 
@@ -29,22 +28,23 @@ _EPS = sys.float_info.epsilon
 MAX_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class TriPolynomial:
+class TriPolynomial(_Record):
     """Monic polynomial, coefficients in descending powers.
 
     ``coeffs[0]`` must be the unity; the degree is ``len(coeffs) - 1``
     and must be at least 1.
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[Tricomplex, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) < 2:
+    def __init__(self, coeffs: Sequence[Tricomplex]) -> None:
+        coeffs = tuple(coeffs)
+        if len(coeffs) < 2:
             raise ValueError("degree must be >= 1")
-        if self.coeffs[0] != ONE:
+        if coeffs[0] != ONE:
             raise ValueError("leading coefficient must be the unity")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -72,8 +72,7 @@ class TriPolynomial:
         return cls(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class DecomposedPoly:
+class DecomposedPoly(NamedTuple):
     """Split coefficients, descending powers: complex transverse pairs
     and real longitudinal components."""
 
@@ -81,8 +80,7 @@ class DecomposedPoly:
     longitudinal: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """One complete set of roots.
 
     ``pairing[i]`` records which entry of the sorted longitudinal root
@@ -97,8 +95,7 @@ def decompose(p: TriPolynomial) -> DecomposedPoly:
     """Split into the transverse complex polynomial and the longitudinal
     real polynomial; evaluating both and recombining through the
     canonical basis reproduces the polynomial's values."""
-    trans, longi = zip(*map(_to_split, p.coeffs))
-    return DecomposedPoly(trans, longi)
+    return DecomposedPoly(*zip(*map(_to_split, p.coeffs)))
 
 
 def _residual(coeffs: Sequence[complex], sizes: Sequence[float], w: complex) -> tuple[complex, float]:
@@ -309,7 +306,7 @@ def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
                 raise NonConvergent(misfit)
             worst = max(found, key=lambda w: abs(w.imag))
             raise ComplexLongitudinalRoot(
-                f"longitudinal root {worst} is complex; no all-real linear factorization exists"
+                f"longitudinal roots pass the rebuild guard only as found, complex up to {worst}, not as reals"
             )
     except OverflowError:  # abs() of an iterate or a residual beyond the double range
         raise Overflow("a modulus in the root iteration leaves the double range") from None
@@ -317,10 +314,7 @@ def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
 
 
 def _combine(trans: Sequence[complex], longi: Sequence[float], order: Sequence[int]) -> RootSet:
-    roots = tuple(
-        _from_split(t, longi[j])
-        for t, j in zip(trans, order)
-    )
+    roots = tuple(_from_split(t, longi[j]) for t, j in zip(trans, order))
     return RootSet(roots=roots, pairing=tuple(order))
 
 

@@ -12,11 +12,10 @@ split, and evaluated, re-centered and estimated on that split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice, pairwise, starmap
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import ONE, ZERO, Tricomplex, _times_pow2, component_sum
+from .algebra import ONE, ZERO, Tricomplex, _Record, _times_pow2, component_sum
 from .errors import Indeterminate, Overflow
 from .geometry import _SQRT3, _TRANSVERSE_NORM, _from_split, _scaled_split, _split_norm, _to_split
 
@@ -43,21 +42,19 @@ def sigma(u: Tricomplex) -> float:
     return component_sum(u)
 
 
-@dataclass(frozen=True)
-class TriSeries:
+class TriSeries(_Record):
     """Truncated power series sum(a_l * u^l) with coefficients in
     ascending order of the power, split once when made: ``_ws`` holds the
     transverse pairs and ``_vs`` the component sums of the a_l, or of the
     a_l / 4 (``_quarter``) where a split coordinate or a |w_l| leaves the
     double range: a quarter of the split of a double is within it."""
 
+    __slots__ = ("coeffs", "_ws", "_vs", "_quarter")
+    _fields = ("coeffs",)
     coeffs: tuple[Tricomplex, ...]
-    _ws: tuple[complex, ...] = field(init=False, repr=False, compare=False)
-    _vs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _quarter: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Sequence[Tricomplex]) -> None:
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least one coefficient")
         quarter = False
@@ -75,8 +72,7 @@ class TriSeries:
         return cls(tuple(Tricomplex(p, q, r) for p, q, r in rows))
 
 
-@dataclass(frozen=True)
-class ConvergenceRegion:
+class ConvergenceRegion(NamedTuple):
     """Estimated convergence bounds of a power series.
 
     ``c0`` bounds the modulus (spherical region); ``c1`` bounds the
@@ -194,9 +190,7 @@ def radius_cylindrical(s: TriSeries) -> ConvergenceRegion:
     if not trans or not longi:
         raise Indeterminate("split coefficients vanish; no usable ratios")
     return ConvergenceRegion(
-        c0=radius_spherical(s),
-        c1=_estimate(trans, "transverse"),
-        cplus=_estimate(longi, "longitudinal"),
+        c0=radius_spherical(s), c1=_estimate(trans, "transverse"), cplus=_estimate(longi, "longitudinal")
     )
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -216,11 +215,11 @@ def test_polyline_validation():
 
 
 def test_replaced_polyline_needs_two_vertices():
-    # the vertex count is checked where the polyline is made, so a replaced
-    # one is refused for what it lacks
+    # the vertex count is checked where the polyline is made, so one remade
+    # from a shortened vertex list is refused for what it lacks
     line = Path3.polyline([ZERO, ONE])
     with pytest.raises(ValueError, match="needs at least two vertices"):
-        dataclasses.replace(line, vertices=(ONE,))
+        Path3.polyline(line.vertices[1:])
 
 
 def test_closed_path_ends_must_meet():
@@ -382,22 +381,32 @@ def test_circle_takes_the_trapezoid_rule():
     assert f.calls <= 64
 
 
+def _refuses_derived(path, name, value):
+    """Neither public constructor of ``path``'s kind takes the derived
+    field ``name``, and setting it on ``path`` raises AttributeError."""
+    with pytest.raises(TypeError):
+        if hasattr(path, "turns"):
+            Path3.circle(path.center, path.radius, path.turns, **{name: value})
+        else:
+            Path3.polyline(path.vertices, path.closed, **{name: value})
+    with pytest.raises(AttributeError):
+        setattr(path, name, value)
+
+
 def test_circles_and_polylines_are_made_from_their_data():
     # point_at and tangent_at follow the defining data, and cannot be
-    # replaced apart from it
+    # set apart from it
     square = _square(ZERO)
     for path in (UNIT_LOOP, square):
         for name in ("point_at", "tangent_at"):
-            with pytest.raises(ValueError):
-                dataclasses.replace(path, **{name: lambda t: ZERO})
+            _refuses_derived(path, name, lambda t: ZERO)
     # nor can a polyline's segment count or a circle's closedness
     for path, name, value in ((square, "samples", 8), (UNIT_LOOP, "closed", False)):
-        with pytest.raises(ValueError):
-            dataclasses.replace(path, **{name: value})
-    moved = dataclasses.replace(UNIT_LOOP, center=UNIT_LOOP.center + ONE)
+        _refuses_derived(path, name, value)
+    moved = Path3.circle(UNIT_LOOP.center + ONE, UNIT_LOOP.radius, UNIT_LOOP.turns)
     assert tri_err(moved.point_at(0.3), UNIT_LOOP.point_at(0.3) + ONE) < 1e-15
     assert abs(loop_integral_pole(ONE, moved) - POLE_LOOP_VALUE) < 1e-14
-    shifted = dataclasses.replace(square, vertices=tuple(v + ONE for v in square.vertices))
+    shifted = Path3.polyline([v + ONE for v in square.vertices], closed=square.closed)
     assert tri_err(shifted.point_at(0.3), square.point_at(0.3) + ONE) < 1e-15
     assert tri_err(shifted.tangent_at(0.3), square.tangent_at(0.3)) < 1e-15
 
@@ -406,12 +415,10 @@ def test_circle_start_does_not_depend_on_samples():
     # the trapezoid rule starts from the turns, and a circle's winding is
     # closed form: neither reads samples, which follow from the turns
     assert UNIT_LOOP.samples == 64
+    _refuses_derived(UNIT_LOOP, "samples", 4)
     with pytest.raises(ValueError):
-        dataclasses.replace(UNIT_LOOP, samples=4)
-    with pytest.raises(ValueError):
-        dataclasses.replace(UNIT_LOOP, turns=0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(UNIT_LOOP, tangent_at=None)
+        Path3.circle(UNIT_LOOP.center, UNIT_LOOP.radius, turns=0)
+    _refuses_derived(UNIT_LOOP, "tangent_at", None)
 
 
 def test_quadrature_report():
@@ -427,7 +434,7 @@ def test_multi_turn_circles_evaluate_each_node_once(turns):
     # its new nodes: the README circle costs its 16 evaluations, its last
     # level's nodes, at any number of turns
     f = Counted(inverse)
-    loop = dataclasses.replace(UNIT_LOOP, turns=turns)
+    loop = Path3.circle(UNIT_LOOP.center, UNIT_LOOP.radius, turns)
     value, evaluations, error = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP)
     assert evaluations == f.calls == 16
     assert tri_err(value, POLE_LOOP_VALUE * float(turns)) < 1e-14
@@ -1017,32 +1024,39 @@ HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "datacla
         (["rho-table", "--min", "0.2", "--max", "0.4", "--step", "0.1"], HEAVY),
         (
             ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1"],
-            ("tricomplex.poly",),
+            ("tricomplex.poly", "dataclasses"),
         ),
-        (["factor", "--poly", "{poly}", "--all"], ("tricomplex.calculus",)),
+        (["factor", "--poly", "{poly}", "--all"], ("tricomplex.calculus", "dataclasses")),
         (
             ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1"],
             ("tricomplex.poly", "tricomplex.series"),
         ),
         (
             ["check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)"],
-            ("tricomplex.poly", "tricomplex.series"),
+            ("tricomplex.poly", "tricomplex.series", "dataclasses"),
         ),
         (
             ["series", "--coeffs", "{poly}", "--at", "(0.2,0.1,-0.1)"],
-            ("tricomplex.calculus", "tricomplex.poly"),
+            ("tricomplex.calculus", "tricomplex.poly", "dataclasses"),
+        ),
+        (
+            ["integrate", "--pole", "(0,0,0)", "--loop", "{loop}"],
+            ("tricomplex.poly", "tricomplex.series", "dataclasses"),
         ),
     ],
     ids=[
         "import", "eval", "decompose", "cosexp-table", "rho-table", "integrate", "factor",
-        "integrate-without-series", "check-analytic", "series",
+        "integrate-without-series", "check-analytic", "series", "integrate-polyline",
     ],
 )
 def test_commands_load_only_what_they_run(tmp_path, argv, unloaded):
-    # each CLI command imports the modules it runs, in a fresh interpreter
+    # each CLI command imports the modules it runs, in a fresh interpreter;
+    # none loads dataclasses, which no module of the package imports
     poly = tmp_path / "u2m1.csv"
     poly.write_text("1,0,0\n0,0,0\n-1,0,0\n")
-    argv = [arg.format(poly=poly) for arg in argv]
+    loop = tmp_path / "loop.csv"
+    loop.write_text("2,0,0\n0,2,0\n0,0,2\n2,0,0\n")
+    argv = [arg.format(poly=poly, loop=loop) for arg in argv]
     code = (
         "import runpy, sys\n"
         "import tricomplex\n"

@@ -52,3 +52,15 @@ def test_imports_follow_the_layers():
         assert package_imports(module) <= allowed, module
     assert package_imports("algebra") == {"errors"}
     assert package_imports("geometry") == {"algebra", "errors"}
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples and slotted classes, so no command pays
+    # for importing dataclasses (and inspect with it) at start-up
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+            imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+            assert "dataclasses" not in {module.split(".")[0] for module in imported}, name
