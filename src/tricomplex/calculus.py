@@ -47,13 +47,7 @@ from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import H, K, ONE, ZERO, Tricomplex, _Record, _times_pow2, default_tolerance, inverse
-from .errors import (
-    AmbiguousWinding,
-    NonConvergent,
-    Overflow,
-    SingularOnPath,
-    ZeroDivisor,
-)
+from .errors import AmbiguousWinding, NonConvergent, Overflow, SingularOnPath, ZeroDivisor
 from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _scaled_split, _split_norm, _to_split
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
@@ -106,24 +100,16 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], ...]:
     ordered = [(-x, w) for x, w in half] + [(x, w) for x, w in reversed(half)]
     nodes = tuple((1.0 + x) / 2.0 for x, _ in ordered)
     weights = tuple(w for _, w in ordered)
-    bary = [
-        1.0 / math.prod(ti - tj for j, tj in enumerate(nodes) if j != i)
-        for i, ti in enumerate(nodes)
-    ]
+    bary = [1.0 / math.prod(ti - tj for j, tj in enumerate(nodes) if j != i) for i, ti in enumerate(nodes)]
     rows = []
     for i, ti in enumerate(nodes):
-        row = [
-            0.0 if j == i else bary[j] / (bary[i] * (ti - tj))
-            for j, tj in enumerate(nodes)
-        ]
+        row = [0.0 if j == i else bary[j] / (bary[i] * (ti - tj)) for j, tj in enumerate(nodes)]
         row[i] = -sum(row)
         rows.append(tuple(weights[i] * d for d in row))
-    legendre = [[1.0] * n, [x for x, _ in ordered]]
+    pk = [[1.0] * n, [x for x, _ in ordered]]
     for k in range(1, n - 1):
-        legendre.append(
-            [((2 * k + 1) * x * p1 - k * p0) / (k + 1) for (x, _), p0, p1 in zip(ordered, *legendre[-2:])]
-        )
-    tails = tuple(tuple((2 * k + 1) * p for p in legendre[k]) for k in range(n - 4, n))
+        pk.append([((2 * k + 1) * x * p1 - k * p0) / (k + 1) for x, p0, p1 in zip(pk[1], *pk[-2:])])
+    tails = tuple(tuple((2 * k + 1) * p for p in pk[k]) for k in range(n - 4, n))
     return nodes, weights, tuple(rows), tails, tuple(map(truediv, bary, weights))
 
 
@@ -300,9 +286,9 @@ class _Polyline(_SplitPath):
 
     def _pole_panel(
         self, g: SplitFunction, a: float, h: float, pole: Tricomplex, one: bool
-    ) -> tuple[list[complex], list[float], float | None, float]:
-        """The terms of g, f/(u - pole), on the panel [a, a + h], its rounding if its own
-        estimate is at it (else None) and the size of a term appended.  On the segment
+    ) -> tuple[list[complex], list[float], tuple | None, float]:
+        """The terms of g, f/(u - pole), on the panel [a, a + h], what ``_own_estimate``
+        reads (None: its tail decides) and the size of a term appended.  On the segment
         dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part adds
         ``_remainder``'s term, a far one its tail to the estimate.  A t_w within
         ``_GUARD`` of [0, 1], or a t_v in it, puts the pole's singular line, or plane, on it."""
@@ -318,15 +304,15 @@ class _Polyline(_SplitPath):
         far = [abs(t) + abs(t - 1.0) >= _FAR for t in (t_w, t_v)]
         if all(far):
             return tw, tv, None, 0.0
-        own, fix = _tail_estimate(tw if far[0] else (), tv if far[1] else (), 0.0), [0.0, 0.0]
+        fix, near = [0.0, 0.0], []
         parts = [(tw, aw, w, w1, _TRANSVERSE_NORM), (tv, av, v, v1, 1.0 / _SQRT3)]
         for k, (terms, x, x0, x1, norm) in enumerate(parts):
             if not far[k]:  # the kernel as the terms have it: 1/(w - a_w) times the step
                 kernel = [1.0 / (node[k] - x) * node[k + 2] for node in nodes]
-                fix[k], estimate = _remainder((x - x1) / (x - x0), terms, kernel, one, norm)
-                own += estimate
-        (rw, rv), tw, tv = fix, tw + fix[:1], tv + [fix[1].real]
-        return tw, tv, rounding if own <= (rounding := _rounding(tw, tv)) else None, _split_norm(rw, rv.real)
+                fix[k], reads = _remainder((x - x1) / (x - x0), terms, kernel, one, norm)
+                near += reads
+        (rw, rv), plain = fix, (tw if far[0] else (), tv if far[1] else ())
+        return tw + fix[:1], tv + [fix[1].real], (*plain, near), _split_norm(rw, rv.real)
 
     def _winding(self) -> Callable[[complex], int]:
         ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
@@ -370,11 +356,10 @@ class _Circle(_SplitPath):
         return self.center_w + e, self.center_v, e * complex(0.0, omega / n), 0.0
 
     def _levels(self, cap: int) -> Iterator[tuple[list, list[complex], list[float]]]:
-        k, n, steps = abs(self.turns), _ORDER * abs(self.turns), []
-        while n <= cap:  # node 2i of n nodes is node i of n/2, its step halved exactly
-            new = [self._split(i / n, n) for i in (range(1, n // k, 2) if steps else range(n // k))]
-            steps = _interleaved([s * 0.5 for s in steps], [s for _, _, s, _ in new])
-            yield [(w, v, None) for w, v, _, _ in new], steps, [0.0] * len(steps)
+        k, n = abs(self.turns), _ORDER * abs(self.turns)
+        while n <= cap:  # node 2i of n is node i of n/2, its step halved exactly: the fresh nodes' steps
+            new = [self._split(i / n, n) for i in (range(1, n // k, 2) if n > _ORDER * k else range(n // k))]
+            yield [(w, v, None) for w, v, _, _ in new], [s for _, _, s, _ in new], [0.0] * len(new)
             n *= 2
 
     def _winding(self) -> Callable[[complex], int]:
@@ -615,10 +600,10 @@ def _fft(a: list[complex], roots: Sequence[complex]) -> list[complex]:
 
 def _panel(
     g: SplitFunction, path: Path3, a: float, h: float, pole: Tricomplex | None, one: bool
-) -> tuple[float, float, complex, float, list[complex], list[float], float | None, float]:
-    """The panel [a, a + h] of the path evaluated: (a, h), the sum of g on
-    it, its terms, its own estimate (None: its tail decides) and the size of
-    a term appended to them.  A sum beyond the double range raises SingularOnPath."""
+) -> tuple[float, float, complex, float, list[complex], list[float], tuple | None, float]:
+    """The panel [a, a + h] of the path evaluated: (a, h), the sum of g on it, its
+    terms, what its own estimate reads (None: its tail decides) and the size of a
+    term appended to them.  A sum beyond the double range raises SingularOnPath."""
     if pole is not None and isinstance(path, _Polyline):
         tw, tv, own, fix = path._pole_panel(g, a, h, pole, one)
     else:
@@ -656,27 +641,36 @@ def _tail_estimate(tw: list[complex], tv: list[float], limit: float) -> float:
     return top * min(1.0, 16.0 * top / below) ** 4 if below > 0.0 else top
 
 
-def _remainder(ratio: complex, terms: list, kernel: list, one: bool, norm: float) -> tuple[complex, float]:
+def _remainder(ratio: complex, terms: list, kernel: list, one: bool, norm: float) -> tuple[complex, list]:
     """p(t)*R(t) for one split part of a panel whose terms are f(c) times ``kernel``,
-    the weights times 1/(c - t) at its nodes c, and its estimate.  R(t) =
-    log((t - 1)/t) - sum(kernel), ``ratio`` (t - 1)/t from the panel's ends, is the
-    rule's remainder on 1/(c - t), and p f's interpolant at the nodes (1 if ``one``):
-    exact for f of degree 7 however near t is (Helsing & Ojala 2008, J. Comput.
-    Phys. 227).  f's c8, extrapolated as ``_tail_estimate`` does, times
-    |R(t)*P_8(2t - 1)| = 2|Q_8| (Gautschi & Varga 1983, SIAM J. Numer. Anal. 20),
-    plus f's tail times max|1/(c - t)|, estimates the rest (``norm``: the part's weight)."""
+    the weights times 1/(c - t) at its nodes c, and what its estimate reads (none
+    if ``one``).  R(t) = log((t - 1)/t) - sum(kernel), ``ratio`` (t - 1)/t from the
+    panel's ends, is the rule's remainder on 1/(c - t), and p f's interpolant at the
+    nodes (1 if ``one``): exact for f of degree 7 however near t is (Helsing &
+    Ojala 2008, J. Comput. Phys. 227)."""
     r = cmath.log(ratio) - sum(kernel)
     if one:
-        return r, 0.0
+        return r, []
     # barycentric p, with f = x/k: sum(b/(c - t)) is -1/prod(t - c), and
     # P_8(2t - 1) is comb(16, 8)*prod(t - c)
     den = sum(map(mul, _GL_BARY, kernel))
-    p = sum(map(mul, _GL_BARY, terms)) / den
-    q = list(map(truediv, map(mul, terms, _GL_WEIGHTS), kernel))  # the weights times f
-    c4, c5, c6, c7 = (norm * abs(sum(map(mul, row, q))) for row in _GL_TAILS)
-    decay = min(1.0, 16.0 * (c6 + c7) / (c4 + c5)) if c4 + c5 > 0.0 else 1.0  # over two degrees
-    rough = max(map(abs, map(truediv, kernel, _GL_WEIGHTS)))
-    return p * r, (c6 + c7) * (decay * math.comb(2 * _ORDER, _ORDER) * abs(r / den) + decay**4 * rough)
+    return sum(map(mul, _GL_BARY, terms)) / den * r, [(terms, kernel, r, den, norm)]
+
+
+def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near: list) -> float | None:
+    """A pole panel's rounding if its own estimate is at most that, else None: the
+    tail of its far parts' terms plus, per near part of ``_remainder``, f's c8,
+    extrapolated as ``_tail_estimate`` does, times |R(t)*P_8(2t - 1)| = 2|Q_8|
+    (Gautschi & Varga 1983, SIAM J. Numer. Anal. 20), plus f's tail times
+    max|1/(c - t)| (``norm``: the part's weight).  Only a panel judged alone reads it."""
+    estimate = _tail_estimate(plain_w, plain_v, 0.0)
+    for terms, kernel, r, den, norm in near:
+        q = list(map(truediv, map(mul, terms, _GL_WEIGHTS), kernel))  # the weights times f
+        c4, c5, c6, c7 = (norm * abs(sum(map(mul, row, q))) for row in _GL_TAILS)
+        decay = min(1.0, 16.0 * (c6 + c7) / (c4 + c5)) if c4 + c5 > 0.0 else 1.0  # over two degrees
+        rough = max(map(abs, map(truediv, kernel, _GL_WEIGHTS)))
+        estimate += (c6 + c7) * (decay * math.comb(2 * _ORDER, _ORDER) * abs(r / den) + decay**4 * rough)
+    return rounding if estimate <= (rounding := _rounding(tw, tv)) else None
 
 
 def _quadrature(
@@ -699,20 +693,25 @@ def _quadrature(
     from their parent's value, and each by its own ``_tail_estimate``
     when that fails.  A panel whose estimate is below its ``_rounding``
     is accepted too.  A polyline panel near a pole adds the rule's remainder
-    on the pole's kernel (``_Polyline._pole_panel``); its own estimate accepts
-    it only at its rounding, which it then reports, and otherwise the tail
-    estimate plus that term's size judges it.  The estimate returned is the
-    sum of the accepted panels'.  A pole's loop must be closed.
+    on the pole's kernel (``_Polyline._pole_panel``); its own estimate, made
+    only where it is judged alone, accepts it only at its rounding, which it
+    then reports, else the tail estimate plus that term's size judges it.  The
+    estimate returned is the accepted panels' sum.  A pole's loop must be closed.
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
     g = _integrand(f, pole)
-    fw, fv, previous, spent = [], [], None, 0
+    fw, fv, tw, tv, previous, spent = [], [], [], [], None, 0
     for fresh, dw, dv in path._levels(cap):
         nw, nv = map(list, zip(*(g(w, v, u) for w, v, u in fresh)))
         spent += len(nw)
-        fw, fv = _interleaved(fw, nw), _interleaved(fv, nv)
-        sw, sv = (s * path._repeats for s in _exact_sum(list(map(mul, fw, dw)), list(map(mul, fv, dv))))
+        if tw and isinstance(path, _Circle):  # a circle's steps, at the fresh nodes: its old terms halve
+            tw = _interleaved([t * 0.5 for t in tw], list(map(mul, nw, dw)))
+            tv = _interleaved([t * 0.5 for t in tv], list(map(mul, nv, dv)))
+        else:
+            fw, fv = _interleaved(fw, nw), _interleaved(fv, nv)
+            tw, tv = list(map(mul, fw, dw)), list(map(mul, fv, dv))
+        sw, sv = (s * path._repeats for s in _exact_sum(tw, tv))
         if previous is not None:
             error = _split_norm(sw - previous[0], sv - previous[1])
             if error < tol:
@@ -742,6 +741,7 @@ def _quadrature(
                 panels += left, right
         failed = []
         for a, h, sw, sv, tw, tv, own, fix in panels:
+            own = own and _own_estimate(tw, tv, *own)
             # the tail reads the rule's 8 terms, not a term appended to them
             error = _tail_estimate(tw, tv, h * scale) + fix if own is None else own
             if error <= h * scale or error <= _rounding(tw, tv):

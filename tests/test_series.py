@@ -1,8 +1,11 @@
 import math
 import sys
+from itertools import islice, pairwise, starmap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tricomplex import (
     H,
@@ -23,6 +26,8 @@ from tricomplex import (
     taylor_recenter,
     texp,
 )
+from tricomplex.geometry import _SQRT3, _from_split, _split_norm, _to_split
+from tricomplex.series import TAIL_RATIOS, _estimate
 from util import random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -297,3 +302,96 @@ def test_inverse_modulus_inequality():
 def test_triseries_validation():
     with pytest.raises(ValueError):
         TriSeries(())
+
+
+# The series kernels as they were before each became one pass over the held
+# split: evaluation by synthetic division (which keeps every intermediate and
+# multiplies by k = 1.0 on the plain route), tail ratios by a generator chain,
+# spherical sizes by a call of ``_split_norm`` per coefficient.
+
+
+def _reference_shift(cs, x, m, k=1.0):
+    b = list(cs)
+    for i in range(m):
+        acc = b[-1]
+        for j in range(len(b) - 2, i - 1, -1):
+            acc = b[j] = b[j] + acc * x * k
+    return b[:m]
+
+
+def _reference_eval(s, u):
+    if len(s.coeffs) == 1:
+        return s.coeffs[0]
+    if not s._quarter:
+        try:
+            w, v = _to_split(u)
+            return _from_split(_reference_shift(s._ws, w, 1)[0], _reference_shift(s._vs, v, 1)[0])
+        except Overflow:
+            pass
+    q, (w, v) = (1.0 if s._quarter else 0.25), _to_split(u * 0.25)
+    fw = _reference_shift([a * q for a in s._ws], w, 1, 4.0)[0]
+    fv = _reference_shift([a * q for a in s._vs], v, 1, 4.0)[0]
+    try:
+        return _from_split(fw, fv) * 4.0
+    except Overflow:
+        raise Overflow(f"the expansion of the series at {u} leaves the double range") from None
+
+
+def _reference_tail_ratios(sizes):
+    ratios = (here / after for after, here in pairwise(sizes) if here > 0.0 and after > 0.0)
+    return list(islice(ratios, TAIL_RATIOS))[::-1]
+
+
+def _reference_spherical(s):
+    tail = _reference_tail_ratios(starmap(_split_norm, zip(s._ws[::-1], s._vs[::-1])))
+    if not tail or s.coeffs[-1] == ZERO:
+        raise Indeterminate("trailing coefficients vanish; no usable ratios")
+    return _estimate(tail, "spherical", _SQRT3)
+
+
+def _reference_cylindrical(s):
+    trans = _reference_tail_ratios(map(abs, s._ws[::-1]))
+    longi = _reference_tail_ratios(map(abs, s._vs[::-1]))
+    if not trans or not longi:
+        raise Indeterminate("split coefficients vanish; no usable ratios")
+    return (_reference_spherical(s), _estimate(trans, "transverse"), _estimate(longi, "longitudinal"))
+
+
+def _bits(run):
+    """float.hex of every float a call returns, or its exception's type and message."""
+    try:
+        got = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = (got.x, got.y, got.z) if isinstance(got, Tricomplex) else got if isinstance(got, tuple) else (got,)
+    return tuple(map(float.hex, values))
+
+
+MAX = sys.float_info.max
+# the box, the whole range (zeros of either sign and subnormals included), the
+# top of the range, where the held split is a quarter's, and exact values
+BOX = st.floats(-3.0, 3.0)
+WHOLE = st.floats(allow_nan=False, allow_infinity=False)
+TOP = st.floats(1e307, MAX).map(lambda x: x * (1.0, -1.0)[int(x * 1e-300) % 2])
+EXACT = st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 1e-8, 1.0, -1.0, 1e300))
+
+
+@st.composite
+def series_and_points(draw):
+    n, gap = draw(st.integers(1, 40)), draw(st.sampled_from((1, 1, 1, 2, 4)))  # lacunary: every gap-th power
+    kinds = draw(st.lists(st.sampled_from((BOX, BOX, WHOLE, TOP, EXACT)), min_size=1, max_size=2))
+    part = st.one_of(*kinds)
+    rows = [draw(st.tuples(part, part, part)) if l % gap == 0 else (0.0, 0.0, 0.0) for l in range(n)]
+    at = draw(st.sampled_from((BOX, BOX, WHOLE, TOP, EXACT)))
+    return TriSeries.from_components(rows), Tricomplex(*draw(st.tuples(at, at, at)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=series_and_points())
+def test_series_kernels_match_the_reference(case):
+    # evaluation and both radius estimates are bit-identical to the kernels
+    # they replaced, exceptions included, on and off the quarter route
+    s, u = case
+    assert _bits(lambda: eval_series(s, u)) == _bits(lambda: _reference_eval(s, u))
+    assert _bits(lambda: radius_spherical(s)) == _bits(lambda: _reference_spherical(s))
+    assert _bits(lambda: tuple(radius_cylindrical(s))) == _bits(lambda: _reference_cylindrical(s))
