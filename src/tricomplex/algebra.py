@@ -12,7 +12,7 @@ import enum
 import math
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import Overflow, ZeroDivisor
 
@@ -247,25 +247,39 @@ def amplitude(u: Tricomplex) -> float:
         return _cbrt(f)
     # the cubic form overflowed or left the normal range below (or u is
     # on a nodal set); the amplitude is degree-1 homogeneous
-    v, e = _pow2_scaled(u)
-    return _times_pow2(_cbrt(determinant_form(v)), e, f"the amplitude of {u}")
+    return _rescaled(lambda v: _cbrt(determinant_form(v)), u, None, 1, f"the amplitude of {u}")
 
 
-def _pow2_scaled(u: Tricomplex) -> tuple[Tricomplex, int]:
-    """``u`` divided by the power of two 2**e that brings its largest
-    component into [0.5, 1), and e.  The scaling is exact, so a
-    degree-1 homogeneous quantity of ``u`` is that of the copy times
-    2**e."""
-    e = math.frexp(u.max_abs_component())[1]
-    return _computed(math.ldexp(u.x, -e), math.ldexp(u.y, -e), math.ldexp(u.z, -e)), e
+def _rescaled(f: Callable, value, e: int | None, degree: int | tuple, what: str, graded: bool = False):
+    """f(value) for an f homogeneous of ``degree``, where a sum or product leaves the
+    double range on the way: f of ``value`` / 2**e, times 2**(degree*e), both exact
+    unless a part is subnormal; ``e`` None puts the largest component of a Tricomplex
+    ``value`` in [0.5, 1).  Parts are floats, complex numbers, Tricomplex values, None
+    and tuples or lists of them; a tuple ``degree`` has one per entry, and parts of
+    degree 0 are kept as they are.  ``graded`` divides entry i by 2**(e*i), as the
+    coefficient i of a polynomial in descending powers has degree i in its roots.
+    Overflow, naming ``what``, where f or the result leaves the double range."""
 
+    def scaled(v, n):
+        if n == 0 or v is None:
+            return v
+        if isinstance(v, (tuple, list)):
+            ns = n if isinstance(n, tuple) else [n] * len(v)
+            return (list if isinstance(v, list) else tuple)(map(scaled, v, ns))
+        if isinstance(v, Tricomplex):
+            return _computed(*scaled([v.x, v.y, v.z], n))
+        if isinstance(v, complex):
+            return complex(*scaled([v.real, v.imag], n))
+        if not math.isfinite(t := math.ldexp(v, n)):
+            raise OverflowError
+        return t
 
-def _times_pow2(v: float, e: int, what: str) -> float:
-    """v * 2**e; Overflow, naming ``what`` v is, beyond the double range."""
+    e = math.frexp(value.max_abs_component())[1] if e is None else e
     try:
-        return math.ldexp(v, e)
-    except OverflowError as exc:
-        raise Overflow(f"{what} exceeds the double range") from exc
+        got = f(scaled(value, tuple(-e * i for i in range(len(value))) if graded else -e))
+        return scaled(got, tuple(d * e for d in degree) if isinstance(degree, tuple) else degree * e)
+    except (Overflow, OverflowError):
+        raise Overflow(f"{what} leaves the double range") from None
 
 
 def default_tolerance(u: Tricomplex) -> float:
@@ -313,11 +327,10 @@ def inverse(u: Tricomplex, tol: float | None = None) -> Tricomplex:
             pass
     # a square or the cubic form left the double range: 1/u is 1/v
     # scaled by 2**-e for v = u / 2**e; when v is u, it is the result
-    v, e = _pow2_scaled(u)
+    e = math.frexp(u.max_abs_component())[1]
     if e == 0:
-        raise Overflow(f"the inverse of {u} exceeds the double range")
-    w = inverse(v, tol=0.0)
-    return _computed(*(_times_pow2(t, -e, f"the inverse of {u}") for t in (w.x, w.y, w.z)))
+        raise Overflow(f"the inverse of {u} leaves the double range")
+    return _rescaled(lambda v: inverse(v, tol=0.0), u, e, -1, f"the inverse of {u}")
 
 
 def to_matrix(u: Tricomplex) -> np.ndarray:

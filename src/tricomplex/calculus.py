@@ -46,9 +46,9 @@ from functools import lru_cache
 from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import H, K, ONE, ZERO, Tricomplex, _Record, _times_pow2, default_tolerance, inverse
+from .algebra import H, K, ONE, ZERO, Tricomplex, _Record, _rescaled, default_tolerance, inverse
 from .errors import AmbiguousWinding, NonConvergent, Overflow, SingularOnPath, ZeroDivisor
-from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _scaled_split, _split_norm, _to_split
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _split_norm, _to_split
 
 TriFunction = Callable[[Tricomplex], Tricomplex]
 #: An integrand in split coordinates: the pair (f_w, f_v) of f(u) from a
@@ -815,9 +815,8 @@ def _winding_number(ws: list[complex], aw: complex, guard: float, gaps: Sequence
     when ``gaps`` are given, raises AmbiguousWinding."""
     top = max(max(abs(w.real), abs(w.imag)) for w in (aw, *ws))
     scale = guard * (1.0 + top)
-    if top > 2.0**500:  # scaled exactly, so that no product of differences overflows
-        k = 2.0 ** -math.frexp(top)[1]
-        ws, aw, scale, gaps = [w * k for w in ws], aw * k, scale * k, [g * k for g in gaps]
+    if top > 2.0**500:  # counted on a copy scaled exactly, so that no product of differences overflows
+        ws, aw, scale, gaps = _rescaled(lambda t: t, (ws, aw, scale, gaps), math.frexp(top)[1], 0, "a winding")
     total = 0.0
     for w0, w1, gap in zip(ws, ws[1:], gaps or [0.0] * len(ws)):
         d0, d1, e = w0 - aw, w1 - aw, w1 - w0
@@ -833,11 +832,10 @@ def _winding_number(ws: list[complex], aw: complex, guard: float, gaps: Sequence
 
 def _transverse(point: Tricomplex) -> complex:
     """The transverse pair a_w of a point whose winding is asked for."""
-    aw, _, _, e = _scaled_split(point)
-    if e:
-        what = f"the transverse pair of {point}"
-        aw = complex(_times_pow2(aw.real, e, what), _times_pow2(aw.imag, e, what))
-    return aw
+    try:
+        return _to_split(point)[0]
+    except Overflow:  # the component sum left the double range
+        return _rescaled(_transverse, point, None, 1, f"the transverse pair of {point}")
 
 
 def winding_count(loop: Path3, point: Tricomplex) -> int:

@@ -21,14 +21,14 @@ import cmath
 import enum
 import math
 
-from .algebra import Tricomplex, _computed
+from .algebra import Tricomplex, _computed, _rescaled
 from .errors import (
     REASON_NODAL_PLANE_SIDE,
     REASON_TRISECTOR_LINE,
     DomainError,
     Overflow,
 )
-from .geometry import _SQRT3, _azimuth, _from_split, _scaled_split, _to_split, polar
+from .geometry import _SQRT3, _azimuth, _from_split, _to_split, polar
 
 _LN2 = math.log(2.0)
 #: Primitive cube root of unity, the eigenvalue of h on the transverse plane.
@@ -89,12 +89,19 @@ def tcosh(u: Tricomplex) -> Tricomplex:
 
 
 def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float, int]:
-    """(|w|, phi, sigma, e) of ``_scaled_split``, with the domain checks
-    of log and the power: strictly off the trisector line and, when
-    ``purpose`` names a real logarithm or fractional power, component
-    sum > 0.  The checks run on the scaled copy, whose sums stay in the
-    double range."""
-    w, r, sigma, e = _scaled_split(u)
+    """(|w|, phi, sigma, e) of u / 2**e, with the domain checks of log
+    and the power: strictly off the trisector line and, when ``purpose``
+    names a real logarithm or fractional power, component sum > 0.  e is
+    0 unless a split coordinate or |w| of u leaves the double range, and
+    then ``_rescaled``'s default, whose copy gives the pieces and checks."""
+    try:
+        w, sigma = _to_split(u)
+        r = math.hypot(w.real, w.imag)
+    except Overflow:
+        r = math.inf
+    if r == math.inf:  # log adds e*log(2), the power multiplies by 2**(e*m)
+        e = math.frexp(u.max_abs_component())[1]
+        return (*_rescaled(lambda v: _log_pieces(v, purpose)[:3], u, e, 0, f"the logarithm of {u}"), e)
     phi = _azimuth(w)
     if phi is None:
         raise DomainError(
@@ -106,7 +113,7 @@ def _log_pieces(u: Tricomplex, purpose: str | None) -> tuple[float, float, float
             f"component sum x+y+z must be > 0 for {purpose}",
             REASON_NODAL_PLANE_SIDE,
         )
-    return r, phi, sigma, e
+    return r, phi, sigma, 0
 
 
 def tlog(u: Tricomplex) -> Tricomplex:

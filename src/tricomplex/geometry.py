@@ -22,8 +22,7 @@ from .algebra import (
     _SQRT3,
     Tricomplex,
     _computed,
-    _pow2_scaled,
-    _times_pow2,
+    _rescaled,
     amplitude,
 )
 from .errors import (
@@ -75,11 +74,7 @@ def _to_split(u: Tricomplex) -> tuple[complex, float]:
     if math.isfinite(v1) and math.isfinite(v1t) and math.isfinite(vp):
         return complex(v1, v1t), vp
     # a sum overflowed, maybe only on the way; the coordinates are linear
-    v, e = _pow2_scaled(u)
-    w, vp = _to_split(v)
-    what = f"a canonical coordinate of {u}"
-    v1, v1t, vp = (_times_pow2(t, e, what) for t in (w.real, w.imag, vp))
-    return complex(v1, v1t), vp
+    return _rescaled(_to_split, u, None, 1, f"a canonical coordinate of {u}")
 
 
 def _split_norm(w: complex, v: float) -> float:
@@ -106,19 +101,16 @@ def irreducible_rep(u: Tricomplex) -> np.ndarray:
 def _from_split(fw: complex, fp: float) -> Tricomplex:
     """The number with transverse pair ``fw`` and component sum ``fp``.
 
-    The join forms 2*v1 and sqrt(3)*v1t, which can leave the double
-    range although the result does not; the retry prescales by a power
-    of two, which is exact, so results in range keep their bits.
-    """
+    The join forms 2*v1 and sqrt(3)*v1t, which can leave the double range
+    although the result does not; ``_rescaled`` then joins a quarter."""
     try:
-        return _join(fw.real, fw.imag, fp)
+        return _join(fw, fp)
     except Overflow:
-        t = _join(0.25 * fw.real, 0.25 * fw.imag, 0.25 * fp)
-        return _computed(4.0 * t.x, 4.0 * t.y, 4.0 * t.z)
+        return _rescaled(lambda t: _join(*t), (fw, fp), 2, 1, f"the number with split ({fw}, {fp!r})")
 
 
-def _join(v1: float, v1t: float, vp: float) -> Tricomplex:
-    r = _SQRT3 * v1t
+def _join(fw: complex, vp: float) -> Tricomplex:
+    v1, r = fw.real, _SQRT3 * fw.imag
     return _computed((2.0 * v1 + vp) / 3.0, (-v1 + r + vp) / 3.0, (-v1 - r + vp) / 3.0)
 
 
@@ -130,21 +122,6 @@ def to_canonical(u: Tricomplex) -> CanonicalForm:
 
 def from_canonical(c: CanonicalForm) -> Tricomplex:
     return _from_split(complex(c.v1, c.v1t), c.vp)
-
-
-def _scaled_split(u: Tricomplex) -> tuple[complex, float, float, int]:
-    """(w, |w|, vp, e) of u / 2**e: e is 0 unless a split coordinate or |w|
-    of u leaves the double range, and the copy is then scaled into it."""
-    try:
-        w, vp = _to_split(u)
-        r = math.hypot(w.real, w.imag)
-        if math.isfinite(r):
-            return w, r, vp, 0
-    except Overflow:
-        pass
-    v, e = _pow2_scaled(u)
-    w, vp = _to_split(v)
-    return w, math.hypot(w.real, w.imag), vp, e
 
 
 def _azimuth(w: complex) -> float | None:
@@ -218,14 +195,15 @@ def polar(u: Tricomplex) -> PolarForm:
     d = abs(u)
     if not math.isfinite(d):
         raise Overflow(f"a polar descriptor of {u} exceeds the double range")
-    w, r, vp, e = _scaled_split(u)
-    s, D = vp / _SQRT3, r * _TRANSVERSE_NORM
-    if e:
-        # d, s and D are degree-1 homogeneous, the angles scale-free
-        what = f"a polar descriptor of {u}"
-        s, D = _times_pow2(s, e, what), _times_pow2(D, e, what)
+    try:
+        w, vp = _to_split(u)
+        s, D, phi = vp / _SQRT3, math.hypot(w.real, w.imag) * _TRANSVERSE_NORM, _azimuth(w)
+    except Overflow:
+        D = math.inf
+    if D == math.inf:  # where a split coordinate or |w| leaves the range: s and D are degree-1 homogeneous
+        _, s, D, _, _, phi = _rescaled(polar, u, None, (0, 1, 1, 0, 0, 0), f"a polar descriptor of {u}")
     theta = None if d == 0.0 else math.atan2(D, s)
-    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=_azimuth(w))
+    return PolarForm(d=d, s=s, D=D, rho=amplitude(u), theta_or_none=theta, phi_or_none=phi)
 
 
 def normalize_phi(phi: float) -> float:
@@ -295,14 +273,12 @@ def projection_on_nodal_plane(u: Tricomplex) -> tuple[float, float]:
     plane, in the in-plane frame whose first axis points toward the
     meridian of the x axis: sqrt(2/3) times the transverse pair w.
 
-    w comes from ``_scaled_split``, which takes it on ``u`` scaled by a
-    power of two where a split coordinate leaves the double range, so
-    Overflow means that the projection itself exceeds it.
+    Where a split coordinate leaves the double range, w is a scaled copy's,
+    so Overflow means that the projection itself leaves it.
     """
-    w, _, _, e = _scaled_split(u)
-    w *= _TRANSVERSE_NORM
-    if not e:
-        return w.real, w.imag
-    what = f"the projection of {u} on the nodal plane"
-    return _times_pow2(w.real, e, what), _times_pow2(w.imag, e, what)
+    try:
+        w = _to_split(u)[0] * _TRANSVERSE_NORM
+    except Overflow:
+        return _rescaled(projection_on_nodal_plane, u, None, 1, f"the projection of {u} on the nodal plane")
+    return w.real, w.imag
 

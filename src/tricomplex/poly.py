@@ -20,7 +20,7 @@ import math
 import sys
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import ONE, Tricomplex, _Record
+from .algebra import ONE, Tricomplex, _Record, _rescaled
 from .errors import ComplexLongitudinalRoot, NonConvergent, Overflow
 from .geometry import _from_split, _to_split
 
@@ -117,15 +117,10 @@ def _derivative(coeffs: Sequence, j: int) -> Sequence:
 def _start(coeffs: Sequence[complex]) -> list[complex]:
     """m points on the circle about the roots' centroid c = -a1/m whose
     radius |p(c)|^(1/m) is the geometric mean of the roots' distances from
-    c (Aberth 1973).  Twice Fujiwara's root bound is the radius where p(c)
-    is 0 or not finite; ``Overflow`` where the bound leaves the double range."""
+    c (Aberth 1973).  Twice Fujiwara's root bound is the radius where p(c) is 0 or
+    not finite; ``_root_lists`` scales the roots so that it stays in the range."""
     m = len(coeffs) - 1
-    try:
-        bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
-    except OverflowError:  # a coefficient's modulus leaves the double range
-        bound = math.inf
-    if not math.isfinite(bound):
-        raise Overflow(f"the root bound of a degree-{m} part leaves the double range")
+    bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
     c = -coeffs[1] / m
     value = complex(0.0)
     for a in coeffs:
@@ -285,32 +280,42 @@ def _misfit(
     return None
 
 
-def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
-    """The transverse roots and the real longitudinal roots, each list
-    sorted.  The longitudinal roots are real when their real parts pass
-    the rebuild guard (``_misfit``); ``ComplexLongitudinalRoot`` when
-    only the complex roots pass it, ``NonConvergent`` when neither does."""
+def _split_roots(p: TriPolynomial) -> tuple[list[complex], list[float], complex | None]:
+    """The sorted transverse and real longitudinal roots of p, and None; where the
+    longitudinal roots pass the rebuild guard (``_misfit``) only as found, complex,
+    the one farthest off the real axis stands for None, and where neither their
+    real parts nor they pass it, NonConvergent."""
     # |x|+|y|+|z| bounds both split parts of a coefficient and their rounding
     parts = decompose(p)
     sizes = [abs(a.x) + abs(a.y) + abs(a.z) for a in p.coeffs]
     longi = [complex(c) for c in parts.longitudinal]
-    try:
-        trans, slack = _roots(parts.transverse, sizes)
-        misfit = _misfit(trans, parts.transverse, sizes, slack)
+    trans, slack = _roots(parts.transverse, sizes)
+    misfit = _misfit(trans, parts.transverse, sizes, slack)
+    if misfit:
+        raise NonConvergent(misfit)
+    found, slack = _roots(longi, sizes)
+    if _misfit([complex(w.real) for w in found], longi, sizes, slack):
+        misfit = _misfit(found, longi, sizes, slack)
         if misfit:
             raise NonConvergent(misfit)
-        found, slack = _roots(longi, sizes)
-        if _misfit([complex(w.real) for w in found], longi, sizes, slack):
-            misfit = _misfit(found, longi, sizes, slack)
-            if misfit:
-                raise NonConvergent(misfit)
-            worst = max(found, key=lambda w: abs(w.imag))
-            raise ComplexLongitudinalRoot(
-                f"longitudinal roots pass the rebuild guard only as found, complex up to {worst}, not as reals"
-            )
-    except OverflowError:  # abs() of an iterate or a residual beyond the double range
-        raise Overflow("a modulus in the root iteration leaves the double range") from None
-    return sorted(trans, key=lambda w: (w.real, w.imag)), sorted(w.real for w in found)
+        return trans, [], max(found, key=lambda w: abs(w.imag))
+    return sorted(trans, key=lambda w: (w.real, w.imag)), sorted(w.real for w in found), None
+
+
+def _root_lists(p: TriPolynomial) -> tuple[list[complex], list[float]]:
+    """``_split_roots`` of q(u) = p(2**k u) / 2**(km), whose roots are p's over 2**k,
+    scaled back.  k is the least shift that keeps (2**top)**m within 2**896, 2**top
+    being the largest (max component of c_i)^(1/i) within a factor 2, so that no
+    iteration leaves the range on the way to roots in it, and fewest parts underflow."""
+    top = max(math.frexp(a.max_abs_component())[1] / i for i, a in enumerate(p.coeffs[1:], 1))
+    k = max(0, math.ceil(top - 896 / p.degree))
+    what = "a root or an iterate's modulus"
+    trans, longi, worst = _rescaled(lambda cs: _split_roots(TriPolynomial(cs)), p.coeffs, k, 1, what, graded=True)
+    if worst is not None:
+        raise ComplexLongitudinalRoot(
+            f"longitudinal roots pass the rebuild guard only as found, complex up to {worst}, not as reals"
+        )
+    return trans, longi
 
 
 def _combine(trans: Sequence[complex], longi: Sequence[float], order: Sequence[int]) -> RootSet:

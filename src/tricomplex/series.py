@@ -15,9 +15,9 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algebra import ONE, ZERO, Tricomplex, _Record, _times_pow2, component_sum
+from .algebra import ONE, ZERO, Tricomplex, _Record, _rescaled, component_sum
 from .errors import Indeterminate, Overflow
-from .geometry import _SQRT3, _TRANSVERSE_NORM, _from_split, _scaled_split, _to_split
+from .geometry import _SQRT3, _TRANSVERSE_NORM, _from_split, _to_split
 
 #: Number of trailing coefficient ratios averaged by the radius estimators.
 TAIL_RATIOS = 8
@@ -30,9 +30,13 @@ def modulus(u: Tricomplex) -> float:
 
 def delta(u: Tricomplex) -> float:
     """Transverse magnitude sqrt(x^2+y^2+z^2-xy-xz-yz): |w| of the pair w = v1 + i*v1t
-    of ``u``, from ``geometry._scaled_split``, so finite wherever it is in range."""
-    _, r, _, e = _scaled_split(u)
-    return _times_pow2(r, e, f"the transverse magnitude of {u}") if e else r
+    of ``u``, or of a copy scaled by a power of two, so finite wherever it is in range."""
+    try:
+        w = _to_split(u)[0]
+        r = math.hypot(w.real, w.imag)
+    except Overflow:
+        r = math.inf
+    return r if r < math.inf else _rescaled(delta, u, None, 1, f"the transverse magnitude of {u}")
 
 
 def sigma(u: Tricomplex) -> float:
@@ -43,8 +47,8 @@ def sigma(u: Tricomplex) -> float:
 class TriSeries(_Record):
     """Truncated power series sum(a_l * u^l), coefficients in ascending order of the
     power, split once when made: ``_ws`` holds the transverse pairs and ``_vs`` the
-    component sums of the a_l, or of the a_l / 4 (``_quarter``) where a split
-    coordinate or a |w_l| leaves the double range, which a quarter's does not."""
+    component sums of the a_l, or of the a_l / 4 (``_quarter``, by ``_rescaled``) where
+    a split coordinate or a |w_l| leaves the double range, which a quarter's does not."""
 
     __slots__ = ("coeffs", "_ws", "_vs", "_quarter")
     _fields = ("coeffs",)
@@ -59,7 +63,7 @@ class TriSeries(_Record):
             ws, vs = zip(*map(_to_split, coeffs))
             max(map(abs, ws))  # abs raises OverflowError where a |w_l| leaves the range
         except (Overflow, OverflowError):
-            ws, vs = zip(*(_to_split(a * 0.25) for a in coeffs))
+            ws, vs = _rescaled(lambda cs: zip(*map(_to_split, cs)), coeffs, 2, 0, "a quarter's split")
             quarter = True
         for name, value in (("coeffs", coeffs), ("_ws", ws), ("_vs", vs), ("_quarter", quarter)):
             object.__setattr__(self, name, value)
@@ -119,20 +123,18 @@ def _shift(cs: Sequence, x, k: float, m: int) -> list:
 
 def _taylor(s: TriSeries, u: Tricomplex, shift: Callable) -> list[Tricomplex]:
     """``shift(cs, x, k)`` (``_horner`` or ``_shift``) on both parts of the held split
-    at ``u``, joined.  Where a split or a join leaves the double range, it runs on
-    a_l / 4 at 4 (u / 4) and the joins are scaled by 4, as ``_from_split`` does."""
+    at ``u``, joined.  Where a split or a join leaves the double range, ``_rescaled``
+    runs it on a_l / 4 at 4 (u / 4) and scales the joins back by 4."""
     if not s._quarter:
         try:
             w, v = _to_split(u)
             return list(map(_from_split, shift(s._ws, w, 1.0), shift(s._vs, v, 1.0)))
         except Overflow:
             pass
-    q, (w, v) = (1.0 if s._quarter else 0.25), _to_split(u * 0.25)
-    fws, fvs = shift([a * q for a in s._ws], w, 4.0), shift([a * q for a in s._vs], v, 4.0)
-    try:
-        return [_from_split(fw, fv) * 4.0 for fw, fv in zip(fws, fvs)]
-    except Overflow:  # an infinite split joins to a nan, which the message would show
-        raise Overflow(f"the expansion of the series at {u} leaves the double range") from None
+    q = 1.0 if s._quarter else 0.25  # a held quarter's split is not divided again
+    quarter = [a * q for a in s._ws], [a * q for a in s._vs]
+    at = lambda v: list(map(_from_split, *map(shift, quarter, _to_split(v), (4.0, 4.0))))
+    return _rescaled(at, u, 2, 1, f"the expansion of the series at {u}")
 
 
 def eval_series(s: TriSeries, u: Tricomplex) -> Tricomplex:
@@ -163,12 +165,10 @@ def _tail_ratios(sizes: Iterable[float]) -> list[float]:
 
 def _estimate(tail: list[float], what: str, scale: float = 1.0) -> float:
     """Mean of the tail ratios over ``scale``; one beyond the double range raises Overflow
-    naming the estimate.  Where only the sum leaves it, each ratio is divided by 8 first."""
+    naming the estimate.  Where only the sum leaves it, the mean is taken of the ratios / 8."""
     mean = sum(tail) / (scale * len(tail))
     if mean == math.inf:
-        mean = sum(t * 0.125 for t in tail) / (scale * len(tail)) * 8.0
-    if not math.isfinite(mean):
-        raise Overflow(f"the {what} radius estimate leaves the double range")
+        return _rescaled(lambda t: sum(t) / (scale * len(t)), tail, 3, 1, f"the {what} radius estimate")
     return mean
 
 

@@ -272,7 +272,8 @@ def test_parse_errors_exit_two(capout):
         (["cosexp-table", "--min", "1", "--max", "1", "--step", "1e-300"], 2),
         (["rho-table", "--rho", "1", "--min", "1e300", "--max", "1e300", "--step", "1"], 2),
         (["rho-table", "--min", "1", "--max", "1", "--step", "1e-17"], 2),
-        # finite input where a complex modulus leaves the double range
+        # finite input whose longitudinal roots are complex (ComplexLongitudinalRoot), where the
+        # unscaled iteration would have left the double range
         (["factor", "--poly", "{wide}"], 1),
         (
             [
@@ -285,9 +286,10 @@ def test_parse_errors_exit_two(capout):
             ],
             0,
         ),
-        # a coefficient modulus beyond the double range, and one whose root bound (twice it) is
-        (["factor", "--poly", "{bound}"], 1),
-        (["factor", "--poly", "{double}"], 1),
+        # a coefficient modulus beyond the double range, and one whose root bound (twice it) is:
+        # the root -a is in range, and the polynomial is factored as a copy scaled by 2**-k
+        (["factor", "--poly", "{bound}"], 0),
+        (["factor", "--poly", "{double}"], 0),
     ],
 )
 def test_error_exit_codes(capout, tmp_path, argv, code):

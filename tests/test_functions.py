@@ -210,8 +210,8 @@ WHOLE_RANGE_OPERATIONS = {
     u=Tricomplex(6.662140998568333e16, 1.97959841424133e-107, -73.54866650054805),
     v=Tricomplex(-8.468982973470195e58, -4.737443580491874e307, -406.9818898931609),
 )
-# the root iteration's start circle, near 1e154, has residual moduli
-# beyond the double range: Overflow, not a bare OverflowError
+# roots near 1e154, which factor on a copy scaled by a power of two; the
+# longitudinal part v^2 + 1e308 has complex roots: ComplexLongitudinalRoot
 @example(u=ZERO, v=Tricomplex(1e308, 0.5, 0.0))
 @settings(max_examples=300, deadline=None)
 def test_whole_range_results_are_finite_or_reported(u, v):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -516,24 +517,32 @@ def test_degree_from_csv_style_rows():
 
 
 @pytest.mark.parametrize(
-    "row",
+    "row, want",
     [
         # the transverse coefficient's modulus leaves the double range
-        (1.3e308, 0.75e308, -0.75e308),
-        # the modulus is in range, twice it is not
-        (1e308, 0.0, 0.0),
+        (
+            (1.3e308, 0.75e308, -0.75e308),
+            ("-0x1.72409614c1e6bp+1023", "-0x1.ab36d48e1acefp+1022", "0x1.ab36d48e1acefp+1022"),
+        ),
+        # the modulus is in range, twice it (Fujiwara's bound) is not
+        ((1e308, 0.0, 0.0), ("-0x1.1ccf385ebc8a0p+1023", "0x0.0p+0", "0x0.0p+0")),
     ],
+    ids=["row0", "row1"],
 )
-def test_root_bound_beyond_the_range_is_overflow(row):
+def test_root_bound_beyond_the_range_factors_exactly(row, want):
+    # u + a is factored as its copy scaled by a power of two; the split roots
+    # scaled back are exactly -w and -v of a, and the root is their join: -a
+    # up to the split's rounding (one ulp in row0, as at (1.3, 0.75, -0.75))
     p = TriPolynomial.from_components([(1, 0, 0), row])
-    for route in (factor, enumerate_root_sets):
-        with pytest.raises(Overflow, match="root bound"):
-            route(p)
+    for route in (factor, lambda p: enumerate_root_sets(p)[0]):
+        (root,) = route(p).roots
+        assert (root.x.hex(), root.y.hex(), root.z.hex()) == want
 
 
-def test_residual_beyond_the_range_is_overflow():
-    # p(w) overflows at transverse roots near 2.5e154, so a disc radius is
-    # inf; the rebuild guard would compare with inf * 0 = nan
+def test_residual_beyond_the_range_is_a_complex_longitudinal_root():
+    # p(w) would overflow at transverse roots near 2.5e154; the scaled copy
+    # factors, and the longitudinal part v^2 + ~1e154 v + 1.8e308 has a
+    # negative discriminant
     p = TriPolynomial.from_components(
         [
             (1, 0, 0),
@@ -542,5 +551,56 @@ def test_residual_beyond_the_range_is_overflow():
         ]
     )
     for route in (factor, enumerate_root_sets):
-        with pytest.raises(Overflow, match="residual"):
+        with pytest.raises(ComplexLongitudinalRoot):
             route(p)
+
+
+def test_complex_longitudinal_root_at_the_top_is_named_unscaled():
+    # u^2 + (1e308, 0, 0): v^2 + 1e308 has the roots +-1e154 i; the message
+    # names the root of p, not that of the scaled copy the iteration ran on
+    p = TriPolynomial.from_components([(1, 0, 0), (0, 0, 0), (1e308, 0, 0)])
+    for route in (factor, enumerate_root_sets):
+        with pytest.raises(ComplexLongitudinalRoot) as info:
+            route(p)
+        worst = complex(str(info.value).split("complex up to ")[1].split(",")[0])
+        assert worst.real == 0.0 and abs(abs(worst.imag) / 1e154 - 1.0) < 1e-15
+
+
+def _near_top_draws(seed, n):
+    # 1-6 roots with box components times 2**k, k*m in [1000 - 40m, 1020]:
+    # coefficients near the top of the double range, roots well inside it
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m = int(rng.integers(1, 7))
+        k = int(rng.integers(math.ceil((1000 - 40 * m) / m), 1020 // m + 1))
+        roots = [Tricomplex(*(math.ldexp(c, k) for c in rng.uniform(-3.0, 3.0, 3))) for _ in range(m)]
+        try:
+            p = TriPolynomial.from_roots(roots)
+        except Overflow:  # a coefficient itself beyond the range
+            continue
+        yield p, roots
+
+
+def _split_parts(roots):
+    parts = list(map(to_canonical, roots))
+    return [complex(c.v1, c.v1t) for c in parts], sorted(c.vp for c in parts)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_roots_near_the_top_of_the_range_factor(seed):
+    # factor never raises Overflow or NonConvergent on these (about 4% did
+    # before polynomials near the top were factored as a scaled copy), and
+    # where the drawn split parts stand 1% of the largest apart, the root
+    # multisets match them to 1e-9 of the largest
+    for p, roots in _near_top_draws(seed, 1500):
+        got_w, got_v = _split_parts(factor(p).roots)
+        want_w, want_v = _split_parts(roots)
+        scale = max(map(abs, want_w + want_v))
+        pairs = itertools.chain(itertools.combinations(want_w, 2), itertools.combinations(want_v, 2))
+        if any(abs(a - b) < 0.01 * scale for a, b in pairs):
+            continue
+        assert max(abs(a - b) for a, b in zip(got_v, want_v)) <= 1e-9 * scale
+        for w in got_w:
+            nearest = min(want_w, key=lambda t: abs(t - w))
+            assert abs(nearest - w) <= 1e-9 * scale
+            want_w.remove(nearest)
