@@ -8,9 +8,10 @@ analyticity checks, loop integrals with residues, and polynomial
 factorization, plus a deterministic CLI front end.
 
 ``import tricomplex`` loads the algebra, geometry, elementary and
-cosexponential functions and the errors.  The calculus, poly and series
-modules load on first use of one of their names.  The records are named
-tuples or immutable slotted classes, which cost no import at start-up.
+cosexponential functions and the errors.  The calculus, derivatives, poly
+and series modules load on first use of one of their names.  The records
+are named tuples or immutable slotted classes, which cost no import at
+start-up.
 """
 
 from importlib import import_module as _import_module
@@ -41,10 +42,10 @@ _PUBLIC = {
     "cosexp": ("CosexpKind", "cosexp", "cosexp_derivative", "cosexp_series", "cx", "mx", "px"),
     # loaded on first use
     "calculus": (
-        "POLE_LOOP_VALUE", "Path3", "PoleSpec", "RiemannReport", "cauchy_value",
-        "check_analytic", "derivative", "loop_integral_pole", "path_integral", "residue_sum",
-        "winding_count",
+        "POLE_LOOP_VALUE", "Path3", "PoleSpec", "cauchy_value", "loop_integral_pole",
+        "path_integral", "residue_sum", "winding_count",
     ),
+    "derivatives": ("RiemannReport", "check_analytic", "derivative"),
     "poly": (
         "DecomposedPoly", "RootSet", "TriPolynomial", "decompose", "enumerate_root_sets",
         "factor",
@@ -54,7 +55,7 @@ _PUBLIC = {
         "radius_cylindrical", "radius_spherical", "sigma", "taylor_recenter",
     ),
 }
-_LAZY = ("calculus", "poly", "series")
+_LAZY = ("calculus", "derivatives", "poly", "series")
 _HOME = {name: module for module in _LAZY for name in _PUBLIC[module]}
 
 __all__ = [name for names in _PUBLIC.values() for name in names]

@@ -1,15 +1,9 @@
-"""Numerical calculus: derivatives, analyticity checks, loop integrals.
+"""Numerical calculus: loop integrals, residues and windings.
 
-Functions built from power series have direction-independent
-derivatives: f_y = h f_x and f_z = k f_x, a web of equalities between
-the partial derivatives of the three components F, G, H of
-f = F + hG + kH.  ``check_analytic`` measures how badly a function
-violates them.
-
-Integrals of such functions are path independent away from the singular
-sets; around a simple pole at ``a`` the loop integral picks up the
-fixed transverse unit (2*pi/sqrt(3))(h - k) once per turn of the loop's
-projection on the nodal plane around the projection of ``a``.
+Integrals of functions given by power series are path independent away
+from the singular sets; around a simple pole at ``a`` the loop integral
+picks up the fixed transverse unit (2*pi/sqrt(3))(h - k) once per turn of
+the loop's projection on the nodal plane around the projection of ``a``.
 
 Path integrals use spectral rules.  Closed loops take the periodic trapezoid
 rule, exponentially convergent on a smooth closed loop (Trefethen & Weideman
@@ -24,6 +18,9 @@ On a polyline the pole's kernel is 1/(c - t*) in each straight panel's
 parameter c, and the rule's remainder on it is closed form: a panel adds it
 times f's interpolant at t* (product integration), so it is exact for f of
 degree 7 however near the pole, and a pole near an edge forces no halving.
+On a circle the transverse kernel dw/(w - a_w) is dz/(z - alpha) on the
+unit circle, and the coefficients of f's trapezoid interpolant are summed
+against it in closed form: the levels resolve f alone, however near the pole.
 
 The quadrature runs in split coordinates: the product acts as complex
 multiplication on the transverse pair w = v1 + i*v1t and as real
@@ -46,7 +43,7 @@ from functools import lru_cache
 from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .algebra import H, K, ONE, ZERO, Tricomplex, _Record, _rescaled, default_tolerance, inverse
+from .algebra import ZERO, Tricomplex, _Record, _rescaled, default_tolerance
 from .errors import AmbiguousWinding, NonConvergent, Overflow, SingularOnPath, ZeroDivisor
 from .geometry import _SQRT3, _TRANSVERSE_NORM, _TWO_PI, _from_split, _split_norm, _to_split
 
@@ -59,8 +56,6 @@ SplitFunction = Callable[[complex, float, Tricomplex | None], tuple[complex, flo
 #: Value of one positive turn around a simple pole with unit residue.
 POLE_LOOP_VALUE = Tricomplex(0.0, _TWO_PI / _SQRT3, -_TWO_PI / _SQRT3)
 
-DEFAULT_DERIVATIVE_STEP = 1e-5
-DEFAULT_STENCIL_STEP = 1e-4
 QUADRATURE_TOL = 1e-9
 QUADRATURE_CAP = 2**20
 #: A panel's rounding, as a share of the moduli of its terms summed: the
@@ -329,7 +324,9 @@ class _Circle(_SplitPath):
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
     ``_split(i/n, n)`` divides the step by n: node i of the n-node
     trapezoid rule, whose n nodes repeat every turn, so a level holds
-    one turn's; its winding is closed form (see ``winding_count``)."""
+    one turn's; its winding is closed form (see ``winding_count``).  With
+    a pole, ``_circle_pole`` sums f's coefficients on those nodes against
+    the pole's kernel, whose α is ``_pole``'s."""
 
     __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w", "_repeats")
     _fields = ("samples", "closed", "center", "radius", "turns")
@@ -362,6 +359,29 @@ class _Circle(_SplitPath):
             yield [(w, v, None) for w, v, _, _ in new], [s for _, _, s, _ in new], [0.0] * len(new)
             n *= 2
 
+    def _pole(self, pole: Tricomplex) -> tuple[bool, complex]:
+        """Whether a_w lies inside the circle's w, and α = (a_w - center_w)/radius_w or
+        1/α, whichever is at most 1 in modulus; near the top of the range, from a copy
+        scaled by 2**-e.  |center_v - a_v| within ``_GUARD`` times 1 + the largest |w - a_w|
+        puts the circle in the pole's singular plane, and ||α| - 1| <= ``_GUARD`` on its
+        singular line: either raises SingularOnPath."""
+
+        def alpha(parts: tuple) -> tuple[bool, complex]:
+            aw, av, cw, cv, r, one = parts
+            d = aw - cw
+            md, mv = abs(d), abs(av - cv)
+            if mv <= _GUARD * (one + max(mv, md + r)):
+                what, t = "touches the singular plane", 0.0
+            elif abs(md - r) <= _GUARD * r:
+                what, t = "touches the singular line", cmath.phase(d) / (_TWO_PI * self.turns)
+            else:
+                return md < r, d / r if md < r else r / d
+            raise SingularOnPath(f"path {what} through {pole} near {self.point_at(t)}")
+
+        parts = (*_to_split(pole), self.center_w, self.center_v, self.radius_w, 1.0)
+        top = max(max(abs(p.real), abs(p.imag)) for p in parts)
+        return alpha(parts) if top < 2.0**500 else _rescaled(alpha, parts, math.frexp(top)[1], 0, "a pole's α")
+
     def _winding(self) -> Callable[[complex], int]:
         cw, r = self.center_w, self.radius_w
 
@@ -380,95 +400,6 @@ class PoleSpec(NamedTuple):
 
     location: Tricomplex
     residue: Tricomplex
-
-
-class RiemannReport(NamedTuple):
-    """Residual magnitudes of the component-derivative relations.
-
-    ``first_order``: the largest components of h f_x - f_y, k f_x - f_z
-    and h f_y - f_z.  ``second_order``: per component F, G, H, the
-    largest of f_xx - f_yz, f_yy - f_xz and f_zz - f_xy.  ``laplacian``:
-    the Laplacians of F-G, F-H, G-H.
-    """
-
-    first_order: tuple[float, float, float]
-    second_order: tuple[float, float, float]
-    laplacian: tuple[float, float, float]
-
-    @property
-    def max_residual(self) -> float:
-        return max(*self.first_order, *self.second_order, *self.laplacian)
-
-    def lines(self) -> list[str]:
-        tags = (("xy", "xz", "yz"), ("F", "G", "H"), ("FG", "FH", "GH"))
-        return [f"{g}_{t}={v:.17g}" for g, ts, vs in zip(self._fields, tags, self) for t, v in zip(ts, vs)]
-
-
-def derivative(
-    f: TriFunction,
-    u0: Tricomplex,
-    step: float = DEFAULT_DERIVATIVE_STEP,
-    direction: Tricomplex = ONE,
-) -> Tricomplex:
-    """Central difference quotient of ``f`` at ``u0``.
-
-    The increment runs along ``direction`` (default: the real axis),
-    which must be invertible (off the nodal sets), else ZeroDivisor is
-    raised.  ``step`` must be finite, > 0 and large enough to move ``u0``.
-    """
-    scale = inverse(direction) * (0.5 / _checked_step(step))
-    du = direction * step
-    hi, lo = u0 + du, u0 - du
-    if hi == lo:
-        raise ValueError("step is finer than the double spacing at u0")
-    return (f(hi) - f(lo)) * scale
-
-
-def _checked_step(step: float) -> float:
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be finite and > 0")
-    return step
-
-
-def check_analytic(
-    f: TriFunction, u0: Tricomplex, step: float = DEFAULT_STENCIL_STEP
-) -> RiemannReport:
-    """Residuals of the component-derivative relations at ``u0``.
-
-    A function given by a power series has f_y = h f_x and f_z = k f_x,
-    so f_yz = f_xx, f_xz = f_yy, f_xy = f_zz, and f_xx + f_yy + f_zz is
-    (1 + h + k) f'', on the trisector line.  All partials are central
-    differences on a stencil of size ``step``, from 19 values of f;
-    residuals are reported, never judged, so a caller chooses its own
-    threshold.  A residual beyond the double range raises Overflow.
-    """
-    s = _checked_step(step)
-    ex, ey, ez = Tricomplex(s, 0.0, 0.0), Tricomplex(0.0, s, 0.0), Tricomplex(0.0, 0.0, s)
-    xp, yp, zp, xm, ym, zm = u0 + ex, u0 + ey, u0 + ez, u0 - ex, u0 - ey, u0 - ez
-    f0 = f(u0)
-    plus, minus = [f(xp), f(yp), f(zp)], [f(xm), f(ym), f(zm)]
-    corners = [
-        (f(p + e), f(p - e), f(m + e), f(m - e))
-        for p, m, e in ((yp, ym, ez), (xp, xm, ez), (xp, xm, ey))
-    ]
-    try:
-        # 2s times f_x, f_y, f_z; s^2 times f_xx, f_yy, f_zz and f_yz, f_xz, f_xy
-        dx, dy, dz = (p - m for p, m in zip(plus, minus))
-        pure = [p - f0 * 2.0 + m for p, m in zip(plus, minus)]
-        mixed = [(pp - pm - mp + mm) * 0.25 for pp, pm, mp, mm in corners]
-        first = (H * dx - dy, K * dx - dz, H * dy - dz)
-        second = [(d.x, d.y, d.z) for d in map(sub, pure, mixed)]
-        lap = pure[0] + pure[1] + pure[2]
-        report = RiemannReport(
-            tuple(d.max_abs_component() / (2.0 * s) for d in first),
-            tuple(max(map(abs, c)) / (s * s) for c in zip(*second)),
-            tuple(abs(a - b) / (s * s) for a, b in ((lap.x, lap.y), (lap.x, lap.z), (lap.y, lap.z))),
-        )
-        if math.isfinite(report.max_residual):
-            return report
-    except Overflow:  # a difference of the values of f
-        pass
-    raise Overflow(f"derivative residuals at {u0} exceed the double range")
 
 
 def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
@@ -673,6 +604,38 @@ def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near
     return rounding if estimate <= (rounding := _rounding(tw, tv)) else None
 
 
+def _circle_pole(
+    f: TriFunction | None, path: _Circle, tol: float, cap: int, pole: Tricomplex
+) -> tuple[Tricomplex, int, float]:
+    """A circle's integral of f(u) du/(u - pole) by product integration on its trapezoid
+    levels (Helsing & Ojala 2008, J. Comput. Phys. 227; af Klinteberg & Barnett 2021,
+    BIT Numer. Math. 61).  On one turn, w = center_w + radius_w*z with |z| = 1, so
+    dw/(w - a_w) is dz/(z - α), and f_w's interpolant sum(c_k z**k) on a level's n nodes
+    integrates against it to 2*pi*i*sum_{k>=0} c_k α**k, its frequencies -n/2 < k <= n/2,
+    when |α| < 1, and to -2*pi*i*sum_{k<0} c_k α**k, -n/2 <= k < n/2, when |α| > 1,
+    times the turns; dv = 0.  f None stands for 1.  Two levels within ``tol`` are accepted,
+    and the estimate is at least the rounding of f's values summed, as a panel's is."""
+    inside, x = path._pole(pole)
+    lifted, fw, previous, spent = _integrand(f, None), [], None, 0
+    for fresh, _, _ in path._levels(cap):
+        fw = _interleaved(fw, [1.0 if f is None else lifted(*p)[0] for p in fresh])
+        spent, n = spent + len(fresh), len(fw)
+        c = _fft(fw, _spectral(n, n)[0])
+        # frequencies 0 to n/2 inside, 0 to -n/2 outside; on clockwise nodes, index k is frequency -k
+        terms = c[: n // 2 + 1] if inside == (path.turns > 0) else [c[0], *c[: n // 2 - 1 : -1]]
+        total = 0j
+        for t in reversed(terms if inside else [0.0, *terms[1:]]):
+            total = total * x + t
+        total *= complex(0.0, (1.0 if inside else -1.0) * _TWO_PI * path.turns / n)
+        if not cmath.isfinite(total):
+            raise SingularOnPath(f"the integral over {n} nodes leaves the double range")
+        if previous is not None and (error := _split_norm(total - previous, 0.0)) < tol:
+            rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * abs(path.turns) * sum(map(abs, fw)) / n
+            return _from_split(total, 0.0), spent, max(error, rounding)
+        previous = total
+    raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
+
+
 def _quadrature(
     f: TriFunction | None,
     path: Path3,
@@ -696,10 +659,13 @@ def _quadrature(
     on the pole's kernel (``_Polyline._pole_panel``); its own estimate, made
     only where it is judged alone, accepts it only at its rounding, which it
     then reports, else the tail estimate plus that term's size judges it.  The
-    estimate returned is the accepted panels' sum.  A pole's loop must be closed.
+    estimate returned is the accepted panels' sum.  A pole's loop must be closed;
+    a circle around one takes ``_circle_pole``.
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
+    if pole is not None and isinstance(path, _Circle):
+        return _circle_pole(f, path, tol, cap, pole)
     g = _integrand(f, pole)
     fw, fv, tw, tv, previous, spent = [], [], [], [], None, 0
     for fresh, dw, dv in path._levels(cap):
@@ -770,7 +736,11 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
     at the pole's panel parameter: it is exact for f of degree 7, so a pole
     near an edge costs no halving, and one whose singular line meets an edge
-    raises SingularOnPath.
+    raises SingularOnPath.  A circle's levels sum the coefficients of f's
+    interpolant against the pole's kernel in closed form, so their count does
+    not grow as the pole nears; a circle in the pole's singular plane, or one
+    its singular line meets (within 1e-10 of the radius), raises SingularOnPath
+    before any evaluation.
     NonConvergent is raised, before any evaluation, at a circle level of
     more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that would
     take the evaluations, the trapezoid rule's included, past it.
@@ -789,8 +759,9 @@ def loop_integral_pole(a: Tricomplex, loop: Path3) -> Tricomplex:
     For a closed loop whose projection on the nodal plane winds n times
     around the projection of ``a``, the value is n times
     ``POLE_LOOP_VALUE``; the quadrature result is returned as computed
-    either way.  A loop that touches the singular plane or line through
-    ``a``, or crosses that plane, raises SingularOnPath.
+    either way.  On a circle it is that value to rounding, from 16
+    evaluations of 1, wherever ``a`` is.  A loop that touches the singular
+    plane or line through ``a``, or crosses that plane, raises SingularOnPath.
     """
     return _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=a)[0]
 
@@ -800,7 +771,9 @@ def cauchy_value(f: TriFunction, a: Tricomplex, loop: Path3) -> Tricomplex:
 
     For f analytic over a surface spanning the loop and a single
     positive turn, this equals POLE_LOOP_VALUE * f(a); componentwise it
-    determines only the differences between f(a)'s components.
+    determines only the differences between f(a)'s components.  On a
+    circle only f's transverse part is evaluated, and the levels resolve
+    f alone: a pole 1e-6 of the radius from it costs what a far one does.
     """
     return _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=a)[0]
 

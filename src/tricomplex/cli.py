@@ -105,7 +105,7 @@ def _cmd_integrate(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_check_analytic(args: argparse.Namespace) -> list[str]:
-    from .calculus import check_analytic
+    from .derivatives import check_analytic
     from .functions import DIRECT, ElementaryFn
 
     at = Tricomplex.parse(args.at)

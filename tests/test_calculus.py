@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -47,15 +48,17 @@ from tricomplex.calculus import (
     _GL_NODES,
     _GL_WEIGHTS,
     _ORDER,
+    _ROUNDING,
     _exact_sum,
     _fft,
     _interleaved,
     _integrand,
     _quadrature,
+    _spectral,
     _terms,
     _winding_number,
 )
-from tricomplex.geometry import _from_split, _split_norm, _to_split
+from tricomplex.geometry import _TRANSVERSE_NORM, _TWO_PI, _from_split, _split_norm, _to_split
 from util import XI1, XI2, random_triples, tri_err
 
 SQRT3 = math.sqrt(3.0)
@@ -441,21 +444,126 @@ def test_multi_turn_circles_evaluate_each_node_once(turns):
     assert error < QUADRATURE_TOL
 
 
+def _near(center, q, ang, lift):
+    """The point q from ``center`` in the nodal plane's direction ang, lifted by lift along the trisector."""
+    return center + XI1 * (q * math.cos(ang)) + XI2 * (q * math.sin(ang)) + Tricomplex(lift, lift, lift)
+
+
+@pytest.mark.parametrize("turns", [1, 2, -2])
+def test_circle_cost_does_not_grow_as_the_pole_nears(turns):
+    # f's coefficients are summed against the pole's kernel, so the nodes
+    # resolve f alone: as many at a gap of 1e-6 of the radius as at 1e-1
+    loop = Path3.circle(UNIT_LOOP.center, UNIT_LOOP.radius, turns)
+    for gap in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for inside in (True, False):
+            pole = _near(loop.center, loop.radius * (1.0 - gap if inside else 1.0 + gap), 0.7, 0.4)
+            for f, most in ((None, 16), (texp, 64), (tsin, 64)):
+                got, evaluations, _ = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+                assert evaluations <= most
+                want = POLE_LOOP_VALUE * (turns if inside else 0.0) * (ONE if f is None else f(pole))
+                assert abs(got - want) < 1e-13
+
+
+@st.composite
+def circles_near_poles(draw):
+    # a circle, and a pole 10**U(-8, 0) of its radius inside or outside it,
+    # off its plane; the pole's winding is known from the construction
+    c = Tricomplex(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+    r, turns, inside = draw(st.floats(0.5, 2.0)), draw(st.sampled_from((1, 2, -2))), draw(st.booleans())
+    gap = 10.0 ** draw(st.floats(-8.0, 0.0))
+    lift = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.2, 1.0))
+    pole = _near(c, r * (1.0 - gap if inside else 1.0 + gap), draw(st.floats(0.0, 2 * math.pi)), lift)
+    return Path3.circle(c, r, turns), pole, turns if inside else 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=circles_near_poles())
+def test_near_pole_circle_estimate_bounds_its_error(case):
+    # the value is within the reported estimate, or the rounding of one
+    # turn's value POLE_LOOP_VALUE * f(a) per turn (the want of a pole
+    # outside is 0), of the residue theorem's, however near the pole
+    loop, pole, n = case
+    cubic = lambda u: u * u * u - u * 0.5 + ONE  # noqa: E731
+    for f in (None, texp, tsin, cubic):
+        at = ONE if f is None else f(pole)
+        got, _, estimate = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+        error = abs(got - POLE_LOOP_VALUE * at * float(n))
+        assert error <= max(estimate, 64 * sys.float_info.epsilon * abs(POLE_LOOP_VALUE) * abs(at) * max(1, abs(n)))
+
+
+def test_pole_at_the_circle_center():
+    # α = 0: the sum is f's mean over a turn, f None's as for any pole inside
+    for turns in (1, -2):
+        loop = Path3.circle(UNIT_LOOP.center, UNIT_LOOP.radius, turns)
+        pole, aside = _near(loop.center, 0.0, 0.0, 0.5), _near(loop.center, 0.5 * loop.radius, 1.0, 0.5)
+        got, evaluations, _ = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+        assert got == loop_integral_pole(aside, loop)
+        assert evaluations == 16
+        assert tri_err(got, POLE_LOOP_VALUE * float(turns)) < 1e-15
+        assert tri_err(cauchy_value(texp, pole, loop), POLE_LOOP_VALUE * texp(pole) * float(turns)) < 1e-14
+
+
+def test_circle_pole_route_keeps_its_errors_and_range():
+    # an f that fails at a node, a sum beyond the double range and a cap
+    # below the next level raise as on the other routes; near the top of
+    # the range, where |a_w - center_w| + radius_w overflows, α comes from
+    # a scaled copy
+    pole = _near(UNIT_LOOP.center, 0.3, 0.0, 0.5)
+    for exc in (Overflow("f overflows"), ZeroDivisor("f divides by zero", None)):
+
+        def f(u, exc=exc):
+            raise exc
+
+        with pytest.raises(SingularOnPath, match="integrand blows up"):
+            cauchy_value(f, pole, UNIT_LOOP)
+    with pytest.raises(SingularOnPath, match="leaves the double range"):
+        cauchy_value(lambda u: Tricomplex(1e308, 0.0, 0.0), pole, UNIT_LOOP)
+    for cap, calls in ((4, 0), (8, 8)):
+        counted = Counted(texp)
+        with pytest.raises(NonConvergent):
+            _quadrature(counted, UNIT_LOOP, 1e-16, cap, pole=pole)
+        assert counted.calls == calls
+    top = Path3.circle(Tricomplex(0.0, 1e308, -1e308), 1e308)
+    assert loop_integral_pole(Tricomplex(1e300, 0.13e308 + 1e300, 1e300 - 0.13e308), top) == ZERO
+    inside = loop_integral_pole(Tricomplex(1e300, 0.9e308 + 1e300, 1e300 - 0.9e308), top)
+    assert inside == loop_integral_pole(pole, UNIT_LOOP)
+
+
 def _reference_circle(f, path, tol, cap, pole=None):
-    """The circle branch of ``_quadrature`` with whole levels: each level
-    evaluates all of one turn's nodes.  Returns the value, the error
-    estimate and the last level's nodes per turn."""
-    g = _integrand(f, pole)
+    """The circle branches of ``_quadrature`` with whole levels: each level
+    evaluates all of one turn's nodes.  Without a pole it sums the trapezoid
+    terms; with one it transforms f's transverse parts and sums them against
+    α, as ``_circle_pole`` does.  Returns the value, the error estimate and
+    the last level's nodes per turn."""
     k = abs(path.turns)
     n, previous = _ORDER * k, None
+    g = _integrand(f, None)
+    inside, x = path._pole(pole) if pole is not None else (None, None)
     while n <= cap:
-        sw, sv = _exact_sum(*_terms(g, ((*path._split(i / n, n), None) for i in range(n // k))))
-        sw, sv = sw * k, sv * k
-        if previous is not None:
-            error = _split_norm(sw - previous[0], sv - previous[1])
-            if error < tol:
-                return _from_split(sw, sv), error, n // k
-        previous = sw, sv
+        nodes = [(*path._split(i / n, n), None) for i in range(n // k)]
+        if pole is None:
+            sw, sv = _exact_sum(*_terms(g, nodes))
+            sw, sv = sw * k, sv * k
+            if previous is not None:
+                error = _split_norm(sw - previous[0], sv - previous[1])
+                if error < tol:
+                    return _from_split(sw, sv), error, n // k
+            previous = sw, sv
+        else:
+            m = n // k
+            values = [1.0 if f is None else g(w, v, u)[0] for w, v, _, _, u in nodes]
+            c = _fft(values, _spectral(m, m)[0])
+            terms = c[: m // 2 + 1] if inside == (path.turns > 0) else [c[0], *c[: m // 2 - 1 : -1]]
+            total = 0j
+            for t in reversed(terms if inside else [0.0, *terms[1:]]):
+                total = total * x + t
+            total *= complex(0.0, (1.0 if inside else -1.0) * _TWO_PI * path.turns / m)
+            if not cmath.isfinite(total):
+                raise SingularOnPath(f"the integral over {m} nodes leaves the double range")
+            if previous is not None and (error := _split_norm(total - previous, 0.0)) < tol:
+                rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * k * sum(map(abs, values)) / m
+                return _from_split(total, 0.0), max(error, rounding), m
+            previous = total
         n *= 2
     raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
 
@@ -1033,7 +1141,7 @@ HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "datacla
         ),
         (
             ["check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)"],
-            ("tricomplex.poly", "tricomplex.series", "dataclasses"),
+            ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "dataclasses"),
         ),
         (
             ["series", "--coeffs", "{poly}", "--at", "(0.2,0.1,-0.1)"],

@@ -19,8 +19,9 @@ LAYERS = {
     "series": BASE,
     "poly": BASE,
     "calculus": BASE,
+    "derivatives": BASE,
     "cosexp": BASE | {"functions"},
-    "cli": BASE | {"functions", "series", "poly", "calculus", "cosexp"},
+    "cli": BASE | {"functions", "series", "poly", "calculus", "derivatives", "cosexp"},
     "__main__": {"cli"},
 }
 
