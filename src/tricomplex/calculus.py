@@ -7,20 +7,21 @@ the loop's projection on the nodal plane around the projection of ``a``.
 
 Path integrals use spectral rules.  Closed loops take the periodic trapezoid
 rule, exponentially convergent on a smooth closed loop (Trefethen & Weideman
-2014, SIAM Review 56(3)), with a circle's exact tangent or a sampled loop's
-trigonometric interpolant's, in nested levels that evaluate only their new
-nodes, until two agree.  Other paths, and sampled loops unsettled by
-8*samples nodes, take an 8-point Gauss-Legendre rule on panels, each with
-its own error estimate from its 8 nodes: the size of its top Legendre
-coefficients, or once halved, the change from its parent panel.  Only the
-panels that fail it are halved, so a panel near a pole is refined alone.
-On a polyline the pole's kernel is 1/(c - t*) in each straight panel's
-parameter c, and the rule's remainder on it is closed form: a panel adds it
-times f's interpolant at t* (product integration), so it is exact for f of
-degree 7 however near the pole, and a pole near an edge forces no halving.
-On a circle the transverse kernel dw/(w - a_w) is dz/(z - alpha) on the
-unit circle, and the coefficients of f's trapezoid interpolant are summed
-against it in closed form: the levels resolve f alone, however near the pole.
+2014, SIAM Review 56(3)), with a sampled loop's trigonometric interpolant's
+tangent, in nested levels that evaluate only their new nodes, until two
+agree.  Other paths, and sampled loops unsettled by 8*samples nodes, take
+an 8-point Gauss-Legendre rule on panels, each with its own error estimate
+from its 8 nodes: the size of its top Legendre coefficients, or once
+halved, the change from its parent panel.  Only the panels that fail it
+are halved, so a panel near a pole is refined alone.  On a polyline the
+pole's kernel is 1/(c - t*) in each straight panel's parameter c, and the
+rule's remainder on it is closed form: a panel adds it times f's
+interpolant at t* (product integration), so it is exact for f of degree 7
+however near the pole, and a pole near an edge forces no halving.  On a
+circle the transverse kernel dw/(w - a_w) is dz/(z - alpha) on the unit
+circle, and the coefficients of f's trapezoid interpolant are summed against
+it in closed form: the levels resolve f alone, however near the pole.
+Without a pole, f times w - center_w takes the kernel at the centre.
 
 The quadrature runs in split coordinates: the product acts as complex
 multiplication on the transverse pair w = v1 + i*v1t and as real
@@ -142,7 +143,6 @@ class Path3(_Record):
     samples: int
     closed: bool
     tangent_at = None
-    _repeats = 1  # the times a trapezoid level's nodes repeat: a circle's turns
 
     def __init__(self, point_at: Callable[[float], Tricomplex], samples: int, closed: bool) -> None:
         object.__setattr__(self, "point_at", point_at)
@@ -315,20 +315,17 @@ class _Polyline(_SplitPath):
 
 
 class _Circle(_SplitPath):
-    """A circle: smooth and periodic, so quadrature takes the periodic
-    trapezoid rule with its tangent, starting at ``_ORDER`` nodes per
-    turn.  Gauss-Legendre panels took 2.2 times the evaluations on the
-    benchmark's circles.  In split coordinates the circle is
-    w = center_w + radius_w*exp(2*pi*i*turns*t) with v = center_v fixed:
-    (center_w, center_v) is the center's split and radius_w is
-    radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).
-    ``_split(i/n, n)`` divides the step by n: node i of the n-node
-    trapezoid rule, whose n nodes repeat every turn, so a level holds
-    one turn's; its winding is closed form (see ``winding_count``).  With
-    a pole, ``_circle_pole`` sums f's coefficients on those nodes against
-    the pole's kernel, whose α is ``_pole``'s."""
+    """A circle: smooth and periodic, so quadrature takes the periodic trapezoid rule,
+    as ``_circle``'s product rule, starting at ``_ORDER`` nodes per turn.  Gauss-Legendre
+    panels took 2.2 times the evaluations on the benchmark's circles.  In split
+    coordinates the circle is w = center_w + radius_w*exp(2*pi*i*turns*t) with v =
+    center_v fixed: (center_w, center_v) is the center's split and radius_w is
+    radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).  Node i of the
+    n-node rule is at t = i/n, and the n nodes repeat every turn, so a level holds one
+    turn's: ``_levels`` yields its fresh nodes' w - center_w, not rounded by center_w.
+    Its winding is closed form (see ``winding_count``), and a pole's α is ``_pole``'s."""
 
-    __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w", "_repeats")
+    __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w")
     _fields = ("samples", "closed", "center", "radius", "turns")
     closed = True
     center: Tricomplex
@@ -340,23 +337,23 @@ class _Circle(_SplitPath):
             raise ValueError("radius must be finite and > 0")
         if not isinstance(turns, int) or turns == 0:
             raise ValueError("turns must be a nonzero integer")
-        values = center, radius, turns, *_to_split(center), radius / _TRANSVERSE_NORM, abs(turns), 64 * abs(turns)
+        values = center, radius, turns, *_to_split(center), radius / _TRANSVERSE_NORM, 64 * abs(turns)
         for name, value in zip(self.__slots__ + ("samples",), values):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return Path3.circle, (self.center, self.radius, self.turns)
 
-    def _split(self, t: float, n: int = 1) -> tuple[complex, float, complex, float]:
+    def _split(self, t: float) -> tuple[complex, float, complex, float]:
         omega = _TWO_PI * self.turns
         e = cmath.rect(self.radius_w, omega * t)
-        return self.center_w + e, self.center_v, e * complex(0.0, omega / n), 0.0
+        return self.center_w + e, self.center_v, e * complex(0.0, omega), 0.0
 
-    def _levels(self, cap: int) -> Iterator[tuple[list, list[complex], list[float]]]:
-        k, n = abs(self.turns), _ORDER * abs(self.turns)
-        while n <= cap:  # node 2i of n is node i of n/2, its step halved exactly: the fresh nodes' steps
-            new = [self._split(i / n, n) for i in (range(1, n // k, 2) if n > _ORDER * k else range(n // k))]
-            yield [(w, v, None) for w, v, _, _ in new], [s for _, _, s, _ in new], [0.0] * len(new)
+    def _levels(self, cap: int) -> Iterator[list[complex]]:
+        k, n, omega = abs(self.turns), _ORDER * abs(self.turns), _TWO_PI * self.turns
+        while n <= cap:  # node 2i of n is node i of n/2: past the first level, the odd nodes are fresh
+            fresh = range(1, n // k, 2) if n > _ORDER * k else range(n // k)
+            yield [cmath.rect(self.radius_w, omega * (i / n)) for i in fresh]
             n *= 2
 
     def _pole(self, pole: Tricomplex) -> tuple[bool, complex]:
@@ -604,34 +601,42 @@ def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near
     return rounding if estimate <= (rounding := _rounding(tw, tv)) else None
 
 
-def _circle_pole(
-    f: TriFunction | None, path: _Circle, tol: float, cap: int, pole: Tricomplex
+def _circle(
+    f: TriFunction | None, path: _Circle, tol: float, cap: int, pole: Tricomplex | None
 ) -> tuple[Tricomplex, int, float]:
-    """A circle's integral of f(u) du/(u - pole) by product integration on its trapezoid
-    levels (Helsing & Ojala 2008, J. Comput. Phys. 227; af Klinteberg & Barnett 2021,
-    BIT Numer. Math. 61).  On one turn, w = center_w + radius_w*z with |z| = 1, so
-    dw/(w - a_w) is dz/(z - α), and f_w's interpolant sum(c_k z**k) on a level's n nodes
+    """A circle's integral of f(u) du, or of f(u) du/(u - pole), by product integration on
+    its trapezoid levels (Helsing & Ojala 2008, J. Comput. Phys. 227; af Klinteberg & Barnett
+    2021, BIT Numer. Math. 61).  On one turn, w = center_w + radius_w*z with |z| = 1, so
+    dw/(w - a_w) is dz/(z - α), and the interpolant sum(c_k z**k) of g on a level's n nodes
     integrates against it to 2*pi*i*sum_{k>=0} c_k α**k, its frequencies -n/2 < k <= n/2,
-    when |α| < 1, and to -2*pi*i*sum_{k<0} c_k α**k, -n/2 <= k < n/2, when |α| > 1,
-    times the turns; dv = 0.  f None stands for 1.  Two levels within ``tol`` are accepted,
-    and the estimate is at least the rounding of f's values summed, as a panel's is."""
-    inside, x = path._pole(pole)
-    lifted, fw, previous, spent = _integrand(f, None), [], None, 0
-    for fresh, _, _ in path._levels(cap):
-        fw = _interleaved(fw, [1.0 if f is None else lifted(*p)[0] for p in fresh])
-        spent, n = spent + len(fresh), len(fw)
-        c = _fft(fw, _spectral(n, n)[0])
-        # frequencies 0 to n/2 inside, 0 to -n/2 outside; on clockwise nodes, index k is frequency -k
+    when |α| < 1, and to -2*pi*i*sum_{k<0} c_k α**k, -n/2 <= k < n/2, when |α| > 1, times
+    the turns; dv = 0.  g is f_w, f None standing for 1, times w - center_w without a pole:
+    the kernel is the centre's, α = 0, and the sum c_0 is the trapezoid rule's.  A level
+    transforms its fresh nodes, which one radix-2 stage joins to the last level's.  Two
+    levels within ``tol`` are accepted; the estimate is at least g's rounding, as a panel's."""
+    inside, x = (True, 0j) if pole is None else path._pole(pole)
+    lifted, fw, c, previous = _integrand(f, None), [], [], None
+    for es in path._levels(cap):
+        new = [1.0 if f is None else lifted(path.center_w + e, path.center_v, None)[0] for e in es]
+        new = list(map(mul, new, es)) if pole is None else new
+        fw = _interleaved(fw, new)
+        n, odd = len(fw), _fft(new, _spectral(len(new), len(new))[0])
+        if c:  # c = [E + ωO, E - ωO], E the last level's transform (its even nodes) and O the odd nodes'
+            odd = list(map(mul, _spectral(n, n)[0], odd))
+            c, odd = list(map(add, c, odd)), list(map(sub, c, odd))
+        c += odd
+        # frequencies 0 to n/2 inside (c_0 alone at α = 0), 0 to -n/2 outside; clockwise, index k is -k
         terms = c[: n // 2 + 1] if inside == (path.turns > 0) else [c[0], *c[: n // 2 - 1 : -1]]
         total = 0j
-        for t in reversed(terms if inside else [0.0, *terms[1:]]):
+        for t in reversed((terms if x else terms[:1]) if inside else [0.0, *terms[1:]]):
             total = total * x + t
         total *= complex(0.0, (1.0 if inside else -1.0) * _TWO_PI * path.turns / n)
         if not cmath.isfinite(total):
             raise SingularOnPath(f"the integral over {n} nodes leaves the double range")
         if previous is not None and (error := _split_norm(total - previous, 0.0)) < tol:
-            rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * abs(path.turns) * sum(map(abs, fw)) / n
-            return _from_split(total, 0.0), spent, max(error, rounding)
+            # |g|'s mean, each term over n (exact: a power of two), so that the sum stays in range
+            rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * abs(path.turns) * sum(abs(t) / n for t in fw)
+            return _from_split(total, 0.0), n, max(error, rounding)
         previous = total
     raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
 
@@ -646,8 +651,8 @@ def _quadrature(
     """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
-    estimate, for the path's ``_levels`` the change between the last two;
-    a sampled loop whose levels run out takes panels.
+    estimate.  A circle takes ``_circle``.  A sampled loop returns the first of its
+    ``_levels`` within ``tol`` of the last, their difference the estimate, or takes panels.
 
     A Gauss-Legendre panel is accepted once its estimate is at most
     ``tol`` times its share of [0, 1], and the others are halved, as in
@@ -659,37 +664,26 @@ def _quadrature(
     on the pole's kernel (``_Polyline._pole_panel``); its own estimate, made
     only where it is judged alone, accepts it only at its rounding, which it
     then reports, else the tail estimate plus that term's size judges it.  The
-    estimate returned is the accepted panels' sum.  A pole's loop must be closed;
-    a circle around one takes ``_circle_pole``.
+    estimate returned is the accepted panels' sum.  A pole's loop must be closed.
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
-    if pole is not None and isinstance(path, _Circle):
-        return _circle_pole(f, path, tol, cap, pole)
+    if isinstance(path, _Circle):
+        return _circle(f, path, tol, cap, pole)
     g = _integrand(f, pole)
-    fw, fv, tw, tv, previous, spent = [], [], [], [], None, 0
+    fw, fv, previous = [], [], None
     for fresh, dw, dv in path._levels(cap):
         nw, nv = map(list, zip(*(g(w, v, u) for w, v, u in fresh)))
-        spent += len(nw)
-        if tw and isinstance(path, _Circle):  # a circle's steps, at the fresh nodes: its old terms halve
-            tw = _interleaved([t * 0.5 for t in tw], list(map(mul, nw, dw)))
-            tv = _interleaved([t * 0.5 for t in tv], list(map(mul, nv, dv)))
-        else:
-            fw, fv = _interleaved(fw, nw), _interleaved(fv, nv)
-            tw, tv = list(map(mul, fw, dw)), list(map(mul, fv, dv))
-        sw, sv = (s * path._repeats for s in _exact_sum(tw, tv))
-        if previous is not None:
-            error = _split_norm(sw - previous[0], sv - previous[1])
-            if error < tol:
-                return _from_split(sw, sv), spent, error
+        fw, fv = _interleaved(fw, nw), _interleaved(fv, nv)
+        sw, sv = _exact_sum(list(map(mul, fw, dw)), list(map(mul, fv, dv)))
+        if previous is not None and (error := _split_norm(sw - previous[0], sv - previous[1])) < tol:
+            return _from_split(sw, sv), len(fw), error
         previous = sw, sv
-    if isinstance(path, _Circle):
-        raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
     scale = tol / path.samples  # the tolerance of a panel one sample wide
     # (start, width, sw, sv, tw, tv, own, fix): an evaluated panel; the starting ones
     # are evaluated as they are judged, after the first round's cap check
     panels = (_panel(g, path, float(p), 1.0, pole, f is None) for p in range(path.samples))
-    tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, spent, []
+    tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, len(fw), []
     count = path.samples  # the panels this round evaluates
     while count:
         evaluations += _ORDER * count
@@ -723,10 +717,10 @@ def _quadrature(
 def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     """Integral of f(u) du along the path.
 
-    A closed loop takes the periodic trapezoid rule, with a circle's exact
-    tangent or a parametric loop's trigonometric interpolant's: each level
-    doubles the nodes, evaluates only its new ones and is returned once it
-    differs from the last by less than ``QUADRATURE_TOL`` in modulus.
+    A closed loop takes the periodic trapezoid rule, with a parametric
+    loop's trigonometric interpolant's tangent: each level doubles the
+    nodes, evaluates only its new ones and is returned once it differs
+    from the last by less than ``QUADRATURE_TOL`` in modulus.
     Other paths, and parametric loops unsettled by 8*samples nodes, take an
     8-point Gauss-Legendre rule from ``path.samples`` equal panels, with a
     polyline's segments or each panel's interpolating polynomial for
@@ -736,11 +730,12 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
     at the pole's panel parameter: it is exact for f of degree 7, so a pole
     near an edge costs no halving, and one whose singular line meets an edge
-    raises SingularOnPath.  A circle's levels sum the coefficients of f's
-    interpolant against the pole's kernel in closed form, so their count does
-    not grow as the pole nears; a circle in the pole's singular plane, or one
-    its singular line meets (within 1e-10 of the radius), raises SingularOnPath
-    before any evaluation.
+    raises SingularOnPath.  A circle's levels sum the coefficients of the
+    interpolant of f_w (times w - center_w without a pole, whose kernel is
+    then the centre's) against the pole's kernel in closed form, so their
+    count does not grow as the pole nears; a circle in the pole's singular
+    plane, or one its singular line meets (within 1e-10 of the radius),
+    raises SingularOnPath before any evaluation.
     NonConvergent is raised, before any evaluation, at a circle level of
     more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that would
     take the evaluations, the trapezoid rule's included, past it.

@@ -120,45 +120,48 @@ def _start(coeffs: Sequence[complex]) -> list[complex]:
     c (Aberth 1973).  Twice Fujiwara's root bound is the radius where p(c) is 0 or
     not finite; ``_root_lists`` scales the roots so that it stays in the range."""
     m = len(coeffs) - 1
-    bound = 2.0 * max(abs(c) ** (1.0 / i) for i, c in enumerate(coeffs[1:], 1))
     c = -coeffs[1] / m
     value = complex(0.0)
     for a in coeffs:
         value = value * c + a
     radius = math.hypot(value.real, value.imag) ** (1.0 / m)
     if not 0.0 < radius < math.inf:
-        radius = bound
+        radius = 2.0 * max(abs(a) ** (1.0 / i) for i, a in enumerate(coeffs[1:], 1))
     return [c + radius * cmath.exp(2j * math.pi * (i / m) + 0.4j) for i in range(m)]
 
 
 def _sweep(coeffs: Sequence[complex], sizes: Sequence[float]) -> list[complex]:
-    """Weierstrass iteration (nonzero constant term) from ``_start``'s circle;
-    a root stops once its step or residual is at rounding level, a k-fold
-    root scattered by eps^(1/k)."""
+    """Weierstrass iteration (nonzero constant term) from ``_start``'s circle; a root
+    stops once its step or residual is at rounding level, a k-fold root scattered by
+    eps^(1/k).  A value, level, root product or modulus beyond the range raises Overflow."""
     m = len(coeffs) - 1
-    roots = _start(coeffs)
-    done = [False] * m
-    tol = m * _EPS
-    for _ in range(MAX_ITERATIONS):
-        for i, w in enumerate(roots):
-            if done[i]:
-                continue
-            # _residual inline: p(w) and its rounding level in one Horner pass
-            value, level, r = complex(0.0), 0.0, abs(w)
-            for c, s in zip(coeffs, sizes):
-                value, level = value * w + c, level * r + s
-            if abs(value) <= tol * level:
-                done[i] = True
-                continue
-            den = 1  # the int 1, as in math.prod: 1 * z can flip the sign of a zero part
-            for v in roots[:i] + roots[i + 1 :]:
-                den *= w - v
-            # an exact collision with another root is nudged apart
-            step = value / den if den else math.sqrt(_EPS) * (1.0 + r)
-            roots[i] = w - step
-            done[i] = abs(step) <= _EPS * r
-        if all(done):
-            return roots
+    done, tol = [False] * m, m * _EPS
+    try:
+        roots = _start(coeffs)
+        for _ in range(MAX_ITERATIONS):
+            for i, w in enumerate(roots):
+                if done[i]:
+                    continue
+                # _residual inline: p(w) and its rounding level in one Horner pass
+                value, level, r = complex(0.0), 0.0, abs(w)
+                for c, s in zip(coeffs, sizes):
+                    value, level = value * w + c, level * r + s
+                if abs(value) <= tol * level < math.inf:
+                    done[i] = True
+                    continue
+                den = 1  # the int 1, as in math.prod: 1 * z can flip the sign of a zero part
+                for v in roots[:i] + roots[i + 1 :]:
+                    den *= w - v
+                if not (level < math.inf and cmath.isfinite(value) and cmath.isfinite(den)):
+                    raise OverflowError
+                # an exact collision with another root is nudged apart
+                step = value / den if den else math.sqrt(_EPS) * (1.0 + r)
+                roots[i] = w - step
+                done[i] = abs(step) <= _EPS * r
+            if all(done):
+                return roots
+    except OverflowError:  # raised above, or by a modulus
+        raise Overflow("a root iterate, its residual or its root product leaves the double range") from None
     raise NonConvergent(f"root iteration did not converge in {MAX_ITERATIONS} sweeps")
 
 

@@ -49,13 +49,11 @@ from tricomplex.calculus import (
     _GL_WEIGHTS,
     _ORDER,
     _ROUNDING,
-    _exact_sum,
     _fft,
     _interleaved,
     _integrand,
     _quadrature,
     _spectral,
-    _terms,
     _winding_number,
 )
 from tricomplex.geometry import _TRANSVERSE_NORM, _TWO_PI, _from_split, _split_norm, _to_split
@@ -444,6 +442,33 @@ def test_multi_turn_circles_evaluate_each_node_once(turns):
     assert error < QUADRATURE_TOL
 
 
+@pytest.mark.parametrize("turns", [1, 2, -2])
+def test_circle_without_a_pole_is_the_kernel_at_its_centre(turns):
+    # f(u) du is f_w*(w - center_w) dw/(w - center_w), the pole rule with
+    # α = 0: the value is exact, 0 for an entire f and the winding around 0
+    # times POLE_LOOP_VALUE for inverse, and the estimate is at least the
+    # rounding of the last level's values summed
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        r = rng.uniform(0.5, 2.0)
+        q = r * (rng.uniform(0.0, 0.8) if rng.random() < 0.5 else rng.uniform(1.25, 3.0))
+        center = _near(ZERO, q, rng.uniform(0.0, 2 * math.pi), rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0))
+        loop = Path3.circle(center, r, turns)
+        for f in (texp, tsin, inverse, lambda u: u * u):
+            got, evaluations, estimate = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP)
+            want = POLE_LOOP_VALUE * float(turns if q < r else 0) if f is inverse else ZERO
+            assert abs(got - want) <= estimate
+            n = evaluations * abs(turns)
+            offsets = [cmath.rect(loop.radius_w, _TWO_PI * turns * (i / n)) for i in range(evaluations)]
+            values = [_to_split(f(_from_split(loop.center_w + e, loop.center_v)))[0] * e for e in offsets]
+            assert estimate >= _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * abs(turns) * sum(map(abs, values)) / evaluations
+    # only c_0 is read: f_w*(w - center_w) of 3e307 overflows the coefficient
+    # of frequency 1, yet the integral, 0, comes within its rounding
+    loop = Path3.circle(UNIT_LOOP.center, UNIT_LOOP.radius, turns)
+    got, _, estimate = _quadrature(lambda u: Tricomplex(3e307, 0.0, 0.0), loop, math.inf, QUADRATURE_CAP)
+    assert abs(got) <= estimate < 1e296
+
+
 def _near(center, q, ang, lift):
     """The point q from ``center`` in the nodal plane's direction ang, lifted by lift along the trisector."""
     return center + XI1 * (q * math.cos(ang)) + XI2 * (q * math.sin(ang)) + Tricomplex(lift, lift, lift)
@@ -530,40 +555,32 @@ def test_circle_pole_route_keeps_its_errors_and_range():
 
 
 def _reference_circle(f, path, tol, cap, pole=None):
-    """The circle branches of ``_quadrature`` with whole levels: each level
-    evaluates all of one turn's nodes.  Without a pole it sums the trapezoid
-    terms; with one it transforms f's transverse parts and sums them against
-    α, as ``_circle_pole`` does.  Returns the value, the error estimate and
-    the last level's nodes per turn."""
+    """``_circle`` with whole levels: each level evaluates all of one turn's
+    nodes, transforms f's transverse parts, times w - center_w without a
+    pole, and sums them against α, 0 without a pole.  Returns the value,
+    the error estimate and the last level's nodes per turn."""
     k = abs(path.turns)
     n, previous = _ORDER * k, None
     g = _integrand(f, None)
-    inside, x = path._pole(pole) if pole is not None else (None, None)
+    inside, x = path._pole(pole) if pole is not None else (True, 0j)
     while n <= cap:
-        nodes = [(*path._split(i / n, n), None) for i in range(n // k)]
+        m = n // k
+        offsets = [cmath.rect(path.radius_w, _TWO_PI * path.turns * (i / n)) for i in range(m)]
+        values = [1.0 if f is None else g(path.center_w + e, path.center_v, None)[0] for e in offsets]
         if pole is None:
-            sw, sv = _exact_sum(*_terms(g, nodes))
-            sw, sv = sw * k, sv * k
-            if previous is not None:
-                error = _split_norm(sw - previous[0], sv - previous[1])
-                if error < tol:
-                    return _from_split(sw, sv), error, n // k
-            previous = sw, sv
-        else:
-            m = n // k
-            values = [1.0 if f is None else g(w, v, u)[0] for w, v, _, _, u in nodes]
-            c = _fft(values, _spectral(m, m)[0])
-            terms = c[: m // 2 + 1] if inside == (path.turns > 0) else [c[0], *c[: m // 2 - 1 : -1]]
-            total = 0j
-            for t in reversed(terms if inside else [0.0, *terms[1:]]):
-                total = total * x + t
-            total *= complex(0.0, (1.0 if inside else -1.0) * _TWO_PI * path.turns / m)
-            if not cmath.isfinite(total):
-                raise SingularOnPath(f"the integral over {m} nodes leaves the double range")
-            if previous is not None and (error := _split_norm(total - previous, 0.0)) < tol:
-                rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * k * sum(map(abs, values)) / m
-                return _from_split(total, 0.0), max(error, rounding), m
-            previous = total
+            values = [value * e for value, e in zip(values, offsets)]
+        c = _fft(values, _spectral(m, m)[0])
+        terms = c[: m // 2 + 1] if inside == (path.turns > 0) else [c[0], *c[: m // 2 - 1 : -1]]
+        total = 0j
+        for t in reversed(terms if inside else [0.0, *terms[1:]]):
+            total = total * x + t
+        total *= complex(0.0, (1.0 if inside else -1.0) * _TWO_PI * path.turns / m)
+        if not cmath.isfinite(total):
+            raise SingularOnPath(f"the integral over {m} nodes leaves the double range")
+        if previous is not None and (error := _split_norm(total - previous, 0.0)) < tol:
+            rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * k * sum(map(abs, values)) / m
+            return _from_split(total, 0.0), max(error, rounding), m
+        previous = total
         n *= 2
     raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
 
@@ -600,9 +617,10 @@ def _outcome(run):
 
 
 def test_circle_levels_match_whole_levels():
-    # a level keeps the previous level's terms, halved, and evaluates only
-    # its odd nodes: values, error estimates and exceptions are those of
-    # whole levels, and the evaluations are the last level's nodes per turn
+    # a level evaluates and transforms only its odd nodes, and joins that
+    # to the last level's transform: values, error estimates and exceptions
+    # are those of whole levels, and the evaluations are the last level's
+    # nodes per turn
     def nested():
         value, evaluations, error = _quadrature(counted, loop, tol, cap, pole)
         assert counted is None or counted.calls == evaluations
@@ -875,15 +893,17 @@ def polylines_with_poles(draw):
 
 
 def _polyline_cases(loop, pole, b):
-    # (f, the value of one turn around the pole, the turns)
+    # (f, the value of one turn around the pole, the turns, and the residue
+    # theorem's value 2*pi*i*turns*f_w(pole) joined with v = 0: formed in
+    # split coordinates, it keeps the low bits that the product with
+    # POLE_LOOP_VALUE loses to f(pole)'s component sum)
     n = float(winding_count(loop, pole))
-    yield None, POLE_LOOP_VALUE, n
-    yield texp, POLE_LOOP_VALUE * texp(pole), n
-    yield tsin, POLE_LOOP_VALUE * tsin(pole), n
     cubic = lambda u: u * u * u - u * 0.5 + ONE  # noqa: E731
-    yield cubic, POLE_LOOP_VALUE * cubic(pole), n
     # 1/((u - a)(u - b)) = (1/(u - a) - 1/(u - b))/(a - b)
-    yield lambda u: inverse(u - b), POLE_LOOP_VALUE * inverse(pole - b), n - float(winding_count(loop, b))
+    shifted = lambda u: inverse(u - b)  # noqa: E731
+    for f, turns in ((None, n), (texp, n), (tsin, n), (cubic, n), (shifted, n - float(winding_count(loop, b)))):
+        at = ONE if f is None else f(pole)
+        yield f, POLE_LOOP_VALUE * at, turns, _from_split(complex(0.0, _TWO_PI * turns) * _to_split(at)[0], 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -892,9 +912,9 @@ def test_polyline_pole_estimate_bounds_its_error(case):
     # the value is within the reported estimate, or the rounding of one
     # turn's value (the want of a pole outside is 0), of the residue
     # theorem's, and within tol of it
-    for f, turn, n in _polyline_cases(*case):
+    for f, turn, n, want in _polyline_cases(*case):
         got, _, estimate = _quadrature(f, case[0], QUADRATURE_TOL, QUADRATURE_CAP, pole=case[1])
-        error = abs(got - turn * n)
+        error = abs(got - want)
         assert error <= max(estimate, 64 * sys.float_info.epsilon * abs(turn) * max(1.0, abs(n)))
         assert error <= QUADRATURE_TOL
 
@@ -989,9 +1009,9 @@ def test_split_nodes_are_the_path_points_and_steps():
     circle = Path3.circle(c, 1.3, turns=-2)
     n = 32
     for i in range(n):
-        w, v, dw, dv = circle._split(i / n, n)
+        w, v, dw, dv = circle._split(i / n)
         assert tri_err(_from_split(w, v), circle.point_at(i / n)) < 1e-15
-        assert tri_err(_from_split(dw, dv), circle.tangent_at(i / n) * (1.0 / n)) < 1e-15
+        assert tri_err(_from_split(dw, dv), circle.tangent_at(i / n)) < 1e-15
     path = _square(c)
     panels = 2 * path.samples
     nodes = [node for p in range(panels) for node in path._nodes(p / 2, 0.5)]

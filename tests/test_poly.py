@@ -604,3 +604,17 @@ def test_roots_near_the_top_of_the_range_factor(seed):
             nearest = min(want_w, key=lambda t: abs(t - w))
             assert abs(nearest - w) <= 1e-9 * scale
             want_w.remove(nearest)
+
+
+def test_unscaled_sweep_that_leaves_the_range_raises_overflow():
+    # without the scaling of _root_lists, about 5% of these draws take the
+    # sweep beyond the double range: each raises Overflow at once, not a
+    # bare OverflowError, nor NonConvergent after the sweeps run out
+    failed = 0
+    for p, _ in _near_top_draws(0, 300):
+        try:
+            poly._split_roots(p)
+        except Exception as exc:  # noqa: BLE001 - the type is what is checked
+            assert type(exc) is Overflow, repr(exc)
+            failed += 1
+    assert failed > 0

@@ -67,7 +67,6 @@ def test_records_are_made_as_their_callers_make_them():
     assert isinstance(square, _Polyline) and isinstance(square, _SplitPath)
     assert square.samples == 3 and square.closed and square.vertices == tuple(SQUARE)
     assert isinstance(circle, _Circle) and circle.samples == 128 and circle.closed
-    assert circle._repeats == 2 and Path3.parametric(_ellipse)._repeats == 1
     assert Path3.parametric(_ellipse).tangent_at is None
     assert _Polyline(vertices=(ZERO, U1), closed=False).edges == ((0j, 0.0, _to_split(U1)[0], 1.0),)
     assert _Circle(center=ZERO, radius=1.0).turns == 1
