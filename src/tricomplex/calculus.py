@@ -287,7 +287,7 @@ class _Polyline(_SplitPath):
         dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part adds
         ``_remainder``'s term, a far one its tail to the estimate.  A t_w within
         ``_GUARD`` of [0, 1], or a t_v in it, puts the pole's singular line, or plane, on it."""
-        (aw, av), (w, v, dw, dv), (w1, v1, _, _) = _to_split(pole), self._at(a, h), self._at(a + h, h)
+        (aw, av), (w, v, dw, dv), (w1, v1, _, _) = _pole_split(pole), self._at(a, h), self._at(a + h, h)
         t_w, t_v = (aw - w) / dw if dw else math.inf, (av - v) / dv if dv else math.inf
         s = min(max(t_w.real, 0.0), 1.0)
         if abs(t_w - s) <= _GUARD or 0.0 <= t_v <= 1.0:
@@ -322,8 +322,7 @@ class _Circle(_SplitPath):
     center_v fixed: (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).  Node i of the
     n-node rule is at t = i/n, and the n nodes repeat every turn, so a level holds one
-    turn's: ``_levels`` yields its fresh nodes' w - center_w, not rounded by center_w.
-    Its winding is closed form (see ``winding_count``), and a pole's α is ``_pole``'s."""
+    turn's.  Its winding is closed form (see ``winding_count``), and a pole's α is ``_pole``'s."""
 
     __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w")
     _fields = ("samples", "closed", "center", "radius", "turns")
@@ -349,25 +348,18 @@ class _Circle(_SplitPath):
         e = cmath.rect(self.radius_w, omega * t)
         return self.center_w + e, self.center_v, e * complex(0.0, omega), 0.0
 
-    def _levels(self, cap: int) -> Iterator[list[complex]]:
-        k, n, omega = abs(self.turns), _ORDER * abs(self.turns), _TWO_PI * self.turns
-        while n <= cap:  # node 2i of n is node i of n/2: past the first level, the odd nodes are fresh
-            fresh = range(1, n // k, 2) if n > _ORDER * k else range(n // k)
-            yield [cmath.rect(self.radius_w, omega * (i / n)) for i in fresh]
-            n *= 2
-
     def _pole(self, pole: Tricomplex) -> tuple[bool, complex]:
         """Whether a_w lies inside the circle's w, and α = (a_w - center_w)/radius_w or
         1/α, whichever is at most 1 in modulus; near the top of the range, from a copy
-        scaled by 2**-e.  |center_v - a_v| within ``_GUARD`` times 1 + the largest |w - a_w|
-        puts the circle in the pole's singular plane, and ||α| - 1| <= ``_GUARD`` on its
-        singular line: either raises SingularOnPath."""
+        scaled by 2**-e.  A finite |center_v - a_v| within ``_GUARD`` times 1 + the largest
+        |w - a_w| puts the circle in the pole's singular plane, and ||α| - 1| <= ``_GUARD``
+        on its singular line: either raises SingularOnPath."""
 
         def alpha(parts: tuple) -> tuple[bool, complex]:
             aw, av, cw, cv, r, one = parts
             d = aw - cw
             md, mv = abs(d), abs(av - cv)
-            if mv <= _GUARD * (one + max(mv, md + r)):
+            if mv < math.inf and mv <= _GUARD * (one + max(mv, md + r)):
                 what, t = "touches the singular plane", 0.0
             elif abs(md - r) <= _GUARD * r:
                 what, t = "touches the singular line", cmath.phase(d) / (_TWO_PI * self.turns)
@@ -375,7 +367,7 @@ class _Circle(_SplitPath):
                 return md < r, d / r if md < r else r / d
             raise SingularOnPath(f"path {what} through {pole} near {self.point_at(t)}")
 
-        parts = (*_to_split(pole), self.center_w, self.center_v, self.radius_w, 1.0)
+        parts = (*_pole_split(pole), self.center_w, self.center_v, self.radius_w, 1.0)
         top = max(max(abs(p.real), abs(p.imag)) for p in parts)
         return alpha(parts) if top < 2.0**500 else _rescaled(alpha, parts, math.frexp(top)[1], 0, "a pole's α")
 
@@ -399,6 +391,16 @@ class PoleSpec(NamedTuple):
     residue: Tricomplex
 
 
+def _pole_split(point: Tricomplex) -> tuple[complex, float]:
+    """A pole's split (a_w, a_v).  Where the component sum leaves the double range,
+    a_v is x + y + z, ±inf, and a_w a scaled copy's; an a_w beyond it raises Overflow."""
+    try:
+        return _to_split(point)
+    except Overflow:
+        aw = _rescaled(lambda u: _to_split(u)[0], point, None, 1, f"the transverse pair of {point}")
+        return aw, point.x + point.y + point.z
+
+
 def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
     """f(u), times 1/(u - pole) when a pole is given, in split
     coordinates; f None stands for 1.
@@ -406,10 +408,11 @@ def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
     f takes the path point, or the node joined to a Tricomplex where
     the path gave none; an f that fails or overflows there is reported
     as SingularOnPath.  1/(u - pole) is (1/(w - a_w), 1/(v - a_v)), with
-    an explicit distance guard, ``_GUARD``, against the singular plane
-    (v = a_v) and line (w = a_w) through the pole; |w - a_w| is
-    sqrt(quadratic_form(u - pole)).  Nodes on both sides of that plane
-    raise SingularOnPath too: there dv/(v - a_v) is not integrable.
+    ``_pole_split``'s pair and an explicit distance guard, ``_GUARD``, at
+    each node before f, against the singular plane (v = a_v) and line
+    (w = a_w) through the pole; |w - a_w| is sqrt(quadratic_form(u - pole)),
+    and an infinite |v - a_v| is never near.  Nodes on both sides of that
+    plane raise SingularOnPath too: there dv/(v - a_v) is not integrable.
     """
 
     def at(w: complex, v: float, u: Tricomplex | None) -> Tricomplex:
@@ -424,10 +427,10 @@ def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
 
     if pole is None:
         return lifted
-    aw, av = _to_split(pole)
+    aw, av = _pole_split(pole)
     side = 0.0  # the sign of v - a_v at the nodes, once one is seen
 
-    def reciprocal(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
+    def guarded(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
         nonlocal side
         dw, dv = w - aw, v - av
         try:
@@ -435,32 +438,23 @@ def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
         except OverflowError:  # |dw| leaves the double range; its larger part does not
             mw = max(abs(dw.real), abs(dw.imag))
         mv = abs(dv)
-        near = _GUARD + _GUARD * (mw if mw > mv else mv)
+        near, what = _GUARD + _GUARD * (mv if mw < mv < math.inf else mw), None
         if side * dv <= near:
             if mv <= near:
-                raise SingularOnPath(
-                    f"path touches the singular plane through {pole} near {at(w, v, u)}"
-                )
-            if side:
-                raise SingularOnPath(
-                    f"path crosses the singular plane through {pole} near {at(w, v, u)}"
-                )
-            side = math.copysign(1.0, dv)
-        if mw <= near:
-            raise SingularOnPath(
-                f"path touches the singular line through {pole} near {at(w, v, u)}"
-            )
-        return 1.0 / dw, 1.0 / dv
-
-    if f is None:
-        return reciprocal
-
-    def product(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
-        pw, pv = reciprocal(w, v, u)
+                what = "touches the singular plane"
+            elif side:
+                what = "crosses the singular plane"
+            else:
+                side = math.copysign(1.0, dv)
+        if what or mw <= near:
+            raise SingularOnPath(f"path {what or 'touches the singular line'} through {pole} near {at(w, v, u)}")
+        pw, pv = 1.0 / dw, 1.0 / dv
+        if f is None:
+            return pw, pv
         fw, fv = lifted(w, v, u)
         return fw * pw, fv * pv
 
-    return product
+    return guarded
 
 
 def _terms(g: SplitFunction, nodes: Iterable[Node]) -> tuple[list[complex], list[float]]:
@@ -616,11 +610,14 @@ def _circle(
     levels within ``tol`` are accepted; the estimate is at least g's rounding, as a panel's."""
     inside, x = (True, 0j) if pole is None else path._pole(pole)
     lifted, fw, c, previous = _integrand(f, None), [], [], None
-    for es in path._levels(cap):
+    k, n, omega = abs(path.turns), _ORDER, _TWO_PI * path.turns
+    while n * k <= cap:  # node 2i of n is node i of n/2: past the first level, the odd nodes are fresh
+        # the fresh nodes' w - center_w, not rounded by center_w
+        es = [cmath.rect(path.radius_w, omega * (i / (n * k))) for i in (range(1, n, 2) if fw else range(n))]
         new = [1.0 if f is None else lifted(path.center_w + e, path.center_v, None)[0] for e in es]
         new = list(map(mul, new, es)) if pole is None else new
         fw = _interleaved(fw, new)
-        n, odd = len(fw), _fft(new, _spectral(len(new), len(new))[0])
+        odd = _fft(new, _spectral(len(new), len(new))[0])
         if c:  # c = [E + ωO, E - ωO], E the last level's transform (its even nodes) and O the odd nodes'
             odd = list(map(mul, _spectral(n, n)[0], odd))
             c, odd = list(map(add, c, odd)), list(map(sub, c, odd))
@@ -637,7 +634,7 @@ def _circle(
             # |g|'s mean, each term over n (exact: a power of two), so that the sum stays in range
             rounding = _ROUNDING * _TRANSVERSE_NORM * _TWO_PI * abs(path.turns) * sum(abs(t) / n for t in fw)
             return _from_split(total, 0.0), n, max(error, rounding)
-        previous = total
+        previous, n = total, 2 * n
     raise NonConvergent(f"quadrature did not settle below {tol} within {cap} nodes")
 
 
@@ -757,6 +754,8 @@ def loop_integral_pole(a: Tricomplex, loop: Path3) -> Tricomplex:
     either way.  On a circle it is that value to rounding, from 16
     evaluations of 1, wherever ``a`` is.  A loop that touches the singular
     plane or line through ``a``, or crosses that plane, raises SingularOnPath.
+    An ``a`` whose component sum leaves the double range gives ``residue_sum``'s
+    value; one whose transverse pair does raises winding_count's Overflow.
     """
     return _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=a)[0]
 
@@ -769,6 +768,7 @@ def cauchy_value(f: TriFunction, a: Tricomplex, loop: Path3) -> Tricomplex:
     determines only the differences between f(a)'s components.  On a
     circle only f's transverse part is evaluated, and the levels resolve
     f alone: a pole 1e-6 of the radius from it costs what a far one does.
+    ``a`` is taken as in ``loop_integral_pole``, and guarded before f.
     """
     return _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=a)[0]
 
@@ -798,14 +798,6 @@ def _winding_number(ws: list[complex], aw: complex, guard: float, gaps: Sequence
     return round(total / _TWO_PI)
 
 
-def _transverse(point: Tricomplex) -> complex:
-    """The transverse pair a_w of a point whose winding is asked for."""
-    try:
-        return _to_split(point)[0]
-    except Overflow:  # the component sum left the double range
-        return _rescaled(_transverse, point, None, 1, f"the transverse pair of {point}")
-
-
 def winding_count(loop: Path3, point: Tricomplex) -> int:
     """Winding of the loop's nodal-plane projection around the
     projection of ``point``, taken on their transverse pairs w (the
@@ -818,10 +810,11 @@ def winding_count(loop: Path3, point: Tricomplex) -> int:
     max(samples, 256) points on it.  A point whose a_w lies within
     1e-9*(1 + the largest coordinate) of the loop's w raises
     AmbiguousWinding.  A sampled loop of more than ``QUADRATURE_CAP``
-    samples raises NonConvergent before any point is taken."""
+    samples raises NonConvergent before any point is taken.  The point's
+    a_w is ``_pole_split``'s: an a_w beyond the double range raises Overflow."""
     if not loop.closed:
         raise ValueError("loop must be closed")
-    aw = _transverse(point)
+    aw = _pole_split(point)[0]
     return loop._winding()(aw)
 
 
@@ -834,7 +827,7 @@ def residue_sum(poles: Sequence[PoleSpec], loop: Path3) -> Tricomplex:
         raise ValueError("loop must be closed")
     acc, winding = ZERO, None
     for pole in poles:
-        aw = _transverse(pole.location)
+        aw = _pole_split(pole.location)[0]
         winding = winding or loop._winding()
         w = winding(aw)
         if w != 0:

@@ -661,6 +661,67 @@ def _ellipse(center, a, b):
     return Path3.parametric(at, samples=64, closed=True)
 
 
+def _lifted_ellipse(samples, lift=lambda t: 0.0):
+    """An ellipse of semi-axes 1.2 and 0.8 around (1, 1, 1), its component sum raised by lift(t)."""
+
+    def at(t):
+        ang, s = 2.0 * math.pi * t, lift(t) / 3.0
+        return Tricomplex(1.0 + s, 1.0 + s, 1.0 + s) + XI1 * (1.2 * math.cos(ang)) + XI2 * (0.8 * math.sin(ang))
+
+    return Path3.parametric(at, samples=samples, closed=True)
+
+
+def test_sampled_loop_node_on_the_singular_line_is_rejected_before_f():
+    # the pole projects onto the loop's point at t = 0.25, the third node of
+    # the first trapezoid level: f sees the two nodes before it, not that one
+    loop = _lifted_ellipse(16)
+    seen = []
+    pole = loop.point_at(0.25) + Tricomplex(0.5, 0.5, 0.5)
+    with pytest.raises(SingularOnPath, match="touches the singular line"):
+        cauchy_value(lambda u: seen.append(u) or texp(u), pole, loop)
+    assert seen == [loop.point_at(0.0), loop.point_at(0.125)]
+
+
+def test_sampled_loop_node_in_the_singular_plane_is_rejected_before_f():
+    # the component sum is the pole's plus 0.2(1 - cos 2 pi t): the first node
+    # lies in the pole's singular plane, and the loop never crosses it
+    loop = _lifted_ellipse(16, lambda t: 0.2 * (1.0 - math.cos(2.0 * math.pi * t)))
+    seen, pole = [], Tricomplex(1.0, 1.0, 1.0)
+    with pytest.raises(SingularOnPath, match="touches the singular plane"):
+        cauchy_value(lambda u: seen.append(u) or texp(u), pole, loop)
+    assert seen == []
+    with pytest.raises(SingularOnPath, match="touches the singular plane"):
+        loop_integral_pole(pole, loop)
+
+
+def test_pole_whose_component_sum_leaves_the_range():
+    # a_v is +inf and 1/(v - a_v) zero on every path, a_w = 0 lies inside each
+    # loop: the integrals are the residue theorem's, on all three path kinds
+    pole = Tricomplex(1e308, 1e308, 1e308)
+    center = Tricomplex(1.0, 1.0, 1.0)
+    square = [center + XI1 * math.cos(k * math.pi / 2) + XI2 * math.sin(k * math.pi / 2) for k in range(5)]
+    loops = (Path3.circle(center, 1.0), Path3.polyline(square, closed=True), _lifted_ellipse(16))
+    for loop in loops:
+        want = residue_sum([PoleSpec(pole, ONE)], loop)
+        assert abs(want - POLE_LOOP_VALUE) < 1e-15
+        assert abs(loop_integral_pole(pole, loop) - want) < 1e-12
+        assert abs(cauchy_value(texp, pole, loop) - want) < 1e-12
+    # a transverse pair beyond the range raises Overflow, the same from both
+    far = Tricomplex(1e308, -1e308, -1e308)
+    for loop in loops:
+        for run in (lambda: winding_count(loop, far), lambda: loop_integral_pole(far, loop)):
+            with pytest.raises(Overflow, match=r"^the transverse pair of \(1e\+308,-1e\+308,-1e\+308\) leaves"):
+                run()
+
+
+def test_level_sum_beyond_the_range_raises():
+    # each term of a constant near the top of the range times a step fits,
+    # their exactly rounded sum over the first level's 8 nodes does not
+    loop = _lifted_ellipse(8)
+    with pytest.raises(SingularOnPath, match="the integral over 8 nodes leaves the double range"):
+        path_integral(lambda u: Tricomplex(8e307, -4e307, -4e307), loop)
+
+
 def test_smooth_loop_settles_on_its_first_panels():
     # a smooth ellipse without a tangent takes the trapezoid rule on its
     # trigonometric interpolant, 64 evaluations; its 64 starting panels

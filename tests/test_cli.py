@@ -187,6 +187,14 @@ def test_integrate_polyline_loop(capout, tmp_path):
     assert abs(got.y - unit) < 1e-6
 
 
+def test_integrate_pole_whose_component_sum_leaves_the_range(capout):
+    # a_w = 0 lies inside the circle; a_v is beyond the range, and its kernel zero
+    code, out, _ = capout("integrate", "--pole", "(1e308,1e308,1e308)", "--loop", "circle:center=(1,1,1),radius=1")
+    assert code == 0
+    unit = 2.0 * math.pi / math.sqrt(3.0)
+    assert abs(Tricomplex.parse(out.strip()) - Tricomplex(0.0, unit, -unit)) < 1e-12
+
+
 def test_check_analytic_subcommand(capout):
     code, out, _ = capout("check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)")
     assert code == 0

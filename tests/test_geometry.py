@@ -59,6 +59,16 @@ def test_polar_on_trisector_line():
         _ = p.phi
 
 
+def test_polar_when_only_the_component_sum_leaves_the_range():
+    # x + y + z overflows, so s and D come from a copy scaled by 2**-1024:
+    # s is that copy's scaled back exactly, D = 0 and phi is undefined
+    p, small = polar(Tricomplex(1e308, 1e308, 1e308)), polar(Tricomplex(*[math.ldexp(1e308, -1024)] * 3))
+    assert math.isfinite(p.d) and p.s == math.ldexp(small.s, 1024)
+    assert (p.D, p.theta, p.phi_or_none) == (0.0, 0.0, None)
+    with pytest.raises(UndefinedAngle):
+        _ = p.phi
+
+
 def test_polar_at_origin():
     p = polar(ZERO)
     assert p.d == 0.0
