@@ -7,11 +7,10 @@ elementary functions, power series with convergence regions, numerical
 analyticity checks, loop integrals with residues, and polynomial
 factorization, plus a deterministic CLI front end.
 
-``import tricomplex`` loads the algebra, geometry, elementary and
-cosexponential functions and the errors.  The calculus, derivatives, poly
-and series modules load on first use of one of their names.  The records
-are named tuples or immutable slotted classes, which cost no import at
-start-up.
+``import tricomplex`` loads no submodule: each loads on first use of one
+of its names, so a caller or CLI command loads, and without a bytecode
+cache compiles, only the modules it runs.  The records are named tuples
+or immutable slotted classes, which cost no import at start-up.
 """
 
 from importlib import import_module as _import_module
@@ -39,8 +38,7 @@ _PUBLIC = {
         "DIRECT", "ElementaryFn", "oracle_eval", "power_from_polar", "tcos", "tcosh", "texp",
         "tlog", "tpow", "tsin", "tsinh",
     ),
-    "cosexp": ("CosexpKind", "cosexp", "cosexp_derivative", "cosexp_series", "cx", "mx", "px"),
-    # loaded on first use
+    "cosexponential": ("CosexpKind", "cosexp", "cosexp_derivative", "cosexp_series", "cx", "mx", "px"),
     "calculus": (
         "POLE_LOOP_VALUE", "Path3", "PoleSpec", "cauchy_value", "loop_integral_pole",
         "path_integral", "residue_sum", "winding_count",
@@ -55,22 +53,13 @@ _PUBLIC = {
         "radius_cylindrical", "radius_spherical", "sigma", "taylor_recenter",
     ),
 }
-_LAZY = ("calculus", "derivatives", "poly", "series")
-_HOME = {name: module for module in _LAZY for name in _PUBLIC[module]}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = [name for names in _PUBLIC.values() for name in names]
-
-# the names are bound after their module is imported, which binds the
-# module itself: so ``cosexp`` ends as the function, not the submodule
-for _module, _names in _PUBLIC.items():
-    if _module not in _LAZY:
-        _m = _import_module(f".{_module}", __name__)
-        globals().update((name, getattr(_m, name)) for name in _names)
-del _module, _names, _m
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
+    if name in _PUBLIC:
         return _import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -79,4 +68,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__) | set(_LAZY))
+    return sorted(set(globals()) | set(__all__) | set(_PUBLIC))

@@ -179,13 +179,16 @@ class Path3(_Record):
     def _nodes(self, a: float, h: float) -> list[Node]:
         """The 8 nodes of the Gauss-Legendre panel [a, a + h], measured in
         samples (t = s/samples), so halving is exact; the steps are the
-        derivative of the polynomial interpolating the panel's points."""
+        derivative of the polynomial interpolating the panel's points, taken
+        on a copy scaled by 2**-e where a |w| or |v| passes 2**500."""
         us = [self.point_at((a + c * h) / self.samples) for c in _GL_NODES]
         ws, vs = zip(*map(_to_split, us))
-        return [
-            (w, v, sum(map(mul, row, ws)), sum(map(mul, row, vs)), u)
-            for row, u, w, v in zip(_GL_WEIGHTED_DIFF, us, ws, vs)
-        ]
+        top = max(map(abs, ws + vs))
+        d = _rescaled(
+            lambda p: [(sum(map(mul, r, p[0])), sum(map(mul, r, p[1]))) for r in _GL_WEIGHTED_DIFF],
+            (ws, vs), math.frexp(top)[1] if top > 2.0**500 else 0, 1, "a step"
+        )
+        return [(w, v, dw, dv, u) for (dw, dv), u, w, v in zip(d, us, ws, vs)]
 
     def _levels(self, cap: int) -> Iterator[tuple[list, list[complex], list[float]]]:
         """Trapezoid levels of n = 8, 16, ... <= 8*samples (<= ``cap``) nodes on
@@ -193,7 +196,13 @@ class Path3(_Record):
         yielded, and the steps, the derivative of the split's interpolant over n.
         The split is transformed on m >= 2*samples points and on finer levels;
         level n counts once the coefficients of frequency >= 3n/8 are at rounding.
-        At n = m, levels stop if those, decaying as from 3n/16, stay above it at 4n."""
+        At n = m, levels stop if those, decaying as from 3n/16, stay above it at 4n.
+        Where the sizes pass 2**500, a copy scaled by 2**-e is transformed."""
+
+        def spectrum(cols: list[list[complex]], e: int) -> tuple[list[complex], list[complex], list[float]]:
+            cw, cv = (_fft(c, _spectral(m, n)[0]) for c in _rescaled(lambda t: t, cols, e, 0, "a loop"))
+            return cw, cv, list(map(max, map(abs, cw), map(abs, cv)))
+
         top, n, last = _ORDER * self.samples, _ORDER, 0
         if not self.closed or self.tangent_at or top > cap:
             return
@@ -202,14 +211,19 @@ class Path3(_Record):
             if len(points) < m:  # all the grid's points, or a finer level's odd ones
                 ts = [i / m for i in range(m) if i % 2 or not points]
                 points = _interleaved(points, [(*_to_split(u), u) for u in map(self.point_at, ts)])
-                cw, cv = (_fft([complex(p[i]) for p in points], _spectral(m, n)[0]) for i in (0, 1))
-                sizes = list(map(max, map(abs, cw), map(abs, cv)))
+                cols, e = [[complex(p[i]) for p in points] for i in (0, 1)], 0
+                cw, cv, sizes = spectrum(cols, e)
+                if not sum(sizes) + abs(sum(cv)) < 2.0**500:  # the sizes drop a nan of cv's
+                    e = math.frexp(max(map(abs, cols[0] + cols[1])))[1]  # the steps are scaled back by 2**e
+                    cw, cv, sizes = spectrum(cols, e)
                 limit = _ROUNDING * max(sizes)
             k, s = 3 * n // 8, m // n
             tail = max(sizes[k : m - k + 1])  # the coefficients of frequency >= k
             if tail <= limit:  # the derivative of the coefficients below n/2, at the level's nodes
                 _, d, back = _spectral(m, n)
                 dw, dv = (_fft(list(map(mul, d, c[: n // 2] + c[m - n // 2 :])), back) for c in (cw, cv))
+                if e:
+                    dw, dv = ([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in c] for c in (dw, dv))
                 yield [p for i, p in enumerate(points[::s]) if not last or i * last % n], dw, [t.real for t in dv]
                 last = n
             elif n == m and tail * (tail / max(sizes[k // 2 : m - k // 2 + 1])) ** 6 > limit:

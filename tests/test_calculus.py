@@ -1,4 +1,5 @@
 import cmath
+import importlib.util
 import math
 import os
 import subprocess
@@ -714,6 +715,30 @@ def test_pole_whose_component_sum_leaves_the_range():
                 run()
 
 
+def test_sampled_loop_near_the_top_of_the_range():
+    # the loop's component sums, 1.5e308, overflow the transform's sums and the
+    # panels' differences: both take a copy scaled by a power of two.  The pole
+    # projects onto the centre, its component sum 3e307 below the loop's
+    center = Tricomplex(5e307, 5e307, 5e307)
+
+    def at(t):
+        ang = 2.0 * math.pi * t
+        return center + XI1 * (1e307 * math.cos(ang)) + XI2 * (1e307 * math.sin(ang))
+
+    loop = Path3.parametric(at, samples=16, closed=True)
+    _, dw, dv = next(loop._levels(QUADRATURE_CAP))
+    assert all(map(cmath.isfinite, dw)) and all(map(math.isfinite, dv))
+    assert abs(path_integral(lambda u: ONE, loop)) <= 256 * sys.float_info.epsilon * abs(center)
+    assert abs(loop_integral_pole(Tricomplex(4e307, 4e307, 4e307), loop) - POLE_LOOP_VALUE) < 1e-9
+
+
+def test_loop_that_stays_at_one_point_near_the_top_of_the_range():
+    # w is 0 at every node and the component sums' transform overflows to NaN
+    # alone, which the coefficient sizes, each the larger of w's and v's, drop
+    loop = Path3.parametric(lambda t: Tricomplex(5e307, 5e307, 5e307), 16, True)
+    assert path_integral(lambda u: ONE, loop) == ZERO
+
+
 def test_level_sum_beyond_the_range_raises():
     # each term of a constant near the top of the range times a step fits,
     # their exactly rounded sum over the first level's 8 nodes does not
@@ -1201,36 +1226,39 @@ def test_import_and_cli_eval_do_not_load_numpy():
 
 #: What the algebra, geometry and elementary functions never need.
 HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "dataclasses", "numpy")
+#: What a command that evaluates no elementary function never loads.
+ELEMENTARY = ("tricomplex.functions", "tricomplex.cosexponential")
+COSEXP = ("tricomplex.cosexponential",)
 
 
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        ([], HEAVY),
-        (["eval", "--fn", "exp", "--at", "(0.1,0.2,0.3)"], HEAVY),
-        (["decompose", "--at", "(1,2,3)"], HEAVY),
-        (["cosexp-table", "--min", "0", "--max", "1", "--step", "0.5"], HEAVY),
-        (["rho-table", "--min", "0.2", "--max", "0.4", "--step", "0.1"], HEAVY),
+        ([], HEAVY + ELEMENTARY),
+        (["eval", "--fn", "exp", "--at", "(0.1,0.2,0.3)"], HEAVY + COSEXP),
+        (["decompose", "--at", "(1,2,3)"], HEAVY + ELEMENTARY),
+        (["cosexp-table", "--min", "0", "--max", "1", "--step", "0.5"], HEAVY + COSEXP),
+        (["rho-table", "--min", "0.2", "--max", "0.4", "--step", "0.1"], HEAVY + ELEMENTARY),
         (
             ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1"],
-            ("tricomplex.poly", "dataclasses"),
+            ("tricomplex.poly", "dataclasses") + ELEMENTARY,
         ),
-        (["factor", "--poly", "{poly}", "--all"], ("tricomplex.calculus", "dataclasses")),
+        (["factor", "--poly", "{poly}", "--all"], ("tricomplex.calculus", "dataclasses") + ELEMENTARY),
         (
             ["integrate", "--pole", "(0,0,0)", "--loop", "circle:center=(1,1,1),radius=1"],
             ("tricomplex.poly", "tricomplex.series"),
         ),
         (
             ["check-analytic", "--fn", "exp", "--at", "(0.1,0.2,0.3)"],
-            ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "dataclasses"),
+            ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "dataclasses") + COSEXP,
         ),
         (
             ["series", "--coeffs", "{poly}", "--at", "(0.2,0.1,-0.1)"],
-            ("tricomplex.calculus", "tricomplex.poly", "dataclasses"),
+            ("tricomplex.calculus", "tricomplex.poly", "dataclasses") + ELEMENTARY,
         ),
         (
             ["integrate", "--pole", "(0,0,0)", "--loop", "{loop}"],
-            ("tricomplex.poly", "tricomplex.series", "dataclasses"),
+            ("tricomplex.poly", "tricomplex.series", "dataclasses") + ELEMENTARY,
         ),
     ],
     ids=[
@@ -1240,7 +1268,10 @@ HEAVY = ("tricomplex.calculus", "tricomplex.poly", "tricomplex.series", "datacla
 )
 def test_commands_load_only_what_they_run(tmp_path, argv, unloaded):
     # each CLI command imports the modules it runs, in a fresh interpreter;
-    # none loads dataclasses, which no module of the package imports
+    # none loads dataclasses, which no module of the package imports.  A
+    # package module that does not exist would pass unloaded by its name
+    for name in unloaded:
+        assert not name.startswith("tricomplex.") or importlib.util.find_spec(name), name
     poly = tmp_path / "u2m1.csv"
     poly.write_text("1,0,0\n0,0,0\n-1,0,0\n")
     loop = tmp_path / "loop.csv"

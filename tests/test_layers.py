@@ -20,8 +20,8 @@ LAYERS = {
     "poly": BASE,
     "calculus": BASE,
     "derivatives": BASE,
-    "cosexp": BASE | {"functions"},
-    "cli": BASE | {"functions", "series", "poly", "calculus", "derivatives", "cosexp"},
+    "cosexponential": BASE | {"functions"},
+    "cli": BASE | {"functions", "series", "poly", "calculus", "derivatives", "cosexponential"},
     "__main__": {"cli"},
 }
 

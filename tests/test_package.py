@@ -51,28 +51,69 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(tricomplex, "transverse_longitudinal")
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports the package from this tree."""
+    src = os.path.dirname(os.path.dirname(tricomplex.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_submodule():
+    _run_fresh(
+        "import sys, tricomplex\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('tricomplex.'))\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("errors", "Overflow"),
+        ("algebra", "Tricomplex"),
+        ("geometry", "polar"),
+        ("functions", "texp"),
+        ("cosexponential", "cosexp"),
+        ("calculus", "Path3"),
+        ("derivatives", "check_analytic"),
+        ("poly", "factor"),
+        ("series", "TriSeries"),
+    ],
+)
+def test_first_import_of_a_name_binds_what_its_submodule_defines(module, name):
+    _run_fresh(
+        f"from tricomplex import {name}\n"
+        "import sys, types\n"
+        f"assert not isinstance({name}, types.ModuleType), {name}\n"
+        f"assert {name} is sys.modules['tricomplex.{module}'].{name}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "prelude",
     [
         "import tricomplex",
-        "import tricomplex.cosexp",
-        "from tricomplex.cosexp import CosexpKind; import tricomplex",
+        "import tricomplex.cosexponential",
+        "from tricomplex.cosexponential import CosexpKind; import tricomplex",
         "import tricomplex.calculus, tricomplex.poly, tricomplex.series, tricomplex.cli",
+        pytest.param(
+            "import importlib, os, tricomplex\n"
+            "for name in sorted(os.listdir(os.path.dirname(tricomplex.__file__))):\n"
+            "    if name.endswith('.py') and name not in ('__init__.py', '__main__.py'):\n"
+            "        importlib.import_module(f'tricomplex.{name[:-3]}')",
+            id="every submodule first",
+        ),
     ],
 )
 def test_cosexp_is_the_function_whatever_the_import_order(prelude):
-    # the submodule and the function share a name; the package binds the
-    # function
-    code = (
+    # the public name cosexp is the function whichever submodules load first
+    _run_fresh(
         f"{prelude}\n"
         "import inspect, tricomplex\n"
         "assert inspect.isfunction(tricomplex.cosexp), tricomplex.cosexp\n"
         "from tricomplex import cosexp\n"
         "assert inspect.isfunction(cosexp), cosexp\n"
     )
-    src = os.path.dirname(os.path.dirname(tricomplex.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
-    )
-    assert done.returncode == 0, done.stderr
     assert inspect.isfunction(tricomplex.cosexp)
