@@ -17,7 +17,8 @@ are halved, so a panel near a pole is refined alone.  On a polyline the
 pole's kernel is 1/(c - t*) in each straight panel's parameter c, and the
 rule's remainder on it is closed form: a panel adds it times f's
 interpolant at t* (product integration), so it is exact for f of degree 7
-however near the pole, and a pole near an edge forces no halving.  On a
+however near the pole, and a pole near an edge forces no halving: such a
+panel is judged by its own product-integration estimate.  On a
 circle the transverse kernel dw/(w - a_w) is dz/(z - alpha) on the unit
 circle, and the coefficients of f's trapezoid interpolant are summed against
 it in closed form: the levels resolve f alone, however near the pole.
@@ -294,34 +295,34 @@ class _Polyline(_SplitPath):
         return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
 
     def _pole_panel(
-        self, g: SplitFunction, a: float, h: float, pole: Tricomplex, one: bool
-    ) -> tuple[list[complex], list[float], tuple | None, float]:
-        """The terms of g, f/(u - pole), on the panel [a, a + h], what ``_own_estimate``
-        reads (None: its tail decides) and the size of a term appended.  On the segment
-        dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part adds
-        ``_remainder``'s term, a far one its tail to the estimate.  A t_w within
+        self, g: SplitFunction, a: float, h: float, pole: tuple[Tricomplex, complex, float], one: bool
+    ) -> tuple[list[complex], list[float], tuple | None]:
+        """The terms of g, f/(u - a), on the panel [a, a + h] and what ``_own_estimate``
+        reads (None: the tail decides), from ``pole``, a and its split (a_w, a_v).  On the
+        segment dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part
+        appends ``_remainder``'s term, a far one adds its tail to the estimate.  A t_w within
         ``_GUARD`` of [0, 1], or a t_v in it, puts the pole's singular line, or plane, on it."""
-        (aw, av), (w, v, dw, dv), (w1, v1, _, _) = _pole_split(pole), self._at(a, h), self._at(a + h, h)
+        (point, aw, av), (w, v, dw, dv), (w1, v1, _, _) = pole, self._at(a, h), self._at(a + h, h)
         t_w, t_v = (aw - w) / dw if dw else math.inf, (av - v) / dv if dv else math.inf
         s = min(max(t_w.real, 0.0), 1.0)
         if abs(t_w - s) <= _GUARD or 0.0 <= t_v <= 1.0:
             line = abs(t_w - s) <= _GUARD
             what, s = ("touches the singular line", s) if line else ("crosses the singular plane", t_v)
-            raise SingularOnPath(f"path {what} through {pole} near {self.point_at((a + s * h) / self.samples)}")
+            raise SingularOnPath(f"path {what} through {point} near {self.point_at((a + s * h) / self.samples)}")
         nodes = self._nodes(a, h)
         tw, tv = _terms(g, nodes)
         far = [abs(t) + abs(t - 1.0) >= _FAR for t in (t_w, t_v)]
         if all(far):
-            return tw, tv, None, 0.0
-        fix, near = [0.0, 0.0], []
+            return tw, tv, None
+        remainders, near = [0.0, 0.0], []
         parts = [(tw, aw, w, w1, _TRANSVERSE_NORM), (tv, av, v, v1, 1.0 / _SQRT3)]
         for k, (terms, x, x0, x1, norm) in enumerate(parts):
             if not far[k]:  # the kernel as the terms have it: 1/(w - a_w) times the step
                 kernel = [1.0 / (node[k] - x) * node[k + 2] for node in nodes]
-                fix[k], reads = _remainder((x - x1) / (x - x0), terms, kernel, one, norm)
+                remainders[k], reads = _remainder((x - x1) / (x - x0), terms, kernel, one, norm)
                 near += reads
-        (rw, rv), plain = fix, (tw if far[0] else (), tv if far[1] else ())
-        return tw + fix[:1], tv + [fix[1].real], (*plain, near), _split_norm(rw, rv.real)
+        plain = (tw if far[0] else (), tv if far[1] else ())
+        return tw + remainders[:1], tv + [remainders[1].real], (*plain, near)
 
     def _winding(self) -> Callable[[complex], int]:
         ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
@@ -415,16 +416,16 @@ def _pole_split(point: Tricomplex) -> tuple[complex, float]:
         return aw, point.x + point.y + point.z
 
 
-def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
-    """f(u), times 1/(u - pole) when a pole is given, in split
-    coordinates; f None stands for 1.
+def _integrand(f: TriFunction | None, pole: tuple[Tricomplex, complex, float] | None) -> SplitFunction:
+    """f(u), times 1/(u - a) when ``pole``, a and its split (a_w, a_v), is given,
+    in split coordinates; f None stands for 1.
 
     f takes the path point, or the node joined to a Tricomplex where
     the path gave none; an f that fails or overflows there is reported
-    as SingularOnPath.  1/(u - pole) is (1/(w - a_w), 1/(v - a_v)), with
+    as SingularOnPath.  1/(u - a) is (1/(w - a_w), 1/(v - a_v)), with
     ``_pole_split``'s pair and an explicit distance guard, ``_GUARD``, at
     each node before f, against the singular plane (v = a_v) and line
-    (w = a_w) through the pole; |w - a_w| is sqrt(quadratic_form(u - pole)),
+    (w = a_w) through the pole; |w - a_w| is sqrt(quadratic_form(u - a)),
     and an infinite |v - a_v| is never near.  Nodes on both sides of that
     plane raise SingularOnPath too: there dv/(v - a_v) is not integrable.
     """
@@ -441,7 +442,7 @@ def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
 
     if pole is None:
         return lifted
-    aw, av = _pole_split(pole)
+    point, aw, av = pole
     side = 0.0  # the sign of v - a_v at the nodes, once one is seen
 
     def guarded(w: complex, v: float, u: Tricomplex | None) -> tuple[complex, float]:
@@ -461,7 +462,7 @@ def _integrand(f: TriFunction | None, pole: Tricomplex | None) -> SplitFunction:
             else:
                 side = math.copysign(1.0, dv)
         if what or mw <= near:
-            raise SingularOnPath(f"path {what or 'touches the singular line'} through {pole} near {at(w, v, u)}")
+            raise SingularOnPath(f"path {what or 'touches the singular line'} through {point} near {at(w, v, u)}")
         pw, pv = 1.0 / dw, 1.0 / dv
         if f is None:
             return pw, pv
@@ -535,19 +536,19 @@ def _fft(a: list[complex], roots: Sequence[complex]) -> list[complex]:
 
 
 def _panel(
-    g: SplitFunction, path: Path3, a: float, h: float, pole: Tricomplex | None, one: bool
-) -> tuple[float, float, complex, float, list[complex], list[float], tuple | None, float]:
+    g: SplitFunction, path: Path3, a: float, h: float, pole: tuple[Tricomplex, complex, float] | None, one: bool
+) -> tuple[float, float, complex, float, list[complex], list[float], tuple | None]:
     """The panel [a, a + h] of the path evaluated: (a, h), the sum of g on it, its
-    terms, what its own estimate reads (None: its tail decides) and the size of a
-    term appended to them.  A sum beyond the double range raises SingularOnPath."""
+    terms and what its own estimate reads (None: its tail decides).  ``pole`` is
+    a and its split.  A sum beyond the double range raises SingularOnPath."""
     if pole is not None and isinstance(path, _Polyline):
-        tw, tv, own, fix = path._pole_panel(g, a, h, pole, one)
+        tw, tv, own = path._pole_panel(g, a, h, pole, one)
     else:
-        (tw, tv), own, fix = _terms(g, path._nodes(a, h)), None, 0.0
+        (tw, tv), own = _terms(g, path._nodes(a, h)), None
     sw, sv = sum(tw), sum(tv)
     if not (cmath.isfinite(sw) and math.isfinite(sv)):
         raise SingularOnPath(f"the integral over a panel of {len(tv)} nodes leaves the double range")
-    return a, h, sw, sv, tw, tv, own, fix
+    return a, h, sw, sv, tw, tv, own
 
 
 def _coefficient_size(row: tuple[float, ...], tw: list[complex], tv: list[float]) -> float:
@@ -593,9 +594,9 @@ def _remainder(ratio: complex, terms: list, kernel: list, one: bool, norm: float
     return sum(map(mul, _GL_BARY, terms)) / den * r, [(terms, kernel, r, den, norm)]
 
 
-def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near: list) -> float | None:
-    """A pole panel's rounding if its own estimate is at most that, else None: the
-    tail of its far parts' terms plus, per near part of ``_remainder``, f's c8,
+def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near: list) -> float:
+    """A pole panel's own estimate, or its rounding if that is larger: the tail
+    of its far parts' terms plus, per near part of ``_remainder``, f's c8,
     extrapolated as ``_tail_estimate`` does, times |R(t)*P_8(2t - 1)| = 2|Q_8|
     (Gautschi & Varga 1983, SIAM J. Numer. Anal. 20), plus f's tail times
     max|1/(c - t)| (``norm``: the part's weight).  Only a panel judged alone reads it."""
@@ -606,7 +607,7 @@ def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near
         decay = min(1.0, 16.0 * (c6 + c7) / (c4 + c5)) if c4 + c5 > 0.0 else 1.0  # over two degrees
         rough = max(map(abs, map(truediv, kernel, _GL_WEIGHTS)))
         estimate += (c6 + c7) * (decay * math.comb(2 * _ORDER, _ORDER) * abs(r / den) + decay**4 * rough)
-    return rounding if estimate <= (rounding := _rounding(tw, tv)) else None
+    return max(estimate, _rounding(tw, tv))
 
 
 def _circle(
@@ -671,17 +672,18 @@ def _quadrature(
     is ``_tail_estimate``; two halves are first estimated by the change
     from their parent's value, and each by its own ``_tail_estimate``
     when that fails.  A panel whose estimate is below its ``_rounding``
-    is accepted too.  A polyline panel near a pole adds the rule's remainder
-    on the pole's kernel (``_Polyline._pole_panel``); its own estimate, made
-    only where it is judged alone, accepts it only at its rounding, which it
-    then reports, else the tail estimate plus that term's size judges it.  The
+    is accepted too; halves accepted on the change, and a polyline panel
+    near a pole, report at least theirs.  Such a panel adds the rule's
+    remainder on the pole's kernel (``_Polyline._pole_panel``) and is judged
+    by its own product-integration estimate alone, ``_own_estimate``.  The
     estimate returned is the accepted panels' sum.  A pole's loop must be closed.
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
     if isinstance(path, _Circle):
         return _circle(f, path, tol, cap, pole)
-    g = _integrand(f, pole)
+    split = pole if pole is None else (pole, *_pole_split(pole))  # once: each panel reads it
+    g = _integrand(f, split)
     fw, fv, previous = [], [], None
     for fresh, dw, dv in path._levels(cap):
         nw, nv = map(list, zip(*(g(w, v, u) for w, v, u in fresh)))
@@ -691,9 +693,9 @@ def _quadrature(
             return _from_split(sw, sv), len(fw), error
         previous = sw, sv
     scale = tol / path.samples  # the tolerance of a panel one sample wide
-    # (start, width, sw, sv, tw, tv, own, fix): an evaluated panel; the starting ones
+    # (start, width, sw, sv, tw, tv, own): an evaluated panel; the starting ones
     # are evaluated as they are judged, after the first round's cap check
-    panels = (_panel(g, path, float(p), 1.0, pole, f is None) for p in range(path.samples))
+    panels = (_panel(g, path, float(p), 1.0, split, f is None) for p in range(path.samples))
     tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, len(fw), []
     count = path.samples  # the panels this round evaluates
     while count:
@@ -702,19 +704,19 @@ def _quadrature(
             raise NonConvergent(f"quadrature did not settle below {tol} within {cap} evaluations")
         for a, h, sw, sv in failed:
             h /= 2.0
-            left, right = (_panel(g, path, x, h, pole, f is None) for x in (a, a + h))
+            left, right = (_panel(g, path, x, h, split, f is None) for x in (a, a + h))
             error = _split_norm(sw - left[2] - right[2], sv - left[3] - right[3])
-            if error <= 2.0 * h * scale or error <= _rounding(left[4] + right[4], left[5] + right[5]):
+            rounding = _rounding(left[4] + right[4], left[5] + right[5])
+            if error <= 2.0 * h * scale or error <= rounding:
                 tw_all += left[4] + right[4]
                 tv_all += left[5] + right[5]
-                estimate += error
+                estimate += max(error, rounding)
             else:
                 panels += left, right
         failed = []
-        for a, h, sw, sv, tw, tv, own, fix in panels:
-            own = own and _own_estimate(tw, tv, *own)
-            # the tail reads the rule's 8 terms, not a term appended to them
-            error = _tail_estimate(tw, tv, h * scale) + fix if own is None else own
+        for a, h, sw, sv, tw, tv, own in panels:
+            # the tail reads the rule's 8 terms, a pole panel's own estimate its appended ones too
+            error = _tail_estimate(tw, tv, h * scale) if own is None else _own_estimate(tw, tv, *own)
             if error <= h * scale or error <= _rounding(tw, tv):
                 tw_all += tw
                 tv_all += tv
@@ -740,7 +742,8 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     With a pole (``loop_integral_pole``, ``cauchy_value``) a polyline panel
     adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
     at the pole's panel parameter: it is exact for f of degree 7, so a pole
-    near an edge costs no halving, and one whose singular line meets an edge
+    near an edge costs no halving, and such a panel is judged by its own
+    product-integration estimate; a pole whose singular line meets an edge
     raises SingularOnPath.  A circle's levels sum the coefficients of the
     interpolant of f_w (times w - center_w without a pole, whose kernel is
     then the centre's) against the pole's kernel in closed form, so their

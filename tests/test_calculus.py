@@ -2,6 +2,7 @@ import cmath
 import importlib.util
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -923,6 +924,60 @@ def test_square_with_the_pole_inside_settles_on_its_first_panels():
     assert abs(got - POLE_LOOP_VALUE) < 1e-14
 
 
+def _jittered_polygon(rng, nseg):
+    # a closed polyline as the benchmark draws them: centred on the trisector
+    # line, vertex angles jittered by 0.15 of a step, radii by 20% and
+    # component sums lifted by up to 0.1; and a pole well inside it, off the
+    # component sums of the loop
+    xi1 = (2.0 / math.sqrt(6.0), -1.0 / math.sqrt(6.0), -1.0 / math.sqrt(6.0))
+    xi2 = (0.0, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
+    c = (rng.uniform(-0.5, 0.5),) * 3
+
+    def point(rad, ang, lift):
+        a, b = rad * math.cos(ang), rad * math.sin(ang)
+        return Tricomplex(*(c[i] + a * xi1[i] + b * xi2[i] + lift / 3.0 for i in range(3)))
+
+    r, step = rng.uniform(0.8, 1.25), 2.0 * math.pi / nseg
+    verts = []
+    for k in range(nseg):
+        ang = step * (k + rng.uniform(-0.15, 0.15))
+        verts.append(point(r * rng.uniform(0.8, 1.2), ang, rng.uniform(-0.1, 0.1)))
+    ang = rng.uniform(0.0, 2.0 * math.pi)
+    rad = rng.uniform(0.0, 0.2 * 0.8 * r * math.cos(0.65 * step))
+    pole = point(rad, ang, rng.choice((-1.0, 1.0)) * (0.15 + 1.2 * r * rng.uniform(0.6, 0.8)))
+    return Path3.polyline(verts + verts[:1], closed=True), pole
+
+
+@pytest.mark.parametrize("f", [texp, tsin])
+def test_jittered_16_gon_with_the_pole_inside_settles_on_its_first_panels(f):
+    # each panel near the pole is judged by its own product-integration
+    # estimate, not by the tail of its terms, which hold the near-singular
+    # kernel: none is halved
+    for seed in range(8):
+        loop, pole = _jittered_polygon(random.Random(seed), 16)
+        got, evaluations, _ = _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+        assert evaluations == 128
+        assert abs(got - POLE_LOOP_VALUE * f(pole)) < QUADRATURE_TOL
+
+
+def test_halves_accepted_on_their_parents_change_report_at_least_their_rounding():
+    # a far pole outside jittered polygons and f = 1e3*u**7: the rule is exact
+    # on each panel to rounding, but f's degree-7 tail fails it, so each panel
+    # is halved once and its halves are accepted on the change from it, which
+    # is rounding noise; the estimate bounds the error of the value 0
+    pole = XI1 * 20.0 + Tricomplex(0.5, 0.5, 0.5)
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        angles = sorted(2 * math.pi * (k + rng.uniform(-0.3, 0.3)) / n for k in range(n))
+        ws = [rng.uniform(0.6, 1.4) * complex(math.cos(a), math.sin(a)) for a in angles]
+        verts = [XI1 * w.real + XI2 * w.imag for w in ws]
+        loop = Path3.polyline(verts + verts[:1], closed=True)
+        got, evaluations, estimate = _quadrature(lambda u: u**7 * 1e3, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+        assert evaluations == 3 * _ORDER * n
+        assert abs(got) <= estimate
+
+
 @pytest.mark.parametrize("f", [None, texp])
 @pytest.mark.parametrize("s", [0.5, 0.3])
 def test_pole_whose_line_meets_a_polyline_edge_is_singular(s, f):
@@ -1003,6 +1058,7 @@ def test_polyline_pole_estimate_bounds_its_error(case):
         error = abs(got - want)
         assert error <= max(estimate, 64 * sys.float_info.epsilon * abs(turn) * max(1.0, abs(n)))
         assert error <= QUADRATURE_TOL
+        assert estimate <= QUADRATURE_TOL
 
 
 @st.composite
