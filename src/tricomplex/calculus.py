@@ -31,7 +31,10 @@ multiplication on the component sum v, so f(u) du is the pair
 integrand and sums stay (complex, float) pairs, joined to a Tricomplex
 once at the end.  The pole's loop integral is the residue theorem on the
 transverse plane: dw/(w - a_w) picks up 2*pi*i per turn around a_w, and
-dv/(v - a_v) integrates to zero on a closed loop.  The winding is
+dv/(v - a_v) integrates to zero on a closed loop.  On a polyline or a
+circle that integral alone (f = 1) needs no node: each straight segment
+adds log((w1 - a_w)/(w0 - a_w)) and log((v1 - a_v)/(v0 - a_v)), and a
+circle 2*pi*i per turn when a_w lies inside its w.  The winding is
 taken on w as well: that of a circle is known in closed form, and that
 of a polyline from its split edges; only other loops are sampled.
 """
@@ -294,21 +297,29 @@ class _Polyline(_SplitPath):
         w, v, dw, dv = self._at(a, h)
         return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
 
-    def _pole_panel(
-        self, g: SplitFunction, a: float, h: float, pole: tuple[Tricomplex, complex, float], one: bool
-    ) -> tuple[list[complex], list[float], tuple | None]:
-        """The terms of g, f/(u - a), on the panel [a, a + h] and what ``_own_estimate``
-        reads (None: the tail decides), from ``pole``, a and its split (a_w, a_v).  On the
-        segment dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part
-        appends ``_remainder``'s term, a far one adds its tail to the estimate.  A t_w within
-        ``_GUARD`` of [0, 1], or a t_v in it, puts the pole's singular line, or plane, on it."""
-        (point, aw, av), (w, v, dw, dv), (w1, v1, _, _) = pole, self._at(a, h), self._at(a + h, h)
+    def _pole_at(self, pole: tuple[Tricomplex, complex, float], a: float, h: float) -> tuple[complex, float]:
+        """The parameters t_w = (a_w - w)/dw and t_v = (a_v - v)/dv of ``pole``, a and its
+        split (a_w, a_v), on the panel [a, a + h] from its start and step: on it dw/(w - a_w)
+        is dc/(c - t_w), and so for v.  A t_w within ``_GUARD`` of [0, 1], or a t_v in it,
+        puts the pole's singular line, or plane, on the panel: SingularOnPath."""
+        (point, aw, av), (w, v, dw, dv) = pole, self._at(a, h)
         t_w, t_v = (aw - w) / dw if dw else math.inf, (av - v) / dv if dv else math.inf
         s = min(max(t_w.real, 0.0), 1.0)
         if abs(t_w - s) <= _GUARD or 0.0 <= t_v <= 1.0:
             line = abs(t_w - s) <= _GUARD
             what, s = ("touches the singular line", s) if line else ("crosses the singular plane", t_v)
             raise SingularOnPath(f"path {what} through {point} near {self.point_at((a + s * h) / self.samples)}")
+        return t_w, t_v
+
+    def _pole_panel(
+        self, g: SplitFunction, a: float, h: float, pole: tuple[Tricomplex, complex, float]
+    ) -> tuple[list[complex], list[float], tuple | None]:
+        """The terms of g, f/(u - a), on the panel [a, a + h] and what ``_own_estimate``
+        reads (None: the tail decides), from ``pole``, a and its split (a_w, a_v), and its
+        parameters ``_pole_at``: a near part appends ``_remainder``'s term, a far one adds
+        its tail to the estimate."""
+        t_w, t_v = self._pole_at(pole, a, h)
+        (_, aw, av), (w, v, _, _), (w1, v1, _, _) = pole, self._at(a, h), self._at(a + h, h)
         nodes = self._nodes(a, h)
         tw, tv = _terms(g, nodes)
         far = [abs(t) + abs(t - 1.0) >= _FAR for t in (t_w, t_v)]
@@ -319,10 +330,38 @@ class _Polyline(_SplitPath):
         for k, (terms, x, x0, x1, norm) in enumerate(parts):
             if not far[k]:  # the kernel as the terms have it: 1/(w - a_w) times the step
                 kernel = [1.0 / (node[k] - x) * node[k + 2] for node in nodes]
-                remainders[k], reads = _remainder((x - x1) / (x - x0), terms, kernel, one, norm)
-                near += reads
+                remainders[k], reads = _remainder((x - x1) / (x - x0), terms, kernel, norm)
+                near.append(reads)
         plain = (tw if far[0] else (), tv if far[1] else ())
         return tw + remainders[:1], tv + [remainders[1].real], (*plain, near)
+
+    def _pole_logs(self, point: Tricomplex) -> tuple[list[complex], list[float]]:
+        """Each segment's integrals of dw/(w - a_w) and dv/(v - a_v) in closed form, for the
+        pole a = ``point``: log((w1 - a_w)/(w0 - a_w)), principal as the segment
+        misses a_w, and log((v1 - a_v)/(v0 - a_v)), 0 where a_v is ±inf.  Each segment is
+        guarded as its panel is (``_pole_at``), and its two ends as nodes are, so a segment in
+        the pole's plane raises too.  Past 2**500 the differences are taken on a copy scaled
+        by 2**-e, which leaves the ratios as they are."""
+        pole = (point, *_pole_split(point))
+        guard, ends = _integrand(None, pole), [self._at(float(i), 1.0)[:2] for i in range(self.samples + 1)]
+        for i in range(self.samples):
+            self._pole_at(pole, float(i), 1.0)
+            for w, v in ends[i : i + 2]:
+                guard(w, v, None)
+
+        def logs(parts: tuple) -> tuple[list[complex], list[float]]:
+            ws, aw, vs, av = parts
+            lw = [cmath.log((w1 - aw) / (w0 - aw)) for w0, w1 in zip(ws, ws[1:])]
+            if vs is None:
+                return lw, [0.0] * len(lw)
+            return lw, [math.log((v1 - av) / (v0 - av)) for v0, v1 in zip(vs, vs[1:])]
+
+        (ws, vs), (_, aw, av) = zip(*ends), pole
+        if not math.isfinite(av):  # 1/(v - a_v) is 0 on every segment
+            vs, av = None, 0.0
+        top = max(max(abs(p.real), abs(p.imag)) for p in (aw, av, *ws, *(vs or ())))
+        parts = ws, aw, vs, av
+        return logs(parts) if top < 2.0**500 else _rescaled(logs, parts, math.frexp(top)[1], 0, "a pole's logarithms")
 
     def _winding(self) -> Callable[[complex], int]:
         ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
@@ -337,7 +376,8 @@ class _Circle(_SplitPath):
     center_v fixed: (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).  Node i of the
     n-node rule is at t = i/n, and the n nodes repeat every turn, so a level holds one
-    turn's.  Its winding is closed form (see ``winding_count``), and a pole's α is ``_pole``'s."""
+    turn's.  Its winding is closed form (see ``winding_count``), a pole's α is ``_pole``'s, and
+    the pole's loop integral alone is 2*pi*i*turns inside, 0 outside (``_pole_logs``)."""
 
     __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w")
     _fields = ("samples", "closed", "center", "radius", "turns")
@@ -385,6 +425,11 @@ class _Circle(_SplitPath):
         parts = (*_pole_split(pole), self.center_w, self.center_v, self.radius_w, 1.0)
         top = max(max(abs(p.real), abs(p.imag)) for p in parts)
         return alpha(parts) if top < 2.0**500 else _rescaled(alpha, parts, math.frexp(top)[1], 0, "a pole's α")
+
+    def _pole_logs(self, pole: Tricomplex) -> tuple[list[complex], list[float]]:
+        """The circle's integral of dw/(w - a_w), 2*pi*i*turns if ``_pole`` puts a_w inside
+        it, else 0, and of dv/(v - a_v), 0 as dv is: a one-term form of a polyline's logs."""
+        return [complex(0.0, _TWO_PI * self.turns) if self._pole(pole)[0] else 0j], [0.0]
 
     def _winding(self) -> Callable[[complex], int]:
         cw, r = self.center_w, self.radius_w
@@ -536,13 +581,13 @@ def _fft(a: list[complex], roots: Sequence[complex]) -> list[complex]:
 
 
 def _panel(
-    g: SplitFunction, path: Path3, a: float, h: float, pole: tuple[Tricomplex, complex, float] | None, one: bool
+    g: SplitFunction, path: Path3, a: float, h: float, pole: tuple[Tricomplex, complex, float] | None
 ) -> tuple[float, float, complex, float, list[complex], list[float], tuple | None]:
     """The panel [a, a + h] of the path evaluated: (a, h), the sum of g on it, its
     terms and what its own estimate reads (None: its tail decides).  ``pole`` is
     a and its split.  A sum beyond the double range raises SingularOnPath."""
     if pole is not None and isinstance(path, _Polyline):
-        tw, tv, own = path._pole_panel(g, a, h, pole, one)
+        tw, tv, own = path._pole_panel(g, a, h, pole)
     else:
         (tw, tv), own = _terms(g, path._nodes(a, h)), None
     sw, sv = sum(tw), sum(tv)
@@ -578,40 +623,41 @@ def _tail_estimate(tw: list[complex], tv: list[float], limit: float) -> float:
     return top * min(1.0, 16.0 * top / below) ** 4 if below > 0.0 else top
 
 
-def _remainder(ratio: complex, terms: list, kernel: list, one: bool, norm: float) -> tuple[complex, list]:
+def _remainder(ratio: complex, terms: list, kernel: list, norm: float) -> tuple[complex, tuple]:
     """p(t)*R(t) for one split part of a panel whose terms are f(c) times ``kernel``,
-    the weights times 1/(c - t) at its nodes c, and what its estimate reads (none
-    if ``one``).  R(t) = log((t - 1)/t) - sum(kernel), ``ratio`` (t - 1)/t from the
-    panel's ends, is the rule's remainder on 1/(c - t), and p f's interpolant at the
-    nodes (1 if ``one``): exact for f of degree 7 however near t is (Helsing &
-    Ojala 2008, J. Comput. Phys. 227)."""
-    r = cmath.log(ratio) - sum(kernel)
-    if one:
-        return r, []
+    the weights times 1/(c - t) at its nodes c, and what its estimate reads.
+    R(t) = log((t - 1)/t) - sum(kernel), ``ratio`` (t - 1)/t from the panel's ends, is
+    the rule's remainder on 1/(c - t), and p f's interpolant at the nodes: exact for f
+    of degree 7 however near t is (Helsing & Ojala 2008, J. Comput. Phys. 227)."""
+    log = cmath.log(ratio)
+    r = log - sum(kernel)
     # barycentric p, with f = x/k: sum(b/(c - t)) is -1/prod(t - c), and
     # P_8(2t - 1) is comb(16, 8)*prod(t - c)
     den = sum(map(mul, _GL_BARY, kernel))
-    return sum(map(mul, _GL_BARY, terms)) / den * r, [(terms, kernel, r, den, norm)]
+    p = sum(map(mul, _GL_BARY, terms)) / den
+    return p * r, (terms, kernel, r, den, norm, abs(p) * abs(log))
 
 
-def _own_estimate(tw: list, tv: list, plain_w: Sequence, plain_v: Sequence, near: list) -> float:
-    """A pole panel's own estimate, or its rounding if that is larger: the tail
-    of its far parts' terms plus, per near part of ``_remainder``, f's c8,
-    extrapolated as ``_tail_estimate`` does, times |R(t)*P_8(2t - 1)| = 2|Q_8|
-    (Gautschi & Varga 1983, SIAM J. Numer. Anal. 20), plus f's tail times
-    max|1/(c - t)| (``norm``: the part's weight).  Only a panel judged alone reads it."""
+def _own_estimate(plain_w: Sequence, plain_v: Sequence, near: list) -> float:
+    """A pole panel's own estimate: the tail of its far parts' terms plus, per near
+    part of ``_remainder``, f's c8, extrapolated as ``_tail_estimate`` does, times
+    |R(t)*P_8(2t - 1)| = 2|Q_8| (Gautschi & Varga 1983, SIAM J. Numer. Anal. 20), plus
+    f's tail times max|1/(c - t)|, plus the rounding of the appended p(t)*R(t), where
+    R(t) cancels to far below the log it is taken from: ``_ROUNDING``*|p(t)|*|log((t - 1)/t)|
+    (``norm``: the part's weight).  Only a panel judged alone reads it."""
     estimate = _tail_estimate(plain_w, plain_v, 0.0)
-    for terms, kernel, r, den, norm in near:
+    for terms, kernel, r, den, norm, size in near:
         q = list(map(truediv, map(mul, terms, _GL_WEIGHTS), kernel))  # the weights times f
         c4, c5, c6, c7 = (norm * abs(sum(map(mul, row, q))) for row in _GL_TAILS)
         decay = min(1.0, 16.0 * (c6 + c7) / (c4 + c5)) if c4 + c5 > 0.0 else 1.0  # over two degrees
         rough = max(map(abs, map(truediv, kernel, _GL_WEIGHTS)))
         estimate += (c6 + c7) * (decay * math.comb(2 * _ORDER, _ORDER) * abs(r / den) + decay**4 * rough)
-    return max(estimate, _rounding(tw, tv))
+        estimate += _ROUNDING * norm * size
+    return estimate
 
 
 def _circle(
-    f: TriFunction | None, path: _Circle, tol: float, cap: int, pole: Tricomplex | None
+    f: TriFunction, path: _Circle, tol: float, cap: int, pole: Tricomplex | None
 ) -> tuple[Tricomplex, int, float]:
     """A circle's integral of f(u) du, or of f(u) du/(u - pole), by product integration on
     its trapezoid levels (Helsing & Ojala 2008, J. Comput. Phys. 227; af Klinteberg & Barnett
@@ -619,7 +665,7 @@ def _circle(
     dw/(w - a_w) is dz/(z - α), and the interpolant sum(c_k z**k) of g on a level's n nodes
     integrates against it to 2*pi*i*sum_{k>=0} c_k α**k, its frequencies -n/2 < k <= n/2,
     when |α| < 1, and to -2*pi*i*sum_{k<0} c_k α**k, -n/2 <= k < n/2, when |α| > 1, times
-    the turns; dv = 0.  g is f_w, f None standing for 1, times w - center_w without a pole:
+    the turns; dv = 0.  g is f_w, times w - center_w without a pole:
     the kernel is the centre's, α = 0, and the sum c_0 is the trapezoid rule's.  A level
     transforms its fresh nodes, which one radix-2 stage joins to the last level's.  Two
     levels within ``tol`` are accepted; the estimate is at least g's rounding, as a panel's."""
@@ -629,7 +675,7 @@ def _circle(
     while n * k <= cap:  # node 2i of n is node i of n/2: past the first level, the odd nodes are fresh
         # the fresh nodes' w - center_w, not rounded by center_w
         es = [cmath.rect(path.radius_w, omega * (i / (n * k))) for i in (range(1, n, 2) if fw else range(n))]
-        new = [1.0 if f is None else lifted(path.center_w + e, path.center_v, None)[0] for e in es]
+        new = [lifted(path.center_w + e, path.center_v, None)[0] for e in es]
         new = list(map(mul, new, es)) if pole is None else new
         fw = _interleaved(fw, new)
         odd = _fft(new, _spectral(len(new), len(new))[0])
@@ -663,8 +709,11 @@ def _quadrature(
     """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
-    estimate.  A circle takes ``_circle``.  A sampled loop returns the first of its
-    ``_levels`` within ``tol`` of the last, their difference the estimate, or takes panels.
+    estimate.  f None with a pole on a polyline or a circle is closed form:
+    the exact sum of its pieces' logs (``_pole_logs``), their rounding the
+    estimate, from no evaluation.  Other circles take ``_circle``.  A sampled loop
+    returns the first of its ``_levels`` within ``tol`` of the last, their
+    difference the estimate, or takes panels.
 
     A Gauss-Legendre panel is accepted once its estimate is at most
     ``tol`` times its share of [0, 1], and the others are halved, as in
@@ -672,14 +721,17 @@ def _quadrature(
     is ``_tail_estimate``; two halves are first estimated by the change
     from their parent's value, and each by its own ``_tail_estimate``
     when that fails.  A panel whose estimate is below its ``_rounding``
-    is accepted too; halves accepted on the change, and a polyline panel
-    near a pole, report at least theirs.  Such a panel adds the rule's
+    is accepted too, and every accepted panel reports at least its
+    rounding.  A polyline panel near a pole adds the rule's
     remainder on the pole's kernel (``_Polyline._pole_panel``) and is judged
     by its own product-integration estimate alone, ``_own_estimate``.  The
     estimate returned is the accepted panels' sum.  A pole's loop must be closed.
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
+    if f is None and isinstance(path, _SplitPath):  # 1/(u - a) alone: the logs of its pieces
+        lw, lv = path._pole_logs(pole)
+        return _from_split(*_exact_sum(lw, lv)), 0, _rounding(lw, lv)
     if isinstance(path, _Circle):
         return _circle(f, path, tol, cap, pole)
     split = pole if pole is None else (pole, *_pole_split(pole))  # once: each panel reads it
@@ -695,7 +747,7 @@ def _quadrature(
     scale = tol / path.samples  # the tolerance of a panel one sample wide
     # (start, width, sw, sv, tw, tv, own): an evaluated panel; the starting ones
     # are evaluated as they are judged, after the first round's cap check
-    panels = (_panel(g, path, float(p), 1.0, split, f is None) for p in range(path.samples))
+    panels = (_panel(g, path, float(p), 1.0, split) for p in range(path.samples))
     tw_all, tv_all, estimate, evaluations, failed = [], [], 0.0, len(fw), []
     count = path.samples  # the panels this round evaluates
     while count:
@@ -704,7 +756,7 @@ def _quadrature(
             raise NonConvergent(f"quadrature did not settle below {tol} within {cap} evaluations")
         for a, h, sw, sv in failed:
             h /= 2.0
-            left, right = (_panel(g, path, x, h, split, f is None) for x in (a, a + h))
+            left, right = (_panel(g, path, x, h, split) for x in (a, a + h))
             error = _split_norm(sw - left[2] - right[2], sv - left[3] - right[3])
             rounding = _rounding(left[4] + right[4], left[5] + right[5])
             if error <= 2.0 * h * scale or error <= rounding:
@@ -715,12 +767,14 @@ def _quadrature(
                 panels += left, right
         failed = []
         for a, h, sw, sv, tw, tv, own in panels:
-            # the tail reads the rule's 8 terms, a pole panel's own estimate its appended ones too
-            error = _tail_estimate(tw, tv, h * scale) if own is None else _own_estimate(tw, tv, *own)
-            if error <= h * scale or error <= _rounding(tw, tv):
+            # the tail reads the rule's 8 terms, a pole panel's own estimate its appended ones
+            # too; either reports at least the panel's rounding
+            error = _tail_estimate(tw, tv, h * scale) if own is None else _own_estimate(*own)
+            rounding = _rounding(tw, tv)
+            if error <= h * scale or error <= rounding:
                 tw_all += tw
                 tv_all += tv
-                estimate += error
+                estimate += max(error, rounding)
             else:
                 failed.append((a, h, sw, sv))
         panels, count = [], 2 * len(failed)
@@ -739,7 +793,8 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     polyline's segments or each panel's interpolating polynomial for
     tangent.  Only the panels whose own error estimate exceeds
     ``QUADRATURE_TOL`` times their share of the parameter range are halved.
-    With a pole (``loop_integral_pole``, ``cauchy_value``) a polyline panel
+    With a pole (``cauchy_value``; ``loop_integral_pole`` is closed form on
+    polylines and circles) a polyline panel
     adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
     at the pole's panel parameter: it is exact for f of degree 7, so a pole
     near an edge costs no halving, and such a panel is judged by its own
@@ -763,14 +818,20 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
 
 
 def loop_integral_pole(a: Tricomplex, loop: Path3) -> Tricomplex:
-    """Loop integral of du/(u - a), by ``path_integral``'s rules.
+    """Loop integral of du/(u - a).
 
     For a closed loop whose projection on the nodal plane winds n times
     around the projection of ``a``, the value is n times
-    ``POLE_LOOP_VALUE``; the quadrature result is returned as computed
-    either way.  On a circle it is that value to rounding, from 16
-    evaluations of 1, wherever ``a`` is.  A loop that touches the singular
-    plane or line through ``a``, or crosses that plane, raises SingularOnPath.
+    ``POLE_LOOP_VALUE``.  On a polyline or a circle it is that value to
+    rounding, in closed form and without any evaluation, wherever ``a`` is:
+    each segment adds log((w1 - a_w)/(w0 - a_w)) on the transverse pair
+    and log((v1 - a_v)/(v0 - a_v)) on the component sum, exactly summed,
+    and a circle 2*pi*i*turns on w when a_w lies inside it.  Other loops
+    take ``path_integral``'s rules with f = 1, and their quadrature result
+    is returned as computed.  A loop that touches the singular plane or
+    line through ``a``, or crosses that plane, raises SingularOnPath: a
+    polyline's segments and their ends are guarded as its panels and their
+    nodes are.
     An ``a`` whose component sum leaves the double range gives ``residue_sum``'s
     value; one whose transverse pair does raises winding_count's Overflow.
     """
