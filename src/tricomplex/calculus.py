@@ -32,11 +32,11 @@ integrand and sums stay (complex, float) pairs, joined to a Tricomplex
 once at the end.  The pole's loop integral is the residue theorem on the
 transverse plane: dw/(w - a_w) picks up 2*pi*i per turn around a_w, and
 dv/(v - a_v) integrates to zero on a closed loop.  On a polyline or a
-circle that integral alone (f = 1) needs no node: each straight segment
-adds log((w1 - a_w)/(w0 - a_w)) and log((v1 - a_v)/(v0 - a_v)), and a
-circle 2*pi*i per turn when a_w lies inside its w.  The winding is
-taken on w as well: that of a circle is known in closed form, and that
-of a polyline from its split edges; only other loops are sampled.
+circle that integral alone (f = 1) needs no node: once the loop is
+guarded as its quadrature would be, it is 2*pi*i times the winding of w
+around a_w on w, and 0 on v.  The winding is taken on w as well: that
+of a circle is known in closed form, and that of a polyline from its
+split edges; only other loops are sampled.
 """
 
 from __future__ import annotations
@@ -177,7 +177,8 @@ class Path3(_Record):
     def circle(cls, center: Tricomplex, radius: float, turns: int = 1) -> "Path3":
         """Closed circle of given radius around the parallel to the
         trisector line through ``center``, lying in the plane through
-        ``center`` parallel to the nodal plane."""
+        ``center`` parallel to the nodal plane.  A radius whose transverse
+        radius, radius/sqrt(2/3), leaves the double range raises Overflow."""
         return _Circle(center=center, radius=radius, turns=turns)
 
     def _nodes(self, a: float, h: float) -> list[Node]:
@@ -335,33 +336,21 @@ class _Polyline(_SplitPath):
         plain = (tw if far[0] else (), tv if far[1] else ())
         return tw + remainders[:1], tv + [remainders[1].real], (*plain, near)
 
-    def _pole_logs(self, point: Tricomplex) -> tuple[list[complex], list[float]]:
-        """Each segment's integrals of dw/(w - a_w) and dv/(v - a_v) in closed form, for the
-        pole a = ``point``: log((w1 - a_w)/(w0 - a_w)), principal as the segment
-        misses a_w, and log((v1 - a_v)/(v0 - a_v)), 0 where a_v is ±inf.  Each segment is
-        guarded as its panel is (``_pole_at``), and its two ends as nodes are, so a segment in
-        the pole's plane raises too.  Past 2**500 the differences are taken on a copy scaled
-        by 2**-e, which leaves the ratios as they are."""
+    def _guard_vertices(self, pole: tuple[Tricomplex, complex, float]) -> None:
+        """Guard each vertex as ``_integrand`` guards a node, since no panel node lies on a
+        vertex; ``pole`` is a and its split (a_w, a_v)."""
+        guard = _integrand(None, pole)
+        for w, v, _, _ in self.edges:
+            guard(w, v, None)
+
+    def _pole_turns(self, point: Tricomplex) -> int:
+        """The winding of w around the pole's a_w once the vertices, then the segments
+        (``_pole_at``), are guarded as on the panels: a_w is then off every segment."""
         pole = (point, *_pole_split(point))
-        guard, ends = _integrand(None, pole), [self._at(float(i), 1.0)[:2] for i in range(self.samples + 1)]
+        self._guard_vertices(pole)
         for i in range(self.samples):
             self._pole_at(pole, float(i), 1.0)
-            for w, v in ends[i : i + 2]:
-                guard(w, v, None)
-
-        def logs(parts: tuple) -> tuple[list[complex], list[float]]:
-            ws, aw, vs, av = parts
-            lw = [cmath.log((w1 - aw) / (w0 - aw)) for w0, w1 in zip(ws, ws[1:])]
-            if vs is None:
-                return lw, [0.0] * len(lw)
-            return lw, [math.log((v1 - av) / (v0 - av)) for v0, v1 in zip(vs, vs[1:])]
-
-        (ws, vs), (_, aw, av) = zip(*ends), pole
-        if not math.isfinite(av):  # 1/(v - a_v) is 0 on every segment
-            vs, av = None, 0.0
-        top = max(max(abs(p.real), abs(p.imag)) for p in (aw, av, *ws, *(vs or ())))
-        parts = ws, aw, vs, av
-        return logs(parts) if top < 2.0**500 else _rescaled(logs, parts, math.frexp(top)[1], 0, "a pole's logarithms")
+        return _winding_number([w for w, _, _, _ in self.edges + self.edges[:1]], pole[1], 0.0)
 
     def _winding(self) -> Callable[[complex], int]:
         ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
@@ -377,7 +366,8 @@ class _Circle(_SplitPath):
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).  Node i of the
     n-node rule is at t = i/n, and the n nodes repeat every turn, so a level holds one
     turn's.  Its winding is closed form (see ``winding_count``), a pole's α is ``_pole``'s, and
-    the pole's loop integral alone is 2*pi*i*turns inside, 0 outside (``_pole_logs``)."""
+    the pole's loop integral alone is 2*pi*i*turns inside, 0 outside (``_pole_turns``).
+    A radius_w beyond the double range raises Overflow."""
 
     __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w")
     _fields = ("samples", "closed", "center", "radius", "turns")
@@ -391,7 +381,9 @@ class _Circle(_SplitPath):
             raise ValueError("radius must be finite and > 0")
         if not isinstance(turns, int) or turns == 0:
             raise ValueError("turns must be a nonzero integer")
-        values = center, radius, turns, *_to_split(center), radius / _TRANSVERSE_NORM, 64 * abs(turns)
+        if (radius_w := radius / _TRANSVERSE_NORM) == math.inf:
+            raise Overflow(f"the transverse radius of a circle of radius {radius} leaves the double range")
+        values = center, radius, turns, *_to_split(center), radius_w, 64 * abs(turns)
         for name, value in zip(self.__slots__ + ("samples",), values):
             object.__setattr__(self, name, value)
 
@@ -426,10 +418,9 @@ class _Circle(_SplitPath):
         top = max(max(abs(p.real), abs(p.imag)) for p in parts)
         return alpha(parts) if top < 2.0**500 else _rescaled(alpha, parts, math.frexp(top)[1], 0, "a pole's α")
 
-    def _pole_logs(self, pole: Tricomplex) -> tuple[list[complex], list[float]]:
-        """The circle's integral of dw/(w - a_w), 2*pi*i*turns if ``_pole`` puts a_w inside
-        it, else 0, and of dv/(v - a_v), 0 as dv is: a one-term form of a polyline's logs."""
-        return [complex(0.0, _TWO_PI * self.turns) if self._pole(pole)[0] else 0j], [0.0]
+    def _pole_turns(self, pole: Tricomplex) -> int:
+        """The winding of w around a_w: ``turns`` if ``_pole`` puts a_w inside, else 0."""
+        return self.turns if self._pole(pole)[0] else 0
 
     def _winding(self) -> Callable[[complex], int]:
         cw, r = self.center_w, self.radius_w
@@ -710,8 +701,9 @@ def _quadrature(
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
     estimate.  f None with a pole on a polyline or a circle is closed form:
-    the exact sum of its pieces' logs (``_pole_logs``), their rounding the
-    estimate, from no evaluation.  Other circles take ``_circle``.  A sampled loop
+    2*pi*i on w per turn of the guarded loop (``_pole_turns``), from no
+    evaluation, its rounding the estimate.  Other circles take ``_circle``,
+    and a polyline's vertices are guarded before its first panel.  A sampled loop
     returns the first of its ``_levels`` within ``tol`` of the last, their
     difference the estimate, or takes panels.
 
@@ -729,12 +721,14 @@ def _quadrature(
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
-    if f is None and isinstance(path, _SplitPath):  # 1/(u - a) alone: the logs of its pieces
-        lw, lv = path._pole_logs(pole)
-        return _from_split(*_exact_sum(lw, lv)), 0, _rounding(lw, lv)
+    if f is None and isinstance(path, _SplitPath):  # 1/(u - a) alone: 2*pi*i per turn around a_w
+        w = complex(0.0, _TWO_PI * path._pole_turns(pole))
+        return _from_split(w, 0.0), 0, _rounding([w], [0.0])
     if isinstance(path, _Circle):
         return _circle(f, path, tol, cap, pole)
     split = pole if pole is None else (pole, *_pole_split(pole))  # once: each panel reads it
+    if split is not None and isinstance(path, _Polyline):  # no panel node lies on a vertex
+        path._guard_vertices(split)
     g = _integrand(f, split)
     fw, fv, previous = [], [], None
     for fresh, dw, dv in path._levels(cap):
@@ -798,8 +792,9 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
     at the pole's panel parameter: it is exact for f of degree 7, so a pole
     near an edge costs no halving, and such a panel is judged by its own
-    product-integration estimate; a pole whose singular line meets an edge
-    raises SingularOnPath.  A circle's levels sum the coefficients of the
+    product-integration estimate; a pole whose singular line meets an edge,
+    or a vertex on the pole's singular line or plane, raises SingularOnPath
+    before any evaluation.  A circle's levels sum the coefficients of the
     interpolant of f_w (times w - center_w without a pole, whose kernel is
     then the centre's) against the pole's kernel in closed form, so their
     count does not grow as the pole nears; a circle in the pole's singular
@@ -822,16 +817,15 @@ def loop_integral_pole(a: Tricomplex, loop: Path3) -> Tricomplex:
 
     For a closed loop whose projection on the nodal plane winds n times
     around the projection of ``a``, the value is n times
-    ``POLE_LOOP_VALUE``.  On a polyline or a circle it is that value to
-    rounding, in closed form and without any evaluation, wherever ``a`` is:
-    each segment adds log((w1 - a_w)/(w0 - a_w)) on the transverse pair
-    and log((v1 - a_v)/(v0 - a_v)) on the component sum, exactly summed,
-    and a circle 2*pi*i*turns on w when a_w lies inside it.  Other loops
-    take ``path_integral``'s rules with f = 1, and their quadrature result
-    is returned as computed.  A loop that touches the singular plane or
-    line through ``a``, or crosses that plane, raises SingularOnPath: a
-    polyline's segments and their ends are guarded as its panels and their
-    nodes are.
+    ``POLE_LOOP_VALUE``.  On a polyline or a circle it is 2*pi*i*n on the
+    transverse pair and 0 on the component sum, joined once, without any
+    evaluation, wherever ``a`` is: n is a circle's turns when a_w lies
+    inside it, else 0, and a polyline's winding of its vertices' w around
+    a_w.  Other loops take ``path_integral``'s rules with f = 1, and their
+    quadrature result is returned as computed.  A loop that touches the
+    singular plane or line through ``a``, or crosses that plane, raises
+    SingularOnPath: a polyline's vertices and then its segments are
+    guarded as the panels guard them.
     An ``a`` whose component sum leaves the double range gives ``residue_sum``'s
     value; one whose transverse pair does raises winding_count's Overflow.
     """
@@ -858,7 +852,8 @@ def _winding_number(ws: list[complex], aw: complex, guard: float, gaps: Sequence
     """Winding of the polygon through the transverse pairs ``ws`` around
     ``aw``: the sum of the angles its edges subtend.  A point within
     guard*(1 + the largest coordinate) of an edge, plus that edge's gap
-    when ``gaps`` are given, raises AmbiguousWinding."""
+    when ``gaps`` are given, raises AmbiguousWinding: at guard 0, only on an
+    edge itself, for callers that have kept ``aw`` off the edges."""
     top = max(max(abs(w.real), abs(w.imag)) for w in (aw, *ws))
     scale = guard * (1.0 + top)
     if top > 2.0**500:  # counted on a copy scaled exactly, so that no product of differences overflows

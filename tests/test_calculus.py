@@ -728,6 +728,19 @@ def test_pole_whose_component_sum_leaves_the_range():
                 run()
 
 
+def test_circle_whose_transverse_radius_leaves_the_range_raises_when_made():
+    # radius/sqrt(2/3) overflows above about 1.4678e308: such a circle raises
+    # Overflow when made, where each winding of it raised AmbiguousWinding
+    from tricomplex.cli import run
+
+    center = Tricomplex(1.0, 1.0, 1.0)
+    with pytest.raises(Overflow, match="transverse radius"):
+        Path3.circle(center, 1.5e308)
+    assert winding_count(Path3.circle(center, 1.4e308), center) == 1
+    loop = ["--loop", "circle:center=(1,1,1),radius=1.5e308"]
+    assert run(["integrate", "--pole", "(0,0,0)", *loop]) == 1
+
+
 def test_sampled_loop_near_the_top_of_the_range():
     # the loop's component sums, 1.5e308, overflow the transform's sums and the
     # panels' differences: both take a copy scaled by a power of two.  The pole
@@ -1050,14 +1063,15 @@ def split_loops_with_poles(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=split_loops_with_poles())
 def test_pole_loop_on_polylines_and_circles_is_closed_form(case):
-    # 1/(u - a) alone takes each piece's logarithm in closed form, with no
-    # integrand evaluation: the residue theorem's value to rounding, and the
-    # panel or level route's with f = 1 within that route's estimate
+    # 1/(u - a) alone is 2*pi*i per turn of w around a_w, with no integrand
+    # evaluation: the residue theorem's value, joined once, and the panel or
+    # level route's with f = 1 within that route's estimate
     loop, pole = case
     n = winding_count(loop, pole)
     got, evaluations, _ = _quadrature(None, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
     assert evaluations == 0
     assert got == loop_integral_pole(pole, loop)
+    assert got == _from_split(complex(0.0, _TWO_PI * n), 0.0)
     assert abs(got - POLE_LOOP_VALUE * float(n)) <= 64 * sys.float_info.epsilon * abs(POLE_LOOP_VALUE) * max(1, abs(n))
     _, evaluations, estimate = _quadrature(lambda u: ONE, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
     assert evaluations > 0
@@ -1066,26 +1080,32 @@ def test_pole_loop_on_polylines_and_circles_is_closed_form(case):
 
 def _guard_cases():
     # (loop, pole) for the pole's singular sets on a polyline: a segment in
-    # the pole's plane, one 1e-12 off it, a vertex on its singular line, and
-    # an edge across its plane
+    # the pole's plane, one 1e-12 off it, a vertex on its singular line, an
+    # edge across its plane, and a vertex 1e-12 above it whose edges both
+    # leave upward, so that no panel node comes near the plane
     corners = [XI1 * math.cos(k * 2 * math.pi / 3) + XI2 * math.sin(k * 2 * math.pi / 3) for k in range(3)]
     lifted = lambda lift, up: [v + Tricomplex(lift, lift, lift) for v in corners[:2]] + [corners[2] + up]  # noqa: E731
     up = Tricomplex(0.3, 0.3, 0.3)
     below = Tricomplex(-0.2, -0.2, -0.2)
     on_line = [below - XI2 * 0.5, below + XI1, below + XI2]
     crossing = [XI1 - up, XI2 + up, up - XI1 - XI2]
-    loops = (lifted(0.0, up), lifted(1e-12 / 3, up), on_line, crossing)
-    return [(Path3.polyline(v + v[:1], closed=True), pole) for v, pole in zip(loops, (ZERO, ZERO, ZERO - XI2 * 0.5 + up, ZERO))]
+    grazing = [XI1 + Tricomplex(1e-12 / 3, 1e-12 / 3, 1e-12 / 3), XI2 - XI1 * 0.5 + up, ZERO - XI2 - XI1 * 0.5 + up]
+    loops = (lifted(0.0, up), lifted(1e-12 / 3, up), on_line, crossing, grazing)
+    poles = (ZERO, ZERO, ZERO - XI2 * 0.5 + up, ZERO, ZERO)
+    return [(Path3.polyline(v + v[:1], closed=True), pole) for v, pole in zip(loops, poles)]
 
 
 @pytest.mark.parametrize(
     "case, what",
-    zip(range(4), ("touches the singular plane",) * 2 + ("touches the singular line", "crosses the singular plane")),
+    enumerate(
+        ("touches the singular plane",) * 2
+        + ("touches the singular line", "crosses the singular plane", "touches the singular plane")
+    ),
 )
 def test_pole_loop_closed_form_keeps_the_panels_guards(case, what):
     # f None raises as f = texp does, before any evaluation, with the same
-    # message up to the point it names: a node's on the panels, a vertex's
-    # in the closed form where the guard runs at each segment's ends
+    # message up to the point it names: both routes guard the vertices
+    # first, then the segments, and the panels then their nodes
     loop, pole = _guard_cases()[case]
     messages = []
     for f in (None, Counted(texp)):
@@ -1099,8 +1119,8 @@ def test_pole_loop_closed_form_keeps_the_panels_guards(case, what):
 def test_polyline_pole_logs_near_the_top_of_the_range():
     # near the top of the range, where a vertex's difference from the pole
     # can leave the double range (the component sums' do in the second
-    # case), the logs are taken on a copy scaled by a power of two, as the
-    # ratios are scale-free: the closed form agrees with the panels' f = 1
+    # case), the winding is counted on a copy scaled by a power of two: the
+    # closed form agrees with the panels' f = 1
     def square(c, r):
         return Path3.polyline([_near(c, r, k * math.pi / 2, 0.0) for k in range(5)], closed=True)
 
