@@ -32,11 +32,11 @@ integrand and sums stay (complex, float) pairs, joined to a Tricomplex
 once at the end.  The pole's loop integral is the residue theorem on the
 transverse plane: dw/(w - a_w) picks up 2*pi*i per turn around a_w, and
 dv/(v - a_v) integrates to zero on a closed loop.  On a polyline or a
-circle that integral alone (f = 1) needs no node: once the loop is
-guarded as its quadrature would be, it is 2*pi*i times the winding of w
-around a_w on w, and 0 on v.  The winding is taken on w as well: that
-of a circle is known in closed form, and that of a polyline from its
-split edges; only other loops are sampled.
+circle that integral alone (f = 1) needs no node: the whole loop is
+guarded against the pole first, as before any quadrature, and it is then
+2*pi*i times the winding of w around a_w on w, and 0 on v.  The winding
+is taken on w as well: that of a circle is known in closed form, and
+that of a polyline from its split edges; only other loops are sampled.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class _SplitPath(Path3):
 class _Polyline(_SplitPath):
     """A polyline, linear in the split between its vertices: ``edges``
     holds each segment's start and step (w0, v0, w1 - w0, v1 - v0), and
-    ``samples`` is its number of segments."""
+    ``samples`` is its number of segments; ``_guard`` checks it whole."""
 
     __slots__ = ("vertices", "edges")
     _fields = ("samples", "closed", "vertices")
@@ -298,29 +298,16 @@ class _Polyline(_SplitPath):
         w, v, dw, dv = self._at(a, h)
         return [(w + dw * c, v + dv * c, dw * wt, dv * wt, None) for c, wt in _GL_RULE]
 
-    def _pole_at(self, pole: tuple[Tricomplex, complex, float], a: float, h: float) -> tuple[complex, float]:
-        """The parameters t_w = (a_w - w)/dw and t_v = (a_v - v)/dv of ``pole``, a and its
-        split (a_w, a_v), on the panel [a, a + h] from its start and step: on it dw/(w - a_w)
-        is dc/(c - t_w), and so for v.  A t_w within ``_GUARD`` of [0, 1], or a t_v in it,
-        puts the pole's singular line, or plane, on the panel: SingularOnPath."""
-        (point, aw, av), (w, v, dw, dv) = pole, self._at(a, h)
-        t_w, t_v = (aw - w) / dw if dw else math.inf, (av - v) / dv if dv else math.inf
-        s = min(max(t_w.real, 0.0), 1.0)
-        if abs(t_w - s) <= _GUARD or 0.0 <= t_v <= 1.0:
-            line = abs(t_w - s) <= _GUARD
-            what, s = ("touches the singular line", s) if line else ("crosses the singular plane", t_v)
-            raise SingularOnPath(f"path {what} through {point} near {self.point_at((a + s * h) / self.samples)}")
-        return t_w, t_v
-
     def _pole_panel(
         self, g: SplitFunction, a: float, h: float, pole: tuple[Tricomplex, complex, float]
     ) -> tuple[list[complex], list[float], tuple | None]:
         """The terms of g, f/(u - a), on the panel [a, a + h] and what ``_own_estimate``
-        reads (None: the tail decides), from ``pole``, a and its split (a_w, a_v), and its
-        parameters ``_pole_at``: a near part appends ``_remainder``'s term, a far one adds
-        its tail to the estimate."""
-        t_w, t_v = self._pole_at(pole, a, h)
-        (_, aw, av), (w, v, _, _), (w1, v1, _, _) = pole, self._at(a, h), self._at(a + h, h)
+        reads (None: the tail decides), from ``pole``, a and its split (a_w, a_v).  On the
+        panel dw/(w - a_w) is dc/(c - t_w), t_w = (a_w - w)/dw, and so for v: a near part
+        appends ``_remainder``'s term, a far one adds its tail to the estimate.  The panel
+        lies on a segment that ``_guard`` has kept off the pole's singular sets."""
+        (_, aw, av), (w, v, dw, dv), (w1, v1, _, _) = pole, self._at(a, h), self._at(a + h, h)
+        t_w, t_v = (aw - w) / dw if dw else math.inf, (av - v) / dv if dv else math.inf
         nodes = self._nodes(a, h)
         tw, tv = _terms(g, nodes)
         far = [abs(t) + abs(t - 1.0) >= _FAR for t in (t_w, t_v)]
@@ -329,28 +316,31 @@ class _Polyline(_SplitPath):
         remainders, near = [0.0, 0.0], []
         parts = [(tw, aw, w, w1, _TRANSVERSE_NORM), (tv, av, v, v1, 1.0 / _SQRT3)]
         for k, (terms, x, x0, x1, norm) in enumerate(parts):
-            if not far[k]:  # the kernel as the terms have it: 1/(w - a_w) times the step
-                kernel = [1.0 / (node[k] - x) * node[k + 2] for node in nodes]
+            if not far[k]:  # the kernel as the terms have it, 1/(w - a_w) times the step (NaN past the range)
+                kernel = [1.0 / d * n[k + 2] if cmath.isfinite(d := n[k] - x) else math.nan for n in nodes]
                 remainders[k], reads = _remainder((x - x1) / (x - x0), terms, kernel, norm)
                 near.append(reads)
         plain = (tw if far[0] else (), tv if far[1] else ())
         return tw + remainders[:1], tv + [remainders[1].real], (*plain, near)
 
-    def _guard_vertices(self, pole: tuple[Tricomplex, complex, float]) -> None:
-        """Guard each vertex as ``_integrand`` guards a node, since no panel node lies on a
-        vertex; ``pole`` is a and its split (a_w, a_v)."""
-        guard = _integrand(None, pole)
-        for w, v, _, _ in self.edges:
+    def _guard(self, pole: tuple[Tricomplex, complex, float]) -> None:
+        """Check the loop against ``pole``, a and its split (a_w, a_v), before any evaluation:
+        each vertex as ``_integrand`` checks a node, which also raises where two lie on either
+        side of the pole's singular plane, so no segment meets it; then each segment, whose
+        t_w = (a_w - w)/dw within ``_GUARD`` of [0, 1] puts the singular line on it."""
+        guard, (point, aw, _) = _integrand(None, pole), pole
+        for w, v in [edge[:2] for edge in self.edges] + [_to_split(self.vertices[-1])]:  # each vertex
             guard(w, v, None)
-
-    def _pole_turns(self, point: Tricomplex) -> int:
-        """The winding of w around the pole's a_w once the vertices, then the segments
-        (``_pole_at``), are guarded as on the panels: a_w is then off every segment."""
-        pole = (point, *_pole_split(point))
-        self._guard_vertices(pole)
         for i in range(self.samples):
-            self._pole_at(pole, float(i), 1.0)
-        return _winding_number([w for w, _, _, _ in self.edges + self.edges[:1]], pole[1], 0.0)
+            w, _, dw, _ = self._at(float(i), 1.0)
+            t = (aw - w) / dw if dw else math.inf
+            if abs(t - (s := min(max(t.real, 0.0), 1.0))) <= _GUARD:
+                near = self.point_at((i + s) / self.samples)
+                raise SingularOnPath(f"path touches the singular line through {point} near {near}")
+
+    def _pole_turns(self, aw: complex, guarded: None) -> int:
+        """The winding of w around a_w at guard 0: ``_guard`` has kept a_w off every segment."""
+        return _winding_number([w for w, _, _, _ in self.edges + self.edges[:1]], aw, 0.0)
 
     def _winding(self) -> Callable[[complex], int]:
         ws = [w for w, _, _, _ in self.edges + self.edges[:1]]
@@ -365,9 +355,9 @@ class _Circle(_SplitPath):
     center_v fixed: (center_w, center_v) is the center's split and radius_w is
     radius/sqrt(2/3), as a unit of w has Euclidean length sqrt(2/3).  Node i of the
     n-node rule is at t = i/n, and the n nodes repeat every turn, so a level holds one
-    turn's.  Its winding is closed form (see ``winding_count``), a pole's α is ``_pole``'s, and
-    the pole's loop integral alone is 2*pi*i*turns inside, 0 outside (``_pole_turns``).
-    A radius_w beyond the double range raises Overflow."""
+    turn's.  Its winding is closed form (see ``winding_count``), ``_guard`` checks it against a
+    pole and gives the pole's α, and the pole's loop integral alone is 2*pi*i*turns inside, 0
+    outside (``_pole_turns``).  A radius_w beyond the double range raises Overflow."""
 
     __slots__ = ("center", "radius", "turns", "center_w", "center_v", "radius_w")
     _fields = ("samples", "closed", "center", "radius", "turns")
@@ -395,12 +385,12 @@ class _Circle(_SplitPath):
         e = cmath.rect(self.radius_w, omega * t)
         return self.center_w + e, self.center_v, e * complex(0.0, omega), 0.0
 
-    def _pole(self, pole: Tricomplex) -> tuple[bool, complex]:
-        """Whether a_w lies inside the circle's w, and α = (a_w - center_w)/radius_w or
-        1/α, whichever is at most 1 in modulus; near the top of the range, from a copy
-        scaled by 2**-e.  A finite |center_v - a_v| within ``_GUARD`` times 1 + the largest
-        |w - a_w| puts the circle in the pole's singular plane, and ||α| - 1| <= ``_GUARD``
-        on its singular line: either raises SingularOnPath."""
+    def _guard(self, pole: tuple[Tricomplex, complex, float]) -> tuple[bool, complex]:
+        """Whether a_w lies inside the circle's w, and α = (a_w - center_w)/radius_w or 1/α,
+        whichever is at most 1 in modulus, from ``pole``, a and its split (a_w, a_v); near the
+        top of the range, from a copy scaled by 2**-e.  A finite |center_v - a_v| within ``_GUARD``
+        times 1 + the largest |w - a_w| puts the circle in the pole's singular plane, and
+        ||α| - 1| <= ``_GUARD`` on its singular line: either raises SingularOnPath."""
 
         def alpha(parts: tuple) -> tuple[bool, complex]:
             aw, av, cw, cv, r, one = parts
@@ -412,23 +402,29 @@ class _Circle(_SplitPath):
                 what, t = "touches the singular line", cmath.phase(d) / (_TWO_PI * self.turns)
             else:
                 return md < r, d / r if md < r else r / d
-            raise SingularOnPath(f"path {what} through {pole} near {self.point_at(t)}")
+            try:
+                raise SingularOnPath(f"path {what} through {pole[0]} near {self.point_at(t)}")
+            except Overflow:  # the point leaves the double range: the circle's centre is named
+                raise SingularOnPath(f"path {what} through {pole[0]} on the circle around {self.center}") from None
 
-        parts = (*_pole_split(pole), self.center_w, self.center_v, self.radius_w, 1.0)
+        parts = (*pole[1:], self.center_w, self.center_v, self.radius_w, 1.0)
         top = max(max(abs(p.real), abs(p.imag)) for p in parts)
         return alpha(parts) if top < 2.0**500 else _rescaled(alpha, parts, math.frexp(top)[1], 0, "a pole's α")
 
-    def _pole_turns(self, pole: Tricomplex) -> int:
-        """The winding of w around a_w: ``turns`` if ``_pole`` puts a_w inside, else 0."""
-        return self.turns if self._pole(pole)[0] else 0
+    def _pole(self, pole: Tricomplex) -> tuple[bool, complex]:
+        return self._guard((pole, *_pole_split(pole)))
+
+    def _pole_turns(self, aw: complex, guarded: tuple[bool, complex]) -> int:
+        """The winding of w around a_w: ``turns`` if ``_guard`` put a_w inside, else 0."""
+        return self.turns if guarded[0] else 0
 
     def _winding(self) -> Callable[[complex], int]:
         cw, r = self.center_w, self.radius_w
+        half = max(abs(cw.real), abs(cw.imag)) / 2.0 + r / 2.0  # the guard's scale halved: it stays in range
 
         def winding(aw: complex) -> int:
             d = math.hypot(aw.real - cw.real, aw.imag - cw.imag)
-            scale = max(abs(aw.real), abs(aw.imag), abs(cw.real) + r, abs(cw.imag) + r)
-            if abs(d - r) <= _WINDING_GUARD * (1.0 + scale):
+            if abs(d - r) <= 2.0 * _WINDING_GUARD * (0.5 + max(abs(aw.real) / 2.0, abs(aw.imag) / 2.0, half)):
                 raise AmbiguousWinding(_ON_LOOP)
             return self.turns if d < r else 0
 
@@ -464,6 +460,7 @@ def _integrand(f: TriFunction | None, pole: tuple[Tricomplex, complex, float] | 
     (w = a_w) through the pole; |w - a_w| is sqrt(quadratic_form(u - a)),
     and an infinite |v - a_v| is never near.  Nodes on both sides of that
     plane raise SingularOnPath too: there dv/(v - a_v) is not integrable.
+    Past the double range |w - a_w| is taken on halves, and 1/(w - a_w) is NaN.
     """
 
     def at(w: complex, v: float, u: Tricomplex | None) -> Tricomplex:
@@ -486,10 +483,13 @@ def _integrand(f: TriFunction | None, pole: tuple[Tricomplex, complex, float] | 
         dw, dv = w - aw, v - av
         try:
             mw = abs(dw)
-        except OverflowError:  # |dw| leaves the double range; its larger part does not
-            mw = max(abs(dw.real), abs(dw.imag))
+        except OverflowError:
+            mw = math.inf
         mv = abs(dv)
         near, what = _GUARD + _GUARD * (mv if mw < mv < math.inf else mw), None
+        if near == math.inf:  # |dw| leaves the double range
+            near = _GUARD + 2.0 * _GUARD * math.hypot(w.real / 2.0 - aw.real / 2.0, w.imag / 2.0 - aw.imag / 2.0)
+            dw = complex(math.nan, math.nan)  # 1/dw would underflow: a sum of NaN raises
         if side * dv <= near:
             if mv <= near:
                 what = "touches the singular plane"
@@ -648,7 +648,7 @@ def _own_estimate(plain_w: Sequence, plain_v: Sequence, near: list) -> float:
 
 
 def _circle(
-    f: TriFunction, path: _Circle, tol: float, cap: int, pole: Tricomplex | None
+    f: TriFunction, path: _Circle, tol: float, cap: int, guarded: tuple[bool, complex] | None
 ) -> tuple[Tricomplex, int, float]:
     """A circle's integral of f(u) du, or of f(u) du/(u - pole), by product integration on
     its trapezoid levels (Helsing & Ojala 2008, J. Comput. Phys. 227; af Klinteberg & Barnett
@@ -656,18 +656,18 @@ def _circle(
     dw/(w - a_w) is dz/(z - α), and the interpolant sum(c_k z**k) of g on a level's n nodes
     integrates against it to 2*pi*i*sum_{k>=0} c_k α**k, its frequencies -n/2 < k <= n/2,
     when |α| < 1, and to -2*pi*i*sum_{k<0} c_k α**k, -n/2 <= k < n/2, when |α| > 1, times
-    the turns; dv = 0.  g is f_w, times w - center_w without a pole:
-    the kernel is the centre's, α = 0, and the sum c_0 is the trapezoid rule's.  A level
-    transforms its fresh nodes, which one radix-2 stage joins to the last level's.  Two
+    the turns; dv = 0.  ``guarded`` is ``_Circle._guard``'s (inside, α), None without a pole: g
+    is then f_w times w - center_w, the kernel the centre's, α = 0, and c_0 the trapezoid rule's.
+    A level transforms its fresh nodes, which one radix-2 stage joins to the last level's.  Two
     levels within ``tol`` are accepted; the estimate is at least g's rounding, as a panel's."""
-    inside, x = (True, 0j) if pole is None else path._pole(pole)
+    inside, x = (True, 0j) if guarded is None else guarded
     lifted, fw, c, previous = _integrand(f, None), [], [], None
     k, n, omega = abs(path.turns), _ORDER, _TWO_PI * path.turns
     while n * k <= cap:  # node 2i of n is node i of n/2: past the first level, the odd nodes are fresh
         # the fresh nodes' w - center_w, not rounded by center_w
         es = [cmath.rect(path.radius_w, omega * (i / (n * k))) for i in (range(1, n, 2) if fw else range(n))]
         new = [lifted(path.center_w + e, path.center_v, None)[0] for e in es]
-        new = list(map(mul, new, es)) if pole is None else new
+        new = list(map(mul, new, es)) if guarded is None else new
         fw = _interleaved(fw, new)
         odd = _fft(new, _spectral(len(new), len(new))[0])
         if c:  # c = [E + ωO, E - ωO], E the last level's transform (its even nodes) and O the odd nodes'
@@ -700,12 +700,12 @@ def _quadrature(
     """The quadrature behind ``path_integral``, ``loop_integral_pole`` and
     ``cauchy_value``: the integral of f(u) du, or f(u) du/(u - pole) (see
     ``_integrand``), the integrand evaluations it took and its error
-    estimate.  f None with a pole on a polyline or a circle is closed form:
-    2*pi*i on w per turn of the guarded loop (``_pole_turns``), from no
-    evaluation, its rounding the estimate.  Other circles take ``_circle``,
-    and a polyline's vertices are guarded before its first panel.  A sampled loop
-    returns the first of its ``_levels`` within ``tol`` of the last, their
-    difference the estimate, or takes panels.
+    estimate.  The pole is split once, and a polyline or a circle is
+    guarded whole (``_guard``) before any route or evaluation.  f None is
+    then closed form: 2*pi*i on w per turn around a_w (``_pole_turns``),
+    its rounding the estimate.  Other circles take ``_circle``.  A sampled
+    loop returns the first of its ``_levels`` within ``tol`` of the last,
+    their difference the estimate, or takes panels.
 
     A Gauss-Legendre panel is accepted once its estimate is at most
     ``tol`` times its share of [0, 1], and the others are halved, as in
@@ -721,14 +721,14 @@ def _quadrature(
     """
     if pole is not None and not path.closed:
         raise ValueError("loop must be closed")
-    if f is None and isinstance(path, _SplitPath):  # 1/(u - a) alone: 2*pi*i per turn around a_w
-        w = complex(0.0, _TWO_PI * path._pole_turns(pole))
-        return _from_split(w, 0.0), 0, _rounding([w], [0.0])
+    split = pole if pole is None else (pole, *_pole_split(pole))  # once: the guard and each panel read it
+    if split and isinstance(path, _SplitPath):
+        guarded = path._guard(split)  # the whole loop, before any route or evaluation
+        if f is None:  # 1/(u - a) alone: 2*pi*i per turn around a_w
+            w = complex(0.0, _TWO_PI * path._pole_turns(split[1], guarded))
+            return _from_split(w, 0.0), 0, _rounding([w], [0.0])
     if isinstance(path, _Circle):
-        return _circle(f, path, tol, cap, pole)
-    split = pole if pole is None else (pole, *_pole_split(pole))  # once: each panel reads it
-    if split is not None and isinstance(path, _Polyline):  # no panel node lies on a vertex
-        path._guard_vertices(split)
+        return _circle(f, path, tol, cap, guarded if split else None)
     g = _integrand(f, split)
     fw, fv, previous = [], [], None
     for fresh, dw, dv in path._levels(cap):
@@ -787,19 +787,18 @@ def path_integral(f: TriFunction, path: Path3) -> Tricomplex:
     polyline's segments or each panel's interpolating polynomial for
     tangent.  Only the panels whose own error estimate exceeds
     ``QUADRATURE_TOL`` times their share of the parameter range are halved.
-    With a pole (``cauchy_value``; ``loop_integral_pole`` is closed form on
-    polylines and circles) a polyline panel
-    adds the rule's closed-form remainder on 1/(u - a), times f's interpolant
-    at the pole's panel parameter: it is exact for f of degree 7, so a pole
-    near an edge costs no halving, and such a panel is judged by its own
-    product-integration estimate; a pole whose singular line meets an edge,
-    or a vertex on the pole's singular line or plane, raises SingularOnPath
-    before any evaluation.  A circle's levels sum the coefficients of the
-    interpolant of f_w (times w - center_w without a pole, whose kernel is
-    then the centre's) against the pole's kernel in closed form, so their
-    count does not grow as the pole nears; a circle in the pole's singular
-    plane, or one its singular line meets (within 1e-10 of the radius),
-    raises SingularOnPath before any evaluation.
+    With a pole (``cauchy_value``, ``loop_integral_pole``), a polyline or
+    a circle is checked whole before any evaluation: a vertex on the pole's
+    singular line or plane, two on either side of that plane, an edge that
+    line meets, a circle in that plane or one that line meets (within 1e-10
+    of the radius) raises SingularOnPath.  A polyline panel adds the rule's
+    closed-form remainder on 1/(u - a), times f's interpolant at the pole's
+    panel parameter: it is exact for f of degree 7, so a pole near an edge
+    costs no halving, and such a panel is judged by its own
+    product-integration estimate.  A circle's levels sum the coefficients
+    of the interpolant of f_w (times w - center_w without a pole, whose
+    kernel is then the centre's) against the pole's kernel in closed form,
+    so their count does not grow as the pole nears.
     NonConvergent is raised, before any evaluation, at a circle level of
     more than ``QUADRATURE_CAP`` nodes, or at a batch of panels that would
     take the evaluations, the trapezoid rule's included, past it.
@@ -824,8 +823,8 @@ def loop_integral_pole(a: Tricomplex, loop: Path3) -> Tricomplex:
     a_w.  Other loops take ``path_integral``'s rules with f = 1, and their
     quadrature result is returned as computed.  A loop that touches the
     singular plane or line through ``a``, or crosses that plane, raises
-    SingularOnPath: a polyline's vertices and then its segments are
-    guarded as the panels guard them.
+    SingularOnPath, a polyline or a circle before any evaluation (see
+    ``path_integral``).
     An ``a`` whose component sum leaves the double range gives ``residue_sum``'s
     value; one whose transverse pair does raises winding_count's Overflow.
     """

@@ -557,6 +557,32 @@ def test_circle_pole_route_keeps_its_errors_and_range():
     assert inside == loop_integral_pole(pole, UNIT_LOOP)
 
 
+def test_circle_winding_past_the_range_keeps_its_guard_in_range():
+    # on the circle above, |center_w| + radius_w overflows: the winding's
+    # guard is taken on halves, so the two poles wind 0 and 1 times instead
+    # of lying on the loop
+    top = Path3.circle(Tricomplex(0.0, 1e308, -1e308), 1e308)
+    outside = Tricomplex(1e300, 0.13e308 + 1e300, 1e300 - 0.13e308)
+    inside = Tricomplex(1e300, 0.9e308 + 1e300, 1e300 - 0.9e308)
+    assert [winding_count(top, pole) for pole in (outside, inside)] == [0, 1]
+    assert residue_sum([PoleSpec(inside, ONE)], top) == POLE_LOOP_VALUE
+
+
+def test_circle_past_the_range_in_the_poles_plane_names_its_centre():
+    # the point the message would name leaves the double range: the circle's
+    # centre is named, and the plane is still reported before any evaluation
+    from tricomplex.cli import run
+
+    center = Tricomplex(1e308, -1e308, 0.0)
+    loop = Path3.circle(center, 1e308)
+    counted = Counted(texp)
+    for run_it in (lambda: loop_integral_pole(center, loop), lambda: cauchy_value(counted, center, loop)):
+        with pytest.raises(SingularOnPath, match="touches the singular plane .* on the circle around"):
+            run_it()
+    assert counted.calls == 0
+    assert run(["integrate", "--pole", "(1e308,-1e308,0)", "--loop", "circle:center=(1e308,-1e308,0),radius=1e308"]) == 1
+
+
 def _reference_circle(f, path, tol, cap, pole=None):
     """``_circle`` with whole levels: each level evaluates all of one turn's
     nodes, transforms f's transverse parts, times w - center_w without a
@@ -1081,8 +1107,9 @@ def test_pole_loop_on_polylines_and_circles_is_closed_form(case):
 def _guard_cases():
     # (loop, pole) for the pole's singular sets on a polyline: a segment in
     # the pole's plane, one 1e-12 off it, a vertex on its singular line, an
-    # edge across its plane, and a vertex 1e-12 above it whose edges both
-    # leave upward, so that no panel node comes near the plane
+    # edge across its plane, a vertex 1e-12 above it whose edges both leave
+    # upward, so that no panel node comes near the plane, and a square whose
+    # last edge alone meets the singular line, at its midpoint
     corners = [XI1 * math.cos(k * 2 * math.pi / 3) + XI2 * math.sin(k * 2 * math.pi / 3) for k in range(3)]
     lifted = lambda lift, up: [v + Tricomplex(lift, lift, lift) for v in corners[:2]] + [corners[2] + up]  # noqa: E731
     up = Tricomplex(0.3, 0.3, 0.3)
@@ -1090,8 +1117,9 @@ def _guard_cases():
     on_line = [below - XI2 * 0.5, below + XI1, below + XI2]
     crossing = [XI1 - up, XI2 + up, up - XI1 - XI2]
     grazing = [XI1 + Tricomplex(1e-12 / 3, 1e-12 / 3, 1e-12 / 3), XI2 - XI1 * 0.5 + up, ZERO - XI2 - XI1 * 0.5 + up]
-    loops = (lifted(0.0, up), lifted(1e-12 / 3, up), on_line, crossing, grazing)
-    poles = (ZERO, ZERO, ZERO - XI2 * 0.5 + up, ZERO, ZERO)
+    square = [_from_split(w, 1.0) for w in (1.0, 1j, -1.0, -1j)]
+    loops = (lifted(0.0, up), lifted(1e-12 / 3, up), on_line, crossing, grazing, square)
+    poles = (ZERO, ZERO, ZERO - XI2 * 0.5 + up, ZERO, ZERO, _from_split(0.5 - 0.5j, 5.0))
     return [(Path3.polyline(v + v[:1], closed=True), pole) for v, pole in zip(loops, poles)]
 
 
@@ -1100,12 +1128,13 @@ def _guard_cases():
     enumerate(
         ("touches the singular plane",) * 2
         + ("touches the singular line", "crosses the singular plane", "touches the singular plane")
+        + ("touches the singular line",)
     ),
 )
 def test_pole_loop_closed_form_keeps_the_panels_guards(case, what):
     # f None raises as f = texp does, before any evaluation, with the same
-    # message up to the point it names: both routes guard the vertices
-    # first, then the segments, and the panels then their nodes
+    # message up to the point it names: both routes take the same guard of
+    # the whole loop, its vertices first, then its segments, before they part
     loop, pole = _guard_cases()[case]
     messages = []
     for f in (None, Counted(texp)):
@@ -1114,6 +1143,22 @@ def test_pole_loop_closed_form_keeps_the_panels_guards(case, what):
         messages.append(str(info.value).split(" near ")[0])
     assert messages[0] == messages[1]
     assert f.calls == 0
+
+
+def test_polyline_guard_reads_the_closing_vertex():
+    # a closed polyline's last vertex may differ from its first within the
+    # closing tolerance, 1e-6 at components near 1e6: here it lies on the
+    # pole's singular plane while the first lies 1e-6 above it, and both
+    # routes raise before any evaluation
+    v = 3e6
+    ws = (1.0, 1j, -1.0, -1j)
+    verts = [_from_split(ws[0], v + 1e-6)] + [_from_split(w, v + 0.3) for w in ws[1:]] + [_from_split(ws[0], v)]
+    loop, pole = Path3.polyline(verts, closed=True), _from_split(0.1 + 0.1j, v)
+    counted = Counted(texp)
+    for f in (None, counted):
+        with pytest.raises(SingularOnPath, match="the singular plane"):
+            _quadrature(f, loop, QUADRATURE_TOL, QUADRATURE_CAP, pole=pole)
+    assert counted.calls == 0
 
 
 def test_polyline_pole_logs_near_the_top_of_the_range():
@@ -1133,6 +1178,25 @@ def test_polyline_pole_logs_near_the_top_of_the_range():
         assert evaluations == 0
         assert abs(got - POLE_LOOP_VALUE) <= estimate
         assert abs(got - cauchy_value(lambda u: ONE, pole, loop)) < 1e-12
+
+
+def test_node_guard_where_the_poles_distance_leaves_the_range():
+    # w - a_w overflows at every vertex and node: the guard's share of
+    # |w - a_w| is taken on halves, so the component sums, 3e306 apart, are
+    # not near and the closed form gives winding_count's 0.  1/(w - a_w)
+    # would underflow there, so the panels raise instead of summing it, on
+    # the square and on a triangle whose near panel lies past the range
+    square = Path3.polyline(
+        [_near(Tricomplex(0.0, 0.6e308, -0.6e308), 0.2e308, k * math.pi / 2, 0.0) for k in range(5)], closed=True
+    )
+    pole = Tricomplex(1e306, -0.6e308 + 1e306, 0.6e308 + 1e306)
+    assert winding_count(square, pole) == 0
+    assert loop_integral_pole(pole, square) == ZERO
+    triangle = [_from_split(w, 0.0) for w in (0.89e308, 1.29e308, complex(1.09e308, 0.3e308))]
+    cases = ((square, pole), (Path3.polyline(triangle + triangle[:1], closed=True), _from_split(-0.9e308, 1e306)))
+    for loop, a in cases:
+        with pytest.raises(SingularOnPath, match="leaves the double range"):
+            cauchy_value(lambda u: ONE, a, loop)
 
 
 @st.composite
